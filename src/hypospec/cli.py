@@ -7,35 +7,24 @@ files), verify (the full claim suite).
 
 Exit codes: 0 success, 1 failed claim or failed comparison, 2 usage error.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
-stderr.  HYPOSPEC_THREADS sets the worker count for deck computation.
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
 from .families import FAMILY_TAGS, FamilySpec, family_hypergraph
 from .hypergraph import Hypergraph
-from .iso import Deck, canonical_form, deck, delete_vertex, hypomorphic
-from .spectral import (SolverConfig, exact_bracket, oracle_radius,
-                       principal_eigenpair, report_record)
+from .iso import deck, hypomorphic
+from .spectral import (SolverConfig, oracle_radius, principal_eigenpair,
+                       rational_bracket, report_record)
 from .verify import run_suite, verify_main_theorem, write_verdict
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("HYPOSPEC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring non-integer HYPOSPEC_THREADS={raw!r}", file=sys.stderr)
-        return 1
 
 
 def _solver_flags(sub: argparse.ArgumentParser) -> None:
@@ -143,7 +132,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _config(args)
     started = time.perf_counter()
     pair = principal_eigenpair(hg, cfg)
-    lo, hi = exact_bracket(hg, pair.vector)
+    lo, hi, _ = rational_bracket(hg, pair.vector)
     print(f"solved in {time.perf_counter() - started:.2f}s", file=sys.stderr)
     record = report_record(pair, Path(args.file).stem, None)
     record["lambda_lo"] = float(lo)
@@ -184,18 +173,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 1
 
 
-def _deck_parallel(hg: Hypergraph, workers: int) -> Deck:
-    if workers <= 1:
-        return deck(hg)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        forms = list(pool.map(lambda v: canonical_form(delete_vertex(hg, v)), hg.vertices))
-    return Deck(tuple(zip(hg.vertices, forms)))
-
-
 def _cmd_deck(args: argparse.Namespace) -> int:
     hg = _load(args.file)
     started = time.perf_counter()
-    d = _deck_parallel(hg, _thread_count())
+    d = deck(hg)
     print(f"deck of {hg.num_vertices} computed in {time.perf_counter() - started:.2f}s",
           file=sys.stderr)
     for v, cf in d:

@@ -158,37 +158,6 @@ def tau_endo() -> Endomorphism:
     return permutation_endo(tau_perm(), name="tau")
 
 
-def make_endomorphism(kind: str, n: int, *, r: int | None = None,
-                      index: int | None = None,
-                      eps: Sequence[int] | None = None) -> Endomorphism:
-    """Dispatch by kind tag: p0, p1, p_eps, E, q, sigma, theta, tau."""
-    if kind == "p0":
-        return p_map(n, 0)
-    if kind == "p1":
-        return p_map(n, 1)
-    if kind == "p_eps":
-        if eps is None:
-            raise ValueError("p_eps needs eps")
-        return p_eps(n, eps)
-    if kind == "E":
-        if r is None:
-            raise ValueError("E needs r")
-        return e_map(n, r)
-    if kind == "q":
-        return q_map(n)
-    if kind == "sigma":
-        if index is None:
-            raise ValueError("sigma needs index")
-        return sigma_endo(n, index)
-    if kind == "theta":
-        return theta_endo(n)
-    if kind == "tau":
-        if n != 3:
-            raise ValueError("tau is defined for n = 3 only")
-        return tau_endo()
-    raise ValueError(f"unknown endomorphism kind {kind!r}")
-
-
 # -- orbit substitution -------------------------------------------------------
 
 

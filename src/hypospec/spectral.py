@@ -8,15 +8,18 @@ whose left side is `tensor_apply`.  For a connected hypergraph the principal
 eigenpair is positive and unique up to scale, and for any positive vector the
 componentwise ratios give certified lower and upper bounds on lambda
 (Collatz-Wielandt).  The solver is a shifted power iteration driven by those
-brackets; `oracle_radius` is a deliberately independent second route that
-maximizes the generating polynomial on the unit m-norm sphere by projected
-gradient ascent and returns m times the maximum, which equals lambda by the
-Euler identity.
+brackets.  `refined_eigenvector` sharpens its vector by Newton steps on an
+integer dyadic vector, and `rational_bracket` turns any positive vector into
+exact rational bounds.  `oracle_radius` is a deliberately independent second
+route that maximizes the generating polynomial on the unit m-norm sphere by
+projected gradient ascent and returns m times the maximum, which equals
+lambda by the Euler identity.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -181,135 +184,148 @@ def _lm_norm(arr: np.ndarray, m: int) -> float:
     return float((arr ** m).sum() ** (1.0 / m))
 
 
-def collatz_wielandt_bracket(hypergraph: Hypergraph, values) -> tuple[float, float]:
-    """Certified [lo, hi] for the principal eigenvalue from any positive vector."""
-    arr = _as_vector(hypergraph, values)
-    if np.any(arr <= 0):
+def _positive_fractions(hypergraph: Hypergraph, values) -> list[Fraction]:
+    if isinstance(values, Mapping):
+        try:
+            point = [Fraction(values[v]) for v in hypergraph.vertices]
+        except KeyError as exc:
+            raise UnknownVertexError(exc.args[0]) from None
+    else:
+        point = [Fraction(t) for t in values]
+        if len(point) != len(hypergraph.vertices):
+            raise DimensionMismatchError(
+                f"vector of length {len(point)} against {len(hypergraph.vertices)} vertices")
+    if any(t <= 0 for t in point):
         raise ValueError("Collatz-Wielandt brackets need a strictly positive vector")
-    ratios = tensor_apply(hypergraph, arr) / arr ** (hypergraph.rank - 1)
-    return float(ratios.min()), float(ratios.max())
+    return point
 
 
-def _to_fraction(value) -> Fraction:
-    """Exact rational of an int, float, Fraction, or mpmath float."""
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    ratio = getattr(value, "as_integer_ratio", None)
-    if ratio is not None:
-        return Fraction(*ratio())
-    raw = getattr(value, "_mpf_", None)
-    if raw is not None:
-        sign, man, exp, _ = raw
-        if man == 0 and exp != 0:
-            raise ValueError(f"cannot convert non-finite value {value!r}")
-        frac = Fraction(man) * Fraction(2) ** exp
-        return -frac if sign else frac
-    return Fraction(value)
+@lru_cache(maxsize=128)
+def _links(hypergraph: Hypergraph) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per vertex position, the positions of the other members of each edge at it."""
+    links: list[list[tuple[int, ...]]] = [[] for _ in hypergraph.vertices]
+    for row in _edge_positions(hypergraph).tolist():
+        for p in row:
+            links[p].append(tuple(q for q in row if q != p))
+    return tuple(map(tuple, links))
+
+
+def _edge_sums(hypergraph: Hypergraph, ints: Sequence[int]) -> list[int]:
+    """S_i = sum over the edges e at i of the product of the other entries of e."""
+    return [sum(math.prod([ints[q] for q in others]) for others in link)
+            for link in _links(hypergraph)]
+
+
+def _ratio_range(sums: Sequence[int], powered: Sequence[int]) -> tuple[Fraction, Fraction]:
+    """Min and max of sums[i] / powered[i], picked by integer cross-multiplication."""
+    lo_i = hi_i = 0
+    for i in range(1, len(sums)):
+        if sums[i] * powered[lo_i] < sums[lo_i] * powered[i]:
+            lo_i = i
+        if sums[i] * powered[hi_i] > sums[hi_i] * powered[i]:
+            hi_i = i
+    return Fraction(sums[lo_i], powered[lo_i]), Fraction(sums[hi_i], powered[hi_i])
 
 
 def rational_bracket(hypergraph: Hypergraph, values
                      ) -> tuple[Fraction, Fraction, Fraction]:
     """Exact Collatz-Wielandt bracket plus residual at a positive vector.
 
-    Entries may be ints, floats, Fractions, or mpmath floats; each is taken
-    at its exact rational value, so the returned (lo, hi) provably contain
-    the principal eigenvalue no matter how the vector was produced.  The
-    residual is max_j |apply_j - mid * x_j^{m-1}| at the bracket midpoint.
+    Entries may be ints, floats, Fractions or numpy floats, as a sequence in
+    vertex order or a vertex-keyed mapping; each is taken at its exact
+    rational value, so the returned (lo, hi) provably contain the principal
+    eigenvalue no matter how the vector was produced.  The residual is
+    max_j |apply_j - mid * x_j^{m-1}| at the bracket midpoint.  The work is
+    done on the integer vector a = D * x for the common denominator D, since
+    the ratios S_i / a_i^{m-1} do not depend on the scale.
     """
-    if isinstance(values, Mapping):
-        try:
-            point = [_to_fraction(values[v]) for v in hypergraph.vertices]
-        except KeyError as exc:
-            raise UnknownVertexError(exc.args[0]) from None
-    else:
-        seq = list(values)
-        if len(seq) != len(hypergraph.vertices):
-            raise DimensionMismatchError(
-                f"vector of length {len(seq)} against {len(hypergraph.vertices)} vertices")
-        point = [_to_fraction(t) for t in seq]
-    if any(t <= 0 for t in point):
-        raise ValueError("Collatz-Wielandt brackets need a strictly positive vector")
-    index = {v: i for i, v in enumerate(hypergraph.vertices)}
+    point = _positive_fractions(hypergraph, values)
     m = hypergraph.rank
-    numer = [Fraction(0) for _ in point]
-    for e in hypergraph.edges:
-        pos = [index[v] for v in e]
-        full = Fraction(1)
-        for p in pos:
-            full *= point[p]
-        for p in pos:
-            numer[p] += full / point[p]
-    powered = [point[i] ** (m - 1) for i in range(len(point))]
-    ratios = [numer[i] / powered[i] for i in range(len(point))]
-    lo, hi = min(ratios), max(ratios)
+    scale = math.lcm(*(t.denominator for t in point))
+    ints = [t.numerator * (scale // t.denominator) for t in point]
+    sums = _edge_sums(hypergraph, ints)
+    powered = [t ** (m - 1) for t in ints]
+    lo, hi = _ratio_range(sums, powered)
     mid = (lo + hi) / 2
-    residual = max(abs(numer[i] - mid * powered[i]) for i in range(len(point)))
-    return lo, hi, residual
+    worst = max(abs(s * mid.denominator - mid.numerator * p) for s, p in zip(sums, powered))
+    return lo, hi, Fraction(worst, mid.denominator * scale ** (m - 1))
 
 
-def exact_bracket(hypergraph: Hypergraph, values) -> tuple[Fraction, Fraction]:
-    """Same brackets evaluated in exact rational arithmetic (floats taken exactly)."""
-    lo, hi, _ = rational_bracket(hypergraph, values)
-    return lo, hi
+# Each Newton step carries the vector this many more bits; refinement stops
+# before the working precision would pass MAX_REFINEMENT_BITS.
+_STEP_BITS = 50
+MAX_REFINEMENT_BITS = 4096
 
 
-def refined_eigenvector(hypergraph: Hypergraph, *, digits: int = 60,
-                        start: Sequence[float] | None = None, shift: float = 1.0,
-                        max_iterations: int = 20_000) -> tuple[list[Fraction], int]:
-    """Shifted power iteration carried out in `digits`-decimal arithmetic.
+def _newton_correction(hypergraph: Hypergraph, ints: list[int], sums: list[int],
+                       lam: int, bits: int) -> np.ndarray:
+    """Float64 Newton correction of the pair (a / 2^bits, lam / 2^bits), times 2^bits.
 
-    The separation of some eigenvalue pairs sits far below double precision,
-    so the double-precision solver cannot split their brackets; this refines
-    a (warm-start) vector until the Collatz-Wielandt spread drops under
-    10^(10 - digits) or the iteration budget runs out.  Returns the exact
-    dyadic rationals of the last iterate together with the iteration count;
-    feed them to rational_bracket for the certificate, which stays valid
-    even on a non-converged iterate.
+    `sums` are the edge sums of `ints`.  The residual A x^{m-1} - lam x^{[m-1]}
+    is taken exactly in integers and only then rounded.  The Jacobian is the
+    float derivative in x, the column -x^{[m-1]} for lam, and the row
+    x^{[m-1]} that keeps the m-norm fixed to first order.
     """
-    import mpmath
+    m = hypergraph.rank
+    nv = len(ints)
+    epos = _edge_positions(hypergraph)
+    scale = 1 << (bits * (m - 1))
+    rhs = np.zeros(nv + 1)
+    rhs[:nv] = [(lam * t ** (m - 1) - (s << bits)) / scale for s, t in zip(sums, ints)]
+    arr = np.array([t / (1 << bits) for t in ints])
+    jac = np.zeros((nv + 1, nv + 1))
+    for p in range(m):
+        for q in range(m):
+            if p != q:
+                others = [arr[epos[:, u]] for u in range(m) if u not in (p, q)]
+                np.add.at(jac, (epos[:, p], epos[:, q]), np.prod(others, axis=0))
+    jac[np.arange(nv), np.arange(nv)] -= (m - 1) * (lam / (1 << bits)) * arr ** (m - 2)
+    jac[:nv, nv] = -arr ** (m - 1)
+    jac[nv, :nv] = arr ** (m - 1)
+    return np.linalg.solve(jac, rhs)
 
-    if digits < 20:
-        raise ValueError(f"digits must be >= 20, got {digits}")
+
+def refined_eigenvector(hypergraph: Hypergraph, start, *,
+                        width: Fraction = Fraction(1, 1 << 128)
+                        ) -> tuple[list[Fraction], int]:
+    """Newton refinement of a positive vector toward the principal eigenvector.
+
+    Mixed-precision iterative refinement: the vector is held as a / 2^B in
+    Python ints, the residual of the eigen equation is exact, and the Newton
+    correction is solved in float64 and added back with B grown by
+    _STEP_BITS.  Steps go on until the exact Collatz-Wielandt width is at
+    most `width`; a step that does not narrow the bracket or leaves the
+    positive cone ends the refinement, and so does reaching
+    MAX_REFINEMENT_BITS.  Returns the exact dyadic entries of the best
+    vector reached and the number of steps kept; rational_bracket turns the
+    entries into the certificate, which is valid for any positive vector.
+    """
     if not is_connected(hypergraph):
         raise NotConnectedError("principal eigenpair needs a connected hypergraph")
+    point = _positive_fractions(hypergraph, start)
     m = hypergraph.rank
-    nv = len(hypergraph.vertices)
-    rows = [tuple(int(t) for t in row) for row in _edge_positions(hypergraph)]
-    with mpmath.workdps(digits):
-        tol = mpmath.mpf(10) ** (10 - digits)
-        sh = mpmath.mpf(shift)
-        root = mpmath.mpf(1) / (m - 1)
-        if start is None:
-            vec = [mpmath.mpf(1)] * nv
-        else:
-            seq = [float(t) for t in start]
-            if len(seq) != nv:
-                raise DimensionMismatchError(
-                    f"start of length {len(seq)} against {nv} vertices")
-            if min(seq) <= 0:
-                raise ValueError("start vector must be strictly positive")
-            vec = [mpmath.mpf(t) for t in seq]
-        norm = sum(t ** m for t in vec) ** (mpmath.mpf(1) / m)
-        vec = [t / norm for t in vec]
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            applied = [mpmath.mpf(0)] * nv
-            for row in rows:
-                prod = vec[row[0]]
-                for t in row[1:]:
-                    prod = prod * vec[t]
-                for t in row:
-                    applied[t] += prod / vec[t]
-            powered = [t ** (m - 1) for t in vec]
-            ratios = [a / p for a, p in zip(applied, powered)]
-            if max(ratios) - min(ratios) < tol:
-                break
-            nxt = [(a + sh * p) ** root for a, p in zip(applied, powered)]
-            norm = sum(t ** m for t in nxt) ** (mpmath.mpf(1) / m)
-            vec = [t / norm for t in nxt]
-        return [_to_fraction(t) for t in vec], iterations
+    bits = max(64, *(t.denominator.bit_length() for t in point))
+    ints = [round(t * (1 << bits)) for t in point]
+    sums = _edge_sums(hypergraph, ints)
+    lo, hi = _ratio_range(sums, [t ** (m - 1) for t in ints])
+    # Rayleigh quotient <x, A x^{m-1}> / <x, x^{[m-1]}>, at scale 2^bits
+    lam = (sum(s * t for s, t in zip(sums, ints)) << bits) // sum(t ** m for t in ints)
+    lift = float(1 << _STEP_BITS)
+    steps = 0
+    while hi - lo > width and bits + _STEP_BITS <= MAX_REFINEMENT_BITS:
+        step = _newton_correction(hypergraph, ints, sums, lam, bits)
+        trial = [(a << _STEP_BITS) + round(d * lift) for a, d in zip(ints, step)]
+        if min(trial) <= 0:
+            break
+        trial_sums = _edge_sums(hypergraph, trial)
+        trial_lo, trial_hi = _ratio_range(trial_sums, [t ** (m - 1) for t in trial])
+        if trial_hi - trial_lo >= hi - lo:
+            break
+        ints, sums, lo, hi = trial, trial_sums, trial_lo, trial_hi
+        lam = (lam << _STEP_BITS) + round(step[-1] * lift)
+        bits += _STEP_BITS
+        steps += 1
+    return [Fraction(t, 1 << bits) for t in ints], steps
 
 
 def principal_eigenpair(hypergraph: Hypergraph, config: SolverConfig | None = None) -> EigenPair:
@@ -320,6 +336,8 @@ def principal_eigenpair(hypergraph: Hypergraph, config: SolverConfig | None = No
     Collatz-Wielandt ratios at the current iterate.  Convergence means the
     bracket width and the residual both drop below the tolerance.  On
     max_iterations the best iterate is returned with converged=False.
+    The tolerance is floored at 64 ulps of the upper bracket, which double
+    precision can still resolve once lambda is in the hundreds.
     """
     cfg = config or SolverConfig()
     if not is_connected(hypergraph):
@@ -342,7 +360,8 @@ def principal_eigenpair(hypergraph: Hypergraph, config: SolverConfig | None = No
         lo, hi = float(ratios.min()), float(ratios.max())
         mid = 0.5 * (lo + hi)
         res = float(np.max(np.abs(applied - mid * powered)))
-        if hi - lo < cfg.tolerance and res < cfg.tolerance:
+        floor = max(cfg.tolerance, 64 * math.ulp(hi))
+        if hi - lo < floor and res < floor:
             return EigenPair(mid, lo, hi, arr, hypergraph.vertices, res, iterations)
         nxt = (applied + cfg.shift * powered) ** (1.0 / (m - 1))
         arr = nxt / _lm_norm(nxt, m)

@@ -28,9 +28,8 @@ from .families import (FamilySpec, base_cycles, e_map, family_hypergraph,
                        q_map, sigma_endo, sigma_index, sigma_perm, theta_perm)
 from .hypergraph import Hypergraph
 from .polyalg import SparsePoly, x
-from .spectral import (EigenPair, SolverConfig, codegree, degree,
-                       exact_bracket, principal_eigenpair, rational_bracket,
-                       refined_eigenvector)
+from .spectral import (SolverConfig, codegree, degree, principal_eigenpair,
+                       rational_bracket, refined_eigenvector)
 
 
 @dataclass
@@ -552,17 +551,6 @@ def verify_identity_suite(n: int) -> list[Claim]:
 # -- numeric claims --------------------------------------------------------------
 
 
-def radius_bracket(hypergraph: Hypergraph, config: SolverConfig | None = None
-                   ) -> tuple[EigenPair, Fraction, Fraction]:
-    """Solve, then recompute the Collatz-Wielandt bracket in exact arithmetic."""
-    pair = principal_eigenpair(hypergraph, config)
-    lo, hi = exact_bracket(hypergraph, pair.vector)
-    return pair, lo, hi
-
-
-REFINEMENT_LADDER = (30, 60, 120, 300)
-
-
 @_timed
 def verify_main_theorem(n: int, config: SolverConfig | None = None) -> Claim:
     """Certify that the pair has different spectral radii, with the predicted gap.
@@ -570,72 +558,74 @@ def verify_main_theorem(n: int, config: SolverConfig | None = None) -> Claim:
     The brackets are exact-rational Collatz-Wielandt bounds, so a separated
     pair of brackets is a proof of mu > lambda no matter how the vectors
     were computed.  The radius gap collapses roughly quadratically with n
-    (about 1e-8 at n = 3, 2e-25 at n = 4, 2e-68 at n = 5), so when the
-    double-precision vectors cannot split the brackets the solver escalates
-    through higher-precision refinements until they do.
+    (about 1e-8 at n = 3, 2e-25 at n = 4, 2e-68 at n = 5), so both float
+    vectors are Newton-refined in exact dyadic arithmetic until the brackets
+    separate with each width below 2^-64 of the gap; the printed values then
+    no longer depend on the float start.
 
     Passes iff mu_lo > lambda_hi exactly, the exact residuals meet the
-    tolerance, the gap polynomial 3 * x_0 * (E_2(x_1 - x_3))^2 is positive
-    at the X^n eigenvector, and mu_lo >= lambda_hi + that value - 1e-8.
+    tolerance, the scale-free gap polynomial
+    3 * x_0 * (E_2(x_1 - x_3))^2 / sum_i x_i^m is positive at the X^n
+    eigenvector, and mu_lo >= lambda_hi + that value - 1e-8.  Whether the
+    float stage converged does not enter the verdict.
     """
     cfg = config or SolverConfig()
     hx = family_hypergraph(FamilySpec("X", n))
     hy = family_hypergraph(FamilySpec("Y", n))
     pair_x = principal_eigenpair(hx, cfg)
     pair_y = principal_eigenpair(hy, cfg)
-    vec_x = [Fraction(float(t)) for t in pair_x.vector]
-    vec_y = [Fraction(float(t)) for t in pair_y.vector]
+    vec_x = [Fraction(t) for t in pair_x.vector]
+    vec_y = [Fraction(t) for t in pair_y.vector]
     x_lo, x_hi, x_res = rational_bracket(hx, vec_x)
     y_lo, y_hi, y_res = rational_bracket(hy, vec_y)
-    digits_used = 0
-    extra_iterations = 0
-    for digits in REFINEMENT_LADDER:
-        if y_lo > x_hi:
+    steps = 0
+    # The gap is unknown until the brackets separate, so until then each
+    # round asks for about two Newton steps (100 bits); once they separate,
+    # one more round makes both widths smaller than 2^-65 of the gap.
+    while y_lo - x_hi <= max(x_hi - x_lo, y_hi - y_lo) * 2 ** 64:
+        gap = y_lo - x_hi
+        width = gap / 2 ** 65 if gap > 0 else max(x_hi - x_lo, y_hi - y_lo) / 2 ** 100
+        vec_x, steps_x = refined_eigenvector(hx, vec_x, width=width)
+        vec_y, steps_y = refined_eigenvector(hy, vec_y, width=width)
+        if not steps_x + steps_y:
             break
-        vec_x, it_x = refined_eigenvector(hx, digits=digits, start=pair_x.vector,
-                                          shift=cfg.shift)
-        vec_y, it_y = refined_eigenvector(hy, digits=digits, start=pair_y.vector,
-                                          shift=cfg.shift)
+        steps += steps_x + steps_y
         x_lo, x_hi, x_res = rational_bracket(hx, vec_x)
         y_lo, y_hi, y_res = rational_bracket(hy, vec_y)
-        digits_used = digits
-        extra_iterations += it_x + it_y
     entry = dict(zip(hx.vertices, vec_x))
     e2_diff = sum(entry[j] for j in range(1, (1 << n) + 1) if j % 4 == 1) \
         - sum(entry[j] for j in range(1, (1 << n) + 1) if j % 4 == 3)
-    gap_value = float(3 * entry[0] * e2_diff ** 2)
+    predicted = 3 * entry[0] * e2_diff ** 2 / sum(t ** hx.rank for t in vec_x)
+    gap_value = float(predicted)
+    bits = max(t.denominator.bit_length() - 1 for t in vec_x + vec_y)
     params = {
         "n": n,
         "lambda_lo": float(x_lo), "lambda_hi": float(x_hi),
         "mu_lo": float(y_lo), "mu_hi": float(y_hi),
         "residual_x": float(x_res), "residual_y": float(y_res),
         "iterations_x": pair_x.iterations, "iterations_y": pair_y.iterations,
-        "refinement_digits": digits_used, "refinement_iterations": extra_iterations,
+        "refinement_bits": bits, "refinement_iterations": steps,
         "e2_diff": float(e2_diff), "predicted_gap": gap_value,
         "bracket_gap": float(y_lo - x_hi),
     }
     problems = []
-    for tag, pair in (("X", pair_x), ("Y", pair_y)):
-        if not pair.converged:
-            problems.append(f"{tag}^{n} double-precision stage did not converge: {pair.message}")
     for tag, res in (("X", x_res), ("Y", y_res)):
         if float(res) >= cfg.tolerance:
             problems.append(f"{tag}^{n} certified residual {float(res):.3e} >= tolerance")
-    if gap_value <= 0:
+    if not predicted > 0:
         problems.append(f"gap polynomial at the X^{n} eigenvector is {gap_value:.3e}, "
-                        "not positive at working precision")
+                        "not positive")
     if not y_lo > x_hi:
-        problems.append(f"brackets do not separate even at {digits_used} digits: "
+        problems.append(f"brackets do not separate even at {bits} bits: "
                         f"mu - lambda <= {float(y_hi - x_lo):.3e}")
     elif not float(y_lo) >= float(x_hi) + gap_value - 1e-8:
         problems.append(f"bracket gap {float(y_lo - x_hi):.3e} falls short of "
                         f"predicted {gap_value:.3e} - 1e-8")
     if problems:
         return Claim("main-theorem", params, "numeric", False, "; ".join(problems))
-    precision = f"{digits_used} digits" if digits_used else "double precision"
     return Claim("main-theorem", params, "numeric", True,
                  f"mu - lambda in [{float(y_lo - x_hi):.6g}, {float(y_hi - x_lo):.6g}] "
-                 f"at {precision}; predicted gap {gap_value:.6g}")
+                 f"at {bits} bits; predicted gap {gap_value:.6g}")
 
 
 def cone_over(base: Hypergraph, apex_links: Sequence[Sequence[int]], apex: int = 0) -> Hypergraph:

@@ -91,27 +91,30 @@ def test_compare_certifies_and_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+# The four result lines of `compare --n 4` do not depend on the float start:
+# the refinement stops only when both exact brackets are sharp to 64 bits
+# beyond their separation.
+COMPARE_4 = [
+    "lambda(X^4) in [35.312979519613819, 35.312979519613819]",
+    "mu(Y^4) in [35.312979519613819, 35.312979519613819]",
+    "predicted gap 2.2907854686309685e-25",
+    "mu > lambda: certified",
+]
+
+
+@pytest.mark.parametrize("seed", ["0", "2", "3"])
+def test_compare_prints_reference_lines(seed, capsys):
+    assert main(["compare", "--n", "4", "--seed", seed]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"# tol 1e-12 max-iter 1000000 shift 1 seed {seed}"] + COMPARE_4
+
+
 def test_deck_writes_default_json(x3_file, tmp_path, capsys):
     assert main(["deck", x3_file]) == 0
     out, _ = capsys.readouterr()
     assert out.count("deleted ") == 9
     payload = json.loads((tmp_path / "x3.deck.json").read_text())
     assert len(payload) == 9
-
-
-def test_deck_thread_count_does_not_change_output(x3_file, tmp_path, monkeypatch, capsys):
-    assert main(["deck", x3_file, "--out", str(tmp_path / "serial.json")]) == 0
-    serial_stdout = capsys.readouterr().out
-    monkeypatch.setenv("HYPOSPEC_THREADS", "4")
-    assert main(["deck", x3_file, "--out", str(tmp_path / "threaded.json")]) == 0
-    assert capsys.readouterr().out == serial_stdout
-    assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "threaded.json").read_bytes()
-
-
-def test_deck_warns_on_bad_thread_count(x3_file, monkeypatch, capsys):
-    monkeypatch.setenv("HYPOSPEC_THREADS", "many")
-    assert main(["deck", x3_file]) == 0
-    assert "HYPOSPEC_THREADS" in capsys.readouterr().err
 
 
 def test_hypomorphic_pair(x3_file, y3_file, capsys):

@@ -1,10 +1,10 @@
 import pytest
 
 from hypospec.families import (FAMILY_TAGS, N_CAP, FamilySpec, base_cycles,
-                               e_map, family_hypergraph, family_poly,
-                               make_endomorphism, mod_v, orbit_substitution,
-                               p_eps, p_map, q_map, sigma_endo, sigma_index,
-                               sigma_perm, tau_perm, theta_perm)
+                               e_map, family_hypergraph, family_poly, mod_v,
+                               orbit_substitution, p_eps, p_map, q_map,
+                               sigma_endo, sigma_index, sigma_perm, tau_endo,
+                               tau_perm, theta_endo, theta_perm)
 from hypospec.polyalg import SparsePoly, x
 from hypospec.spectral import codegree, degree
 
@@ -51,6 +51,7 @@ def test_p_maps():
     # closed form of a two-step composite at level 5
     e = p_eps(5, (1, 1))
     assert e.image(1) == x(mod_v(5, 4 - 3))
+    assert p_eps(3, (0,)).image(1) == x(2)
 
 
 def test_e_map_images():
@@ -73,20 +74,6 @@ def test_q_map_is_second_to_top_sum():
 
 def test_substitute_through_p_map():
     assert x(3).substitute(p_map(4, 1)) == x(5)
-
-
-def test_make_endomorphism_dispatch():
-    assert make_endomorphism("p0", 3).image(1) == x(2)
-    assert make_endomorphism("p_eps", 3, eps=(0,)).image(1) == x(2)
-    assert make_endomorphism("E", 3, r=2).image(1) == x(1) + x(5)
-    assert make_endomorphism("q", 3).image(1) == x(1) + x(5)
-    assert make_endomorphism("sigma", 3, index=0).image(1) == x(2)
-    assert make_endomorphism("theta", 3).image(2) == x(7)
-    assert make_endomorphism("tau", 3).image(1) == x(3)
-    with pytest.raises(ValueError):
-        make_endomorphism("tau", 4)
-    with pytest.raises(ValueError):
-        make_endomorphism("nope", 3)
 
 
 def test_orbit_substitution_theta():
@@ -210,3 +197,6 @@ def test_sigma_endo_matches_perm():
     table = sigma_perm(4, 2)
     for i in range(0, 17):
         assert s.image(i) == x(table[i])
+    assert sigma_endo(3, 0).image(1) == x(2)
+    assert theta_endo(3).image(2) == x(7)
+    assert tau_endo().image(1) == x(3)

@@ -8,8 +8,7 @@ import pytest
 from hypospec.families import FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph, UnknownVertexError
 from hypospec.spectral import (DimensionMismatchError, NotConnectedError,
-                               SolverConfig, codegree, collatz_wielandt_bracket,
-                               degree, exact_bracket, is_connected,
+                               SolverConfig, codegree, degree, is_connected,
                                lagrangian_value, oracle_radius,
                                principal_eigenpair, rational_bracket,
                                refined_eigenvector, report_record, residual_at,
@@ -113,16 +112,14 @@ def test_regular_cycle_eigenpair():
 def test_brackets_contain_eigenvalue():
     h = family_hypergraph(FamilySpec("X", 3))
     pair = principal_eigenpair(h)
-    lo, hi = collatz_wielandt_bracket(h, pair.vector)
-    assert lo <= pair.value <= hi
-    xlo, xhi = exact_bracket(h, pair.vector)
+    xlo, xhi, _ = rational_bracket(h, pair.vector)
     assert isinstance(xlo, Fraction) and isinstance(xhi, Fraction)
     assert float(xlo) <= pair.value <= float(xhi)
     # brackets from a crude positive vector still enclose the converged value
-    clo, chi = collatz_wielandt_bracket(h, [1.0] * 9)
+    clo, chi, _ = rational_bracket(h, [1.0] * 9)
     assert clo <= pair.value <= chi
     with pytest.raises(ValueError):
-        collatz_wielandt_bracket(h, [1.0] * 8 + [0.0])
+        rational_bracket(h, [1.0] * 8 + [0.0])
 
 
 def test_rational_bracket_residual():
@@ -139,7 +136,7 @@ def test_refined_eigenvector_certifies_tighter():
     h = family_hypergraph(FamilySpec("X", 3))
     pair = principal_eigenpair(h)
     lo0, hi0, _ = rational_bracket(h, [Fraction(float(t)) for t in pair.vector])
-    vec, iterations = refined_eigenvector(h, digits=40, start=pair.vector)
+    vec, iterations = refined_eigenvector(h, start=pair.vector)
     assert all(isinstance(t, Fraction) and t > 0 for t in vec)
     lo1, hi1, res1 = rational_bracket(h, vec)
     assert hi1 - lo1 < hi0 - lo0
@@ -147,7 +144,7 @@ def test_refined_eigenvector_certifies_tighter():
     assert lo0 <= hi1 and lo1 <= hi0      # both brackets enclose the same value
     assert iterations >= 1
     with pytest.raises(ValueError):
-        refined_eigenvector(h, digits=5)
+        refined_eigenvector(h, start=[1.0] * 8 + [0.0])
 
 
 def test_solver_rejects_disconnected():

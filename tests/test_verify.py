@@ -6,6 +6,7 @@ import pytest
 
 from hypospec.families import FamilySpec, family_hypergraph, family_poly, orbit_substitution, theta_perm
 from hypospec.polyalg import SparsePoly, x
+from hypospec.spectral import SolverConfig
 from hypospec.verify import (
     Claim,
     claims_to_json,
@@ -166,6 +167,16 @@ def test_main_theorem_n3():
     assert claim.params["residual_x"] < 1e-12
     assert claim.params["residual_y"] < 1e-12
     assert claim.params["predicted_gap"] > 0
+
+
+def test_main_theorem_judges_only_the_exact_certificate():
+    """Three power iterations leave the float brackets about 2e-3 wide; the
+    Newton refinement still reaches separated exact brackets."""
+    claim = verify_main_theorem(4, SolverConfig(max_iterations=3))
+    assert claim.passed, claim.detail
+    assert claim.params["iterations_x"] == claim.params["iterations_y"] == 3
+    assert claim.params["bracket_gap"] > 0
+    assert claim.params["refinement_bits"] > 64
 
 
 def test_cone_over_x3_structure():
