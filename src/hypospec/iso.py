@@ -1,19 +1,31 @@
 """Canonical labeling, isomorphism, decks, and hypomorphism for hypergraphs.
 
 The canonical form is computed by iterated partition refinement on vertex
-invariants followed by individualization and complete backtracking: every
-branch is explored, the lexicographically smallest relabeled edge list wins,
-and the number of leaves that attain it is exactly the automorphism count.
-Labels in a canonical form are 1..num_vertices.
+invariants followed by individualization and backtracking; the
+lexicographically smallest relabeled edge list over all leaves wins.  Labels
+in a canonical form are 1..num_vertices.
 
-The search is exact at any size but exhaustive, so a size bound (default 33
-vertices) guards against accidental huge inputs; callers can raise it.
+The search is pruned by automorphisms (McKay & Piperno, "Practical graph
+isomorphism, II", 2014; Junttila & Kaski, bliss, 2007).  A leaf whose relabeled
+edge list equals that of the first leaf or of the best leaf so far yields an
+automorphism.  The search then jumps back to the node where the two paths
+split, and at every node it skips a child in the same orbit as an explored
+child, under the automorphisms found so far that fix the node's path.  A
+skipped branch is the image of one already searched, so the first leaf that
+attains the minimum is always visited and the result equals that of the
+exhaustive search.  |Aut| is the product, over the levels of the first path,
+of the orbit size of the vertex individualised there under the automorphisms
+fixing the path above it (orbit-stabiliser).
+
+The search is exact at any size but its cost is not bounded by a polynomial,
+so a size bound (default 33 vertices) guards against accidental huge inputs;
+callers can raise it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .hypergraph import Hypergraph, UnknownVertexError
 
@@ -22,7 +34,8 @@ SIZE_BOUND = 33
 
 class SizeBoundExceededError(ValueError):
     def __init__(self, size: int, bound: int) -> None:
-        super().__init__(f"{size} vertices exceeds the size bound {bound}; pass size_bound to raise it")
+        super().__init__(f"{size} vertices exceeds the size bound {bound}; pass size_bound "
+                         "(--size-bound on the command line) to raise it")
         self.size = size
         self.bound = bound
 
@@ -34,6 +47,8 @@ class CanonicalForm:
     edges: canonical edge list over labels 1..size, lexicographically sorted.
     witness: input vertex -> canonical label.
     automorphism_count: order of the automorphism group of the input.
+    search_nodes: search-tree nodes visited (refinement calls); not part of
+    the form, so it takes no part in equality.
     """
 
     rank: int
@@ -41,6 +56,7 @@ class CanonicalForm:
     edges: tuple[tuple[int, ...], ...]
     witness: dict[int, int]
     automorphism_count: int
+    search_nodes: int = field(compare=False)
 
     def key(self) -> tuple:
         return (self.rank, self.size, self.edges)
@@ -60,7 +76,8 @@ def _check_size(hypergraph: Hypergraph, size_bound: int) -> None:
 def _refine(cells: tuple[tuple[int, ...], ...], edge_list: list[tuple[int, ...]],
             incidence: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:
     """Split cells by edge cell-profile until stable.  Refinement is
-    isomorphism-invariant, which is what makes the leaf count equal |Aut|."""
+    isomorphism-invariant, which is what lets two leaves with equal relabeled
+    edges define an automorphism."""
     while True:
         cell_of = [0] * n
         for ci, cell in enumerate(cells):
@@ -88,10 +105,29 @@ def _refine(cells: tuple[tuple[int, ...], ...], edge_list: list[tuple[int, ...]]
         cells = tuple(new_cells)
 
 
+def _orbit(points, generators: list[list[int]]) -> set[int]:
+    """The union of the orbits of `points` under the group the generators span."""
+    orbit = set(points)
+    stack = list(orbit)
+    while stack:
+        p = stack.pop()
+        for g in generators:
+            if g[p] not in orbit:
+                orbit.add(g[p])
+                stack.append(g[p])
+    return orbit
+
+
+def _fixing(generators: list[list[int]], path: tuple[int, ...]) -> list[list[int]]:
+    return [g for g in generators if all(g[p] == p for p in path)]
+
+
 def canonical_form(hypergraph: Hypergraph, *, size_bound: int = SIZE_BOUND) -> CanonicalForm:
     _check_size(hypergraph, size_bound)
     verts = hypergraph.vertices
     n = len(verts)
+    if n == 0:
+        return CanonicalForm(hypergraph.rank, 0, (), {}, 1, 0)
     index = {v: i for i, v in enumerate(verts)}
     edge_list = [tuple(index[v] for v in e) for e in hypergraph.edges]
     incidence: list[list[int]] = [[] for _ in range(n)]
@@ -99,41 +135,66 @@ def canonical_form(hypergraph: Hypergraph, *, size_bound: int = SIZE_BOUND) -> C
         for p in e:
             incidence[p].append(ei)
 
+    # A leaf is (path, order, edges): the individualised vertices, the vertex
+    # at each canonical position, and the relabelled edge list.
+    first: tuple | None = None
     best: tuple | None = None
-    best_labels: list[int] | None = None
-    best_count = 0
+    generators: list[list[int]] = []
+    nodes = 0
 
-    def visit(cells: tuple[tuple[int, ...], ...]) -> None:
-        nonlocal best, best_labels, best_count
+    def visit(cells: tuple[tuple[int, ...], ...], path: tuple[int, ...]) -> int:
+        """Search below the node reached by individualising `path`.  Returns the
+        depth to resume at: len(path) to go on, less to jump back."""
+        nonlocal first, best, nodes
+        nodes += 1
         cells = _refine(cells, edge_list, incidence, n)
-        target = None
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = ci
-                break
+        target = next((ci for ci, cell in enumerate(cells) if len(cell) > 1), None)
         if target is None:
+            order = [cell[0] for cell in cells]
             label = [0] * n
-            for li, cell in enumerate(cells):
-                label[cell[0]] = li + 1
+            for li, p in enumerate(order):
+                label[p] = li + 1
             candidate = tuple(sorted(tuple(sorted(label[p] for p in e)) for e in edge_list))
-            if best is None or candidate < best:
-                best = candidate
-                best_labels = label
-                best_count = 1
-            elif candidate == best:
-                best_count += 1
-            return
+            if first is None:
+                first = best = (path, order, candidate)
+                return len(path)
+            for known_path, known_order, known_edges in (first, best):
+                if candidate == known_edges:
+                    # Equal relabelled edges: mapping this leaf onto the known
+                    # one is an automorphism fixing their common prefix, so the
+                    # rest of this branch mirrors one already searched.
+                    generators.append([known_order[label[p] - 1] for p in range(n)])
+                    common = 0
+                    while path[common] == known_path[common]:
+                        common += 1
+                    return common
+            if candidate < best[2]:
+                best = (path, order, candidate)
+            return len(path)
+        depth = len(path)
         cell = cells[target]
+        explored: list[int] = []
+        covered: set[int] = set()
         for p in cell:
+            if p in covered:
+                continue
             rest = tuple(q for q in cell if q != p)
-            visit(cells[:target] + ((p,), rest) + cells[target + 1:])
+            level = visit(cells[:target] + ((p,), rest) + cells[target + 1:], path + (p,))
+            if level < depth:
+                return level
+            explored.append(p)
+            covered = _orbit(explored, _fixing(generators, path))
+        return depth
 
-    if n == 0:
-        return CanonicalForm(hypergraph.rank, 0, (), {}, 1)
-    visit((tuple(range(n)),))
-    assert best is not None and best_labels is not None
-    witness = {verts[p]: best_labels[p] for p in range(n)}
-    return CanonicalForm(hypergraph.rank, n, best, witness, best_count)
+    visit((tuple(range(n)),), ())
+    assert first is not None and best is not None
+    first_path = first[0]
+    count = 1
+    for level, p in enumerate(first_path):
+        count *= len(_orbit((p,), _fixing(generators, first_path[:level])))
+    position = {p: li + 1 for li, p in enumerate(best[1])}
+    witness = {v: position[p] for p, v in enumerate(verts)}
+    return CanonicalForm(hypergraph.rank, n, best[2], witness, count, nodes)
 
 
 def automorphism_count(hypergraph: Hypergraph, *, size_bound: int = SIZE_BOUND) -> int:
@@ -173,6 +234,10 @@ class Deck:
     def key(self) -> tuple:
         return tuple(sorted(cf.key() for _, cf in self.entries))
 
+    @property
+    def search_nodes(self) -> int:
+        return sum(cf.search_nodes for _, cf in self.entries)
+
     def __iter__(self) -> Iterator[tuple[int, CanonicalForm]]:
         return iter(self.entries)
 
@@ -187,13 +252,18 @@ def deck(hypergraph: Hypergraph, *, size_bound: int = SIZE_BOUND) -> Deck:
         for v in hypergraph.vertices))
 
 
-def hypomorphic(first: Hypergraph, second: Hypergraph, *,
-                size_bound: int = SIZE_BOUND) -> tuple[bool, dict[int, int] | None]:
-    """Deck multiset equality; on success returns eta with H-v iso to G-eta(v)."""
+def hypomorphic(first: Hypergraph, second: Hypergraph, *, size_bound: int = SIZE_BOUND,
+                on_deck: Callable[[Deck], object] | None = None
+                ) -> tuple[bool, dict[int, int] | None]:
+    """Deck multiset equality; on success returns eta with H-v iso to G-eta(v).
+    `on_deck`, when given, receives each deck once it is computed."""
     if first.rank != second.rank or first.num_vertices != second.num_vertices:
         return False, None
     deck_f = deck(first, size_bound=size_bound)
     deck_g = deck(second, size_bound=size_bound)
+    if on_deck is not None:
+        on_deck(deck_f)
+        on_deck(deck_g)
     if deck_f.key() != deck_g.key():
         return False, None
     by_key: dict[tuple, list[int]] = {}

@@ -17,8 +17,10 @@ routes.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -61,6 +63,27 @@ def write_verdict(path: str, claims: Sequence[Claim]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(claims_to_json(claims))
         fh.write("\n")
+
+
+def _underflows(q: Fraction) -> bool:
+    """q is nonzero but float(q) is below the smallest normal double, so the
+    float keeps fewer significant digits than asked for, or none."""
+    return q != 0 and abs(float(q)) < sys.float_info.min
+
+
+def format_exact(q: Fraction, spec: str) -> str:
+    """`format(float(q), spec)`, or, where float(q) underflows, the same
+    significant digits computed from q itself through `decimal`."""
+    if not _underflows(q):
+        return format(float(q), spec)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return format(Decimal(q.numerator) / Decimal(q.denominator), spec)
+
+
+def _json_number(q: Fraction) -> float | str:
+    """float(q), or its 17 significant digits as a string where it underflows."""
+    return format_exact(q, ".17g") if _underflows(q) else float(q)
 
 
 def _certificate(diff: SparsePoly, limit: int = 600) -> str:
@@ -568,6 +591,10 @@ def verify_main_theorem(n: int, config: SolverConfig | None = None) -> Claim:
     3 * x_0 * (E_2(x_1 - x_3))^2 / sum_i x_i^m is positive at the X^n
     eigenvector, and mu_lo >= lambda_hi + that value - 1e-8.  Whether the
     float stage converged does not enter the verdict.
+
+    The params `predicted_gap` and `bracket_gap` are floats, or strings of 17
+    significant digits where the float would underflow (from n = 7 on); the
+    detail prints the exact values the same way.
     """
     cfg = config or SolverConfig()
     hx = family_hypergraph(FamilySpec("X", n))
@@ -605,27 +632,29 @@ def verify_main_theorem(n: int, config: SolverConfig | None = None) -> Claim:
         "residual_x": float(x_res), "residual_y": float(y_res),
         "iterations_x": pair_x.iterations, "iterations_y": pair_y.iterations,
         "refinement_bits": bits, "refinement_iterations": steps,
-        "e2_diff": float(e2_diff), "predicted_gap": gap_value,
-        "bracket_gap": float(y_lo - x_hi),
+        "e2_diff": float(e2_diff), "predicted_gap": _json_number(predicted),
+        "bracket_gap": _json_number(y_lo - x_hi),
     }
     problems = []
     for tag, res in (("X", x_res), ("Y", y_res)):
         if float(res) >= cfg.tolerance:
-            problems.append(f"{tag}^{n} certified residual {float(res):.3e} >= tolerance")
+            problems.append(f"{tag}^{n} certified residual {format_exact(res, '.3e')} "
+                            ">= tolerance")
     if not predicted > 0:
-        problems.append(f"gap polynomial at the X^{n} eigenvector is {gap_value:.3e}, "
-                        "not positive")
+        problems.append(f"gap polynomial at the X^{n} eigenvector is "
+                        f"{format_exact(predicted, '.3e')}, not positive")
     if not y_lo > x_hi:
         problems.append(f"brackets do not separate even at {bits} bits: "
-                        f"mu - lambda <= {float(y_hi - x_lo):.3e}")
+                        f"mu - lambda <= {format_exact(y_hi - x_lo, '.3e')}")
     elif not float(y_lo) >= float(x_hi) + gap_value - 1e-8:
-        problems.append(f"bracket gap {float(y_lo - x_hi):.3e} falls short of "
-                        f"predicted {gap_value:.3e} - 1e-8")
+        problems.append(f"bracket gap {format_exact(y_lo - x_hi, '.3e')} falls short of "
+                        f"predicted {format_exact(predicted, '.3e')} - 1e-8")
     if problems:
         return Claim("main-theorem", params, "numeric", False, "; ".join(problems))
     return Claim("main-theorem", params, "numeric", True,
-                 f"mu - lambda in [{float(y_lo - x_hi):.6g}, {float(y_hi - x_lo):.6g}] "
-                 f"at {bits} bits; predicted gap {gap_value:.6g}")
+                 f"mu - lambda in [{format_exact(y_lo - x_hi, '.6g')}, "
+                 f"{format_exact(y_hi - x_lo, '.6g')}] "
+                 f"at {bits} bits; predicted gap {format_exact(predicted, '.6g')}")
 
 
 def cone_over(base: Hypergraph, apex_links: Sequence[Sequence[int]], apex: int = 0) -> Hypergraph:

@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -111,17 +112,30 @@ def test_compare_prints_reference_lines(seed, capsys):
 
 def test_deck_writes_default_json(x3_file, tmp_path, capsys):
     assert main(["deck", x3_file]) == 0
-    out, _ = capsys.readouterr()
+    out, err = capsys.readouterr()
     assert out.count("deleted ") == 9
+    assert re.search(r"deck of 9 computed in .*s, \d+ search nodes", err)
     payload = json.loads((tmp_path / "x3.deck.json").read_text())
     assert len(payload) == 9
 
 
+def test_deck_size_bound_flag(tmp_path, capsys):
+    path = tmp_path / "seven.hg"
+    path.write_text(Hypergraph(3, range(7), [(0, 1, 2), (4, 5, 6)]).to_text(), encoding="ascii")
+    assert main(["deck", str(path), "--size-bound", "5"]) == 2
+    assert "--size-bound" in capsys.readouterr().err
+    assert main(["deck", str(path), "--size-bound", "7"]) == 0
+    assert capsys.readouterr().out.count("deleted ") == 7
+    assert main(["hypomorphic", str(path), str(path), "--size-bound", "5"]) == 2
+    assert "--size-bound" in capsys.readouterr().err
+
+
 def test_hypomorphic_pair(x3_file, y3_file, capsys):
     assert main(["hypomorphic", x3_file, y3_file]) == 0
-    out, _ = capsys.readouterr()
+    out, err = capsys.readouterr()
     assert out.splitlines()[0] == "hypomorphic: yes"
     assert out.count("eta ") == 9
+    assert re.search(r"^\d+ search nodes$", err, re.M)
 
 
 def test_hypomorphic_mismatch(x3_file, tmp_path, capsys):

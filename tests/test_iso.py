@@ -1,6 +1,8 @@
 """Canonical forms, decks, and the hypomorphism certificate."""
 
+import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -64,6 +66,25 @@ def test_canonical_form_invariant_under_relabeling():
         assert canonical_form(moved).key() == base.key()
 
 
+def circulant(n: int, bases, offset: int = 0) -> set[tuple[int, ...]]:
+    """The rotations of each base triple in Z_n, shifted by offset."""
+    return {tuple(sorted(offset + (b + r) % n for b in base)) for base in bases for r in range(n)}
+
+
+def test_canonical_form_invariant_on_union_of_circulants():
+    """Three vertex-transitive components give several cells refinement cannot
+    split. Pruning there is sound only under automorphisms that fix the path."""
+    edges = (circulant(8, [(3, 4, 6)]) | circulant(8, [(0, 1, 3), (1, 2, 7)], 8)
+             | circulant(4, [(0, 1, 2), (0, 1, 3)], 16))
+    union = Hypergraph(3, range(20), edges)
+    base = canonical_form(union)
+    assert base.automorphism_count == 36864
+    rng = random.Random(3)
+    for _ in range(10):
+        moved, _ = shuffled_copy(union, rng)
+        assert canonical_form(moved).key() == base.key()
+
+
 def test_canonical_witness_maps_onto_canonical_edges():
     cf = canonical_form(X3)
     mapped = {tuple(sorted(cf.witness[v] for v in e)) for e in X3.edges}
@@ -77,16 +98,55 @@ def test_canonical_round_trip_through_text():
     assert canonical_form(rebuilt).key() == cf.key()
 
 
+def complete(vertices) -> Hypergraph:
+    return Hypergraph(3, vertices, itertools.combinations(vertices, 3))
+
+
 def test_automorphism_counts_frozen():
-    single = Hypergraph(3, [1, 2, 3], [(1, 2, 3)])
-    assert automorphism_count(single) == 6
     assert automorphism_count(X3) == 2
     assert automorphism_count(Y3) == 2
+    for k in range(3, 10):
+        assert automorphism_count(complete(range(k))) == math.factorial(k)
+    two_k4 = Hypergraph(3, range(8), complete(range(4)).edges + complete(range(4, 8)).edges)
+    assert automorphism_count(two_k4) == 2 * 24 ** 2
+    three_edges = Hypergraph(3, range(11), [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    assert automorphism_count(three_edges) == 6 * 6 ** 3 * 2
+
+
+def test_pruning_keeps_symmetric_search_small():
+    """Without automorphism pruning K_9 visits a node per leaf, 9! of them."""
+    assert canonical_form(complete(range(9))).search_nodes < 100
 
 
 def test_automorphism_count_matches_brute_force_on_cycle_family():
     c3 = family_hypergraph(FamilySpec("C3", 3))
     assert automorphism_count(c3) == brute_automorphisms(c3)
+
+
+def test_automorphism_count_and_witness_match_brute_force():
+    rng = random.Random(20261017)
+    for _ in range(100):
+        h = random_instance(rng, max_vertices=7)
+        cf = canonical_form(h)
+        assert cf.automorphism_count == brute_automorphisms(h)
+        assert sorted(cf.witness.values()) == list(range(1, cf.size + 1))
+        assert sorted(tuple(sorted(cf.witness[v] for v in e)) for e in h.edges) == list(cf.edges)
+
+
+# sha256 of repr([(edges, sorted witness items, automorphism_count), ...]) over
+# the decks of X^4 and Y^4 and 20 relabelled random instances, as computed by
+# the exhaustive (unpruned) search: pruning must not change any of them.
+FROZEN_CANONICAL_DIGEST = "2169d7f1d542b3e479b69a47b74d3072ad2a6d4eed59ea927500d52b66afaf9e"
+
+
+def test_canonical_forms_match_exhaustive_search_digest():
+    forms = [cf for tag in ("X", "Y") for _, cf in deck(family_hypergraph(FamilySpec(tag, 4)))]
+    rng = random.Random(20261017)
+    for _ in range(20):
+        moved, _ = shuffled_copy(random_instance(rng, max_vertices=7), rng)
+        forms.append(canonical_form(moved))
+    rows = [(cf.edges, sorted(cf.witness.items()), cf.automorphism_count) for cf in forms]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == FROZEN_CANONICAL_DIGEST
 
 
 def test_pair_is_not_isomorphic():
@@ -152,7 +212,7 @@ def test_size_bound_enforced():
     verts = list(range(1, SIZE_BOUND + 2))
     edges = [(i, i + 1, i + 2) for i in range(1, SIZE_BOUND)]
     big = Hypergraph(3, verts, edges)
-    with pytest.raises(SizeBoundExceededError):
+    with pytest.raises(SizeBoundExceededError, match="--size-bound"):
         canonical_form(big)
     small = Hypergraph(3, range(1, 7), [(1, 2, 3), (4, 5, 6)])
     with pytest.raises(SizeBoundExceededError):

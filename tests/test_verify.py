@@ -1,6 +1,7 @@
 """Exact-identity claims, their mutation sensitivity, and the numeric claims."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from hypospec.verify import (
     cone_over,
     f_poly,
     fixed_point_map,
+    format_exact,
     neigh_square,
     pair_gap_poly,
     run_suite,
@@ -177,6 +179,19 @@ def test_main_theorem_judges_only_the_exact_certificate():
     assert claim.params["iterations_x"] == claim.params["iterations_y"] == 3
     assert claim.params["bracket_gap"] > 0
     assert claim.params["refinement_bits"] > 64
+
+
+def test_format_exact_survives_float_underflow():
+    """From n = 7 the radius gap is below the smallest double; its printed
+    digits come from the exact value, and normal values print as floats."""
+    tiny = Fraction(3, 2 ** 1200)  # about 1.74e-361
+    assert float(tiny) == 0.0
+    mantissa, _, exponent = format_exact(tiny, ".17g").partition("e")
+    assert float(mantissa) != 0 and exponent == "-361"
+    assert format_exact(tiny, ".6g") == "1.74231e-361"
+    assert format_exact(tiny, ".3e") == "1.742e-361"
+    for q in (Fraction(22, 7), Fraction(-1, 3 * 10 ** 300), Fraction(0)):
+        assert format_exact(q, ".17g") == format(float(q), ".17g")
 
 
 def test_cone_over_x3_structure():
