@@ -24,8 +24,8 @@ callers can raise it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 from .hypergraph import Hypergraph, UnknownVertexError
 
@@ -34,8 +34,7 @@ SIZE_BOUND = 33
 
 class SizeBoundExceededError(ValueError):
     def __init__(self, size: int, bound: int) -> None:
-        super().__init__(f"{size} vertices exceeds the size bound {bound}; pass size_bound "
-                         "(--size-bound on the command line) to raise it")
+        super().__init__(f"{size} vertices exceeds the size bound {bound}; pass size_bound to raise it")
         self.size = size
         self.bound = bound
 
@@ -47,8 +46,6 @@ class CanonicalForm:
     edges: canonical edge list over labels 1..size, lexicographically sorted.
     witness: input vertex -> canonical label.
     automorphism_count: order of the automorphism group of the input.
-    search_nodes: search-tree nodes visited (refinement calls); not part of
-    the form, so it takes no part in equality.
     """
 
     rank: int
@@ -56,7 +53,6 @@ class CanonicalForm:
     edges: tuple[tuple[int, ...], ...]
     witness: dict[int, int]
     automorphism_count: int
-    search_nodes: int = field(compare=False)
 
     def key(self) -> tuple:
         return (self.rank, self.size, self.edges)
@@ -127,7 +123,7 @@ def canonical_form(hypergraph: Hypergraph, *, size_bound: int = SIZE_BOUND) -> C
     verts = hypergraph.vertices
     n = len(verts)
     if n == 0:
-        return CanonicalForm(hypergraph.rank, 0, (), {}, 1, 0)
+        return CanonicalForm(hypergraph.rank, 0, (), {}, 1)
     index = {v: i for i, v in enumerate(verts)}
     edge_list = [tuple(index[v] for v in e) for e in hypergraph.edges]
     incidence: list[list[int]] = [[] for _ in range(n)]
@@ -140,13 +136,11 @@ def canonical_form(hypergraph: Hypergraph, *, size_bound: int = SIZE_BOUND) -> C
     first: tuple | None = None
     best: tuple | None = None
     generators: list[list[int]] = []
-    nodes = 0
 
     def visit(cells: tuple[tuple[int, ...], ...], path: tuple[int, ...]) -> int:
         """Search below the node reached by individualising `path`.  Returns the
         depth to resume at: len(path) to go on, less to jump back."""
-        nonlocal first, best, nodes
-        nodes += 1
+        nonlocal first, best
         cells = _refine(cells, edge_list, incidence, n)
         target = next((ci for ci, cell in enumerate(cells) if len(cell) > 1), None)
         if target is None:
@@ -194,7 +188,7 @@ def canonical_form(hypergraph: Hypergraph, *, size_bound: int = SIZE_BOUND) -> C
         count *= len(_orbit((p,), _fixing(generators, first_path[:level])))
     position = {p: li + 1 for li, p in enumerate(best[1])}
     witness = {v: position[p] for p, v in enumerate(verts)}
-    return CanonicalForm(hypergraph.rank, n, best[2], witness, count, nodes)
+    return CanonicalForm(hypergraph.rank, n, best[2], witness, count)
 
 
 def automorphism_count(hypergraph: Hypergraph, *, size_bound: int = SIZE_BOUND) -> int:
@@ -234,10 +228,6 @@ class Deck:
     def key(self) -> tuple:
         return tuple(sorted(cf.key() for _, cf in self.entries))
 
-    @property
-    def search_nodes(self) -> int:
-        return sum(cf.search_nodes for _, cf in self.entries)
-
     def __iter__(self) -> Iterator[tuple[int, CanonicalForm]]:
         return iter(self.entries)
 
@@ -252,18 +242,13 @@ def deck(hypergraph: Hypergraph, *, size_bound: int = SIZE_BOUND) -> Deck:
         for v in hypergraph.vertices))
 
 
-def hypomorphic(first: Hypergraph, second: Hypergraph, *, size_bound: int = SIZE_BOUND,
-                on_deck: Callable[[Deck], object] | None = None
-                ) -> tuple[bool, dict[int, int] | None]:
-    """Deck multiset equality; on success returns eta with H-v iso to G-eta(v).
-    `on_deck`, when given, receives each deck once it is computed."""
+def hypomorphic(first: Hypergraph, second: Hypergraph, *,
+                size_bound: int = SIZE_BOUND) -> tuple[bool, dict[int, int] | None]:
+    """Deck multiset equality; on success returns eta with H-v iso to G-eta(v)."""
     if first.rank != second.rank or first.num_vertices != second.num_vertices:
         return False, None
     deck_f = deck(first, size_bound=size_bound)
     deck_g = deck(second, size_bound=size_bound)
-    if on_deck is not None:
-        on_deck(deck_f)
-        on_deck(deck_g)
     if deck_f.key() != deck_g.key():
         return False, None
     by_key: dict[tuple, list[int]] = {}

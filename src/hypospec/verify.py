@@ -81,11 +81,6 @@ def format_exact(q: Fraction, spec: str) -> str:
         return format(Decimal(q.numerator) / Decimal(q.denominator), spec)
 
 
-def _json_number(q: Fraction) -> float | str:
-    """float(q), or its 17 significant digits as a string where it underflows."""
-    return format_exact(q, ".17g") if _underflows(q) else float(q)
-
-
 def _certificate(diff: SparsePoly, limit: int = 600) -> str:
     text = diff.to_text()
     if len(text) > limit:
@@ -592,9 +587,10 @@ def verify_main_theorem(n: int, config: SolverConfig | None = None) -> Claim:
     eigenvector, and mu_lo >= lambda_hi + that value - 1e-8.  Whether the
     float stage converged does not enter the verdict.
 
-    The params `predicted_gap` and `bracket_gap` are floats, or strings of 17
-    significant digits where the float would underflow (from n = 7 on); the
-    detail prints the exact values the same way.
+    The params `predicted_gap` and `bracket_gap` are floats, so from n = 7 on
+    they underflow to 0.0.  Where the predicted gap does, `predicted_gap_text`
+    holds its 17 significant digits taken from the exact value, and the
+    detail prints every exact value the same way.
     """
     cfg = config or SolverConfig()
     hx = family_hypergraph(FamilySpec("X", n))
@@ -632,9 +628,11 @@ def verify_main_theorem(n: int, config: SolverConfig | None = None) -> Claim:
         "residual_x": float(x_res), "residual_y": float(y_res),
         "iterations_x": pair_x.iterations, "iterations_y": pair_y.iterations,
         "refinement_bits": bits, "refinement_iterations": steps,
-        "e2_diff": float(e2_diff), "predicted_gap": _json_number(predicted),
-        "bracket_gap": _json_number(y_lo - x_hi),
+        "e2_diff": float(e2_diff), "predicted_gap": gap_value,
+        "bracket_gap": float(y_lo - x_hi),
     }
+    if _underflows(predicted):
+        params["predicted_gap_text"] = format_exact(predicted, ".17g")
     problems = []
     for tag, res in (("X", x_res), ("Y", y_res)):
         if float(res) >= cfg.tolerance:

@@ -1,7 +1,6 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import json
-import re
 import subprocess
 import sys
 
@@ -10,6 +9,7 @@ import pytest
 from hypospec.cli import _parse_n_range, main
 from hypospec.families import FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph
+from hypospec.iso import SIZE_BOUND
 
 
 @pytest.fixture
@@ -112,30 +112,30 @@ def test_compare_prints_reference_lines(seed, capsys):
 
 def test_deck_writes_default_json(x3_file, tmp_path, capsys):
     assert main(["deck", x3_file]) == 0
-    out, err = capsys.readouterr()
+    out, _ = capsys.readouterr()
     assert out.count("deleted ") == 9
-    assert re.search(r"deck of 9 computed in .*s, \d+ search nodes", err)
     payload = json.loads((tmp_path / "x3.deck.json").read_text())
     assert len(payload) == 9
 
 
-def test_deck_size_bound_flag(tmp_path, capsys):
-    path = tmp_path / "seven.hg"
-    path.write_text(Hypergraph(3, range(7), [(0, 1, 2), (4, 5, 6)]).to_text(), encoding="ascii")
-    assert main(["deck", str(path), "--size-bound", "5"]) == 2
-    assert "--size-bound" in capsys.readouterr().err
-    assert main(["deck", str(path), "--size-bound", "7"]) == 0
-    assert capsys.readouterr().out.count("deleted ") == 7
-    assert main(["hypomorphic", str(path), str(path), "--size-bound", "5"]) == 2
-    assert "--size-bound" in capsys.readouterr().err
+def test_named_file_above_default_size_bound(tmp_path, capsys):
+    """The size bound guards library callers; a file named on the command
+    line is searched at its own size."""
+    n = SIZE_BOUND + 2
+    triples = [(i, i + 1, i + 2) for i in range(0, n - 2, 3)]
+    path = tmp_path / "big.hg"
+    path.write_text(Hypergraph(3, range(n), triples).to_text(), encoding="ascii")
+    assert main(["deck", str(path)]) == 0
+    assert capsys.readouterr().out.count("deleted ") == n
+    assert main(["hypomorphic", str(path), str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "hypomorphic: yes"
 
 
 def test_hypomorphic_pair(x3_file, y3_file, capsys):
     assert main(["hypomorphic", x3_file, y3_file]) == 0
-    out, err = capsys.readouterr()
+    out, _ = capsys.readouterr()
     assert out.splitlines()[0] == "hypomorphic: yes"
     assert out.count("eta ") == 9
-    assert re.search(r"^\d+ search nodes$", err, re.M)
 
 
 def test_hypomorphic_mismatch(x3_file, tmp_path, capsys):

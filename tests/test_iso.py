@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from hypospec import iso
 from hypospec.families import FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph, UnknownVertexError
 from hypospec.iso import (
@@ -113,9 +114,20 @@ def test_automorphism_counts_frozen():
     assert automorphism_count(three_edges) == 6 * 6 ** 3 * 2
 
 
-def test_pruning_keeps_symmetric_search_small():
-    """Without automorphism pruning K_9 visits a node per leaf, 9! of them."""
-    assert canonical_form(complete(range(9))).search_nodes < 100
+def test_pruning_keeps_symmetric_search_small(monkeypatch):
+    """Each search node is one call of iso._refine. Without automorphism
+    pruning K_9 visits a node per leaf, 9! of them."""
+    calls = 0
+    refine = iso._refine
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return refine(*args)
+
+    monkeypatch.setattr(iso, "_refine", counting)
+    canonical_form(complete(range(9)))
+    assert 0 < calls < 100
 
 
 def test_automorphism_count_matches_brute_force_on_cycle_family():
@@ -212,7 +224,7 @@ def test_size_bound_enforced():
     verts = list(range(1, SIZE_BOUND + 2))
     edges = [(i, i + 1, i + 2) for i in range(1, SIZE_BOUND)]
     big = Hypergraph(3, verts, edges)
-    with pytest.raises(SizeBoundExceededError, match="--size-bound"):
+    with pytest.raises(SizeBoundExceededError, match="size_bound"):
         canonical_form(big)
     small = Hypergraph(3, range(1, 7), [(1, 2, 3), (4, 5, 6)])
     with pytest.raises(SizeBoundExceededError):
