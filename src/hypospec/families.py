@@ -128,12 +128,9 @@ def e_map(n: int, r: int) -> Endomorphism:
     if r == n:
         return Endomorphism({}, name=f"E_{r}^{n}")
     step = 1 << r
-    images = {}
-    for i in range(1, (1 << n) + 1):
-        total = SparsePoly.zero()
-        for s in range(1, (1 << (n - r)) + 1):
-            total = total + x(mod_v(n, i + s * step))
-        images[i] = total
+    # the 2^(n-r) indices of one class are distinct, so each image is one term dict
+    images = {i: SparsePoly({(mod_v(n, i + s * step),): 1 for s in range(1, (1 << (n - r)) + 1)})
+              for i in range(1, (1 << n) + 1)}
     return Endomorphism(images, name=f"E_{r}^{n}")
 
 

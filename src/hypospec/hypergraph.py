@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping, Sequence
 
-from .polyalg import SparsePoly, monomial_text
+from .polyalg import SparsePoly, monomial_key, monomial_text
 
 
 class NonSquarefreeError(ValueError):
@@ -173,8 +173,7 @@ class Hypergraph:
 
 def lagrangian_of(hypergraph: Hypergraph) -> SparsePoly:
     """Sum of the squarefree edge monomials."""
-    terms = {tuple((v, 1) for v in edge): 1 for edge in hypergraph.edges}
-    return SparsePoly(terms)
+    return SparsePoly(dict.fromkeys(hypergraph.edges, 1))
 
 
 def hypergraph_from_lagrangian(poly: SparsePoly, rank: int) -> Hypergraph:
@@ -186,14 +185,19 @@ def hypergraph_from_lagrangian(poly: SparsePoly, rank: int) -> Hypergraph:
     with coefficient 1.
     """
     edges = []
-    for mono, coef in poly.monomials():
+    offenders = []
+    for mono, coef in poly.terms.items():
+        if coef == 1 and len(mono) == rank and len(set(mono)) == rank:
+            edges.append(mono)
+        else:
+            offenders.append(mono)
+    if offenders:
+        mono = min(offenders, key=monomial_key)
         text = monomial_text(mono)
-        if any(e != 1 for _, e in mono):
+        if len(set(mono)) != len(mono):
             raise NonSquarefreeError(text)
-        if sum(e for _, e in mono) != rank:
-            raise WrongDegreeError(text, sum(e for _, e in mono), rank)
-        if coef != 1:
-            raise BadCoefficientError(text, coef)
-        edges.append(tuple(v for v, _ in mono))
+        if len(mono) != rank:
+            raise WrongDegreeError(text, len(mono), rank)
+        raise BadCoefficientError(text, poly.terms[mono])
     vertices = sorted({v for e in edges for v in e})
     return Hypergraph(rank, vertices, edges)

@@ -1,10 +1,20 @@
 """Exact sparse multivariate polynomial arithmetic over the integers.
 
 Variables are indexed by nonnegative integers: x_0, x_1, x_2, ...  A monomial
-is a sorted tuple of (variable, exponent) pairs with strictly positive
-exponents, and a polynomial maps monomials to nonzero integer coefficients.
-Coefficients are plain Python ints, so every computation is exact and an
-identity holds iff the difference has no terms at all.
+is the sorted multiset of its variable indices, so x_1^2*x_3 is `(1, 1, 3)`
+and the constant monomial is `()`.  The product of two monomials is the
+sorted concatenation and the degree is the length, which suits the traffic
+here: squarefree, low-degree monomials under variable renamings (the
+packed-monomial idea of Monagan & Pearce, "Sparse polynomial multiplication
+and division in Maple 14", 2009).  The canonical graded-lexicographic term
+order and the text form are defined on the run-length `(variable, exponent)`
+form of a monomial.  A polynomial maps monomials to nonzero integer
+coefficients.  Coefficients are plain Python ints, so every computation is
+exact and an identity holds iff the difference has no terms at all.
+
+The public constructor validates its terms; ring operations combine
+polynomials that are valid already, so their results are only cleared of
+cancelled terms.
 
 Ring endomorphisms substitute a polynomial image for each variable (variables
 without an image are fixed).  They are the workhorse for all symmetry
@@ -15,11 +25,15 @@ class-sum maps, and orbit-representative substitutions are all instances.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterator, Mapping, Sequence, Union
 
-Monomial = tuple[tuple[int, int], ...]
+Monomial = tuple[int, ...]
 
 ONE: Monomial = ()
+
+# Rename-table entry of a variable whose image is not a bare variable.
+_NOT_A_VARIABLE = -1
 
 
 class MissingVariableError(KeyError):
@@ -34,38 +48,46 @@ class MissingVariableError(KeyError):
 
 
 def monomial_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
+    return len(mono)
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+    return tuple(sorted(a + b))
 
 
-def monomial_key(mono: Monomial) -> tuple[int, Monomial]:
+def _runs(mono: Monomial) -> tuple[tuple[int, int], ...]:
+    """Run-length form: ((variable, exponent), ...) in increasing variable order."""
+    return tuple((v, len(list(group))) for v, group in groupby(mono))
+
+
+def monomial_key(mono: Monomial) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Graded lexicographic key; fixes the canonical term order."""
-    return (monomial_degree(mono), mono)
+    return (len(mono), _runs(mono))
 
 
 def monomial_text(mono: Monomial) -> str:
     if not mono:
         return "1"
-    return "*".join(f"x_{v}" if e == 1 else f"x_{v}^{e}" for v, e in mono)
+    return "*".join(f"x_{v}" if e == 1 else f"x_{v}^{e}" for v, e in _runs(mono))
 
 
 def _dict_mul(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
     out: dict[Monomial, int] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = monomial_mul(ma, mb)
+            m = tuple(sorted(ma + mb))  # monomial_mul, inlined in the hot loop
             out[m] = out.get(m, 0) + ca * cb
     return out
+
+
+def _adopt(terms: dict[Monomial, int]) -> "SparsePoly":
+    """Wrap `terms`, built by a ring operation from valid polynomials, as a
+    polynomial.  Only cancelled terms are dropped; nothing is re-validated."""
+    for mono in [m for m, c in terms.items() if not c]:
+        del terms[mono]
+    poly = object.__new__(SparsePoly)
+    poly.terms = terms
+    return poly
 
 
 class SparsePoly:
@@ -78,12 +100,14 @@ class SparsePoly:
         if terms:
             for mono, coef in terms.items():
                 if not isinstance(coef, int):
-                    raise TypeError(f"coefficient for {monomial_text(mono)} is not an int: {coef!r}")
+                    raise TypeError(f"coefficient for {mono!r} is not an int: {coef!r}")
                 if coef == 0:
                     continue
-                for v, e in mono:
-                    if v < 0 or e <= 0:
-                        raise ValueError(f"bad monomial {mono!r}: indices must be >= 0, exponents > 0")
+                if (not isinstance(mono, tuple) or not all(isinstance(v, int) for v in mono)
+                        or (mono and mono[0] < 0)
+                        or any(a > b for a, b in zip(mono, mono[1:]))):
+                    raise ValueError(f"bad monomial {mono!r}: expected a sorted tuple of "
+                                     "variable indices >= 0")
                 clean[mono] = coef
         self.terms = clean
 
@@ -99,9 +123,9 @@ class SparsePoly:
 
     @classmethod
     def variable(cls, index: int) -> "SparsePoly":
-        if index < 0:
-            raise ValueError(f"variable index must be >= 0, got {index}")
-        return cls({((index, 1),): 1})
+        if not isinstance(index, int) or index < 0:
+            raise ValueError(f"variable index must be an int >= 0, got {index!r}")
+        return _adopt({(index,): 1})
 
     # -- ring operations ----------------------------------------------------
 
@@ -110,27 +134,29 @@ class SparsePoly:
         out = dict(self.terms)
         for mono, coef in other.terms.items():
             out[mono] = out.get(mono, 0) + coef
-        return SparsePoly(out)
+        return _adopt(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly({m: -c for m, c in self.terms.items()})
+        return _adopt({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Union["SparsePoly", int]) -> "SparsePoly":
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        out = dict(self.terms)
+        for mono, coef in other.terms.items():
+            out[mono] = out.get(mono, 0) - coef
+        return _adopt(out)
 
     def __rsub__(self, other: int) -> "SparsePoly":
         return _coerce(other) - self
 
     def __mul__(self, other: Union["SparsePoly", int]) -> "SparsePoly":
         if isinstance(other, int):
-            if other == 0:
-                return SparsePoly()
-            return SparsePoly({m: c * other for m, c in self.terms.items()})
+            return _adopt({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return SparsePoly(_dict_mul(self.terms, other.terms))
+        return _adopt(_dict_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -161,10 +187,10 @@ class SparsePoly:
         """Degree of the zero polynomial is -1 by convention here."""
         if not self.terms:
             return -1
-        return max(monomial_degree(m) for m in self.terms)
+        return max(len(m) for m in self.terms)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degrees = {monomial_degree(m) for m in self.terms}
+        degrees = {len(m) for m in self.terms}
         if not degrees:
             return True
         if len(degrees) > 1:
@@ -174,7 +200,7 @@ class SparsePoly:
     def variables(self) -> set[int]:
         out: set[int] = set()
         for mono in self.terms:
-            out.update(v for v, _ in mono)
+            out.update(mono)
         return out
 
     def monomials(self) -> Iterator[tuple[Monomial, int]]:
@@ -187,8 +213,8 @@ class SparsePoly:
         if len(self.terms) != 1:
             return None
         (mono, coef), = self.terms.items()
-        if coef == 1 and len(mono) == 1 and mono[0][1] == 1:
-            return mono[0][0]
+        if coef == 1 and len(mono) == 1:
+            return mono[0]
         return None
 
     # -- calculus and evaluation --------------------------------------------
@@ -196,16 +222,12 @@ class SparsePoly:
     def derivative(self, index: int) -> "SparsePoly":
         out: dict[Monomial, int] = {}
         for mono, coef in self.terms.items():
-            for pos, (v, e) in enumerate(mono):
-                if v != index:
-                    continue
-                if e == 1:
-                    new = mono[:pos] + mono[pos + 1:]
-                else:
-                    new = mono[:pos] + ((v, e - 1),) + mono[pos + 1:]
-                out[new] = out.get(new, 0) + coef * e
-                break
-        return SparsePoly(out)
+            if index not in mono:
+                continue
+            pos = mono.index(index)
+            new = mono[:pos] + mono[pos + 1:]
+            out[new] = out.get(new, 0) + coef * mono.count(index)
+        return _adopt(out)
 
     def _lookup(self, values, index: int):
         if isinstance(values, Mapping):
@@ -223,7 +245,7 @@ class SparsePoly:
         total = 0.0
         for mono, coef in self.terms.items():
             term = float(coef)
-            for v, e in mono:
+            for v, e in _runs(mono):
                 term *= float(self._lookup(values, v)) ** e
             total += term
         return total
@@ -233,41 +255,27 @@ class SparsePoly:
         total = Fraction(0)
         for mono, coef in self.terms.items():
             term = Fraction(coef)
-            for v, e in mono:
-                term *= Fraction(self._lookup(values, v)) ** e
+            for v in mono:
+                term *= Fraction(self._lookup(values, v))
             total += term
         return total
 
     def substitute(self, endo: "Endomorphism") -> "SparsePoly":
         """Apply a ring endomorphism: replace each variable by its image."""
         acc: dict[Monomial, int] = {}
-        images = endo.images
+        rename = endo.rename.get
         for mono, coef in self.terms.items():
-            # fast path: every variable in the term maps to a bare variable
-            exps: dict[int, int] | None = {}
-            for v, e in mono:
-                img = images.get(v)
-                if img is None:
-                    target = v
-                else:
-                    target = img.single_variable()
-                    if target is None:
-                        exps = None
-                        break
-                exps[target] = exps.get(target, 0) + e
-            if exps is not None:
-                key = tuple(sorted(exps.items()))
+            targets = [rename(v, v) for v in mono]
+            if _NOT_A_VARIABLE not in targets:
+                key = tuple(sorted(targets))
                 acc[key] = acc.get(key, 0) + coef
                 continue
             prod: dict[Monomial, int] = {ONE: coef}
-            for v, e in mono:
-                img = images.get(v)
-                factor = img.terms if img is not None else {((v, 1),): 1}
-                for _ in range(e):
-                    prod = _dict_mul(prod, factor)
+            for v in mono:
+                prod = _dict_mul(prod, endo.image(v).terms)
             for m, c in prod.items():
                 acc[m] = acc.get(m, 0) + c
-        return SparsePoly(acc)
+        return _adopt(acc)
 
     # -- serialization -------------------------------------------------------
 
@@ -307,22 +315,29 @@ def _coerce(value: Union[SparsePoly, int]) -> SparsePoly:
 class Endomorphism:
     """Ring endomorphism determined by variable images; unmapped variables are fixed.
 
+    `rename` maps each variable with an image to its image variable, or to
+    -1 where the image is not a bare variable; substitution reads it instead
+    of inspecting the images term by term.
+
     Composition is sequential application: (f.compose(g))(p) substitutes g
     first, then f, matching (f o g) on variables.
     """
 
-    __slots__ = ("images", "name")
+    __slots__ = ("images", "rename", "name")
 
     def __init__(self, images: Mapping[int, SparsePoly], name: str = "") -> None:
         self.images: dict[int, SparsePoly] = {}
+        self.rename: dict[int, int] = {}
         for v, img in images.items():
             if v < 0:
                 raise ValueError(f"variable index must be >= 0, got {v}")
             if not isinstance(img, SparsePoly):
                 raise TypeError(f"image of x_{v} is not a SparsePoly: {img!r}")
-            if img.single_variable() == v:
+            target = img.single_variable()
+            if target == v:
                 continue  # identity images are implicit
             self.images[v] = img
+            self.rename[v] = _NOT_A_VARIABLE if target is None else target
         self.name = name
 
     @classmethod

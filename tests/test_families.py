@@ -118,8 +118,8 @@ def test_family_spec_validation():
 def test_base_cycle_edges():
     c3, d3 = base_cycles()
     assert len(c3) == 8 and len(d3) == 8
-    assert c3.terms.get(((1, 1), (2, 1), (8, 1))) == 1     # wrap-around edge {8,1,2}
-    assert d3.terms.get(((1, 1), (4, 1), (7, 1))) == 1     # offset-3 edge {1,4,7}
+    assert c3.terms.get((1, 2, 8)) == 1     # wrap-around edge {8,1,2}
+    assert d3.terms.get((1, 4, 7)) == 1     # offset-3 edge {1,4,7}
     assert c3.is_homogeneous(3) and d3.is_homogeneous(3)
 
 
@@ -136,8 +136,8 @@ def test_m0_m1_edges():
     m0 = family_poly(FamilySpec("M0", 3))
     m1 = family_poly(FamilySpec("M1", 3))
     assert len(m0) == 8 and len(m1) == 8
-    assert m0.terms.get(((0, 1), (1, 1), (2, 1))) == 1
-    assert m1.terms.get(((0, 1), (1, 1), (4, 1))) == 1
+    assert m0.terms.get((0, 1, 2)) == 1
+    assert m1.terms.get((0, 1, 4)) == 1
     assert m0 != m1
     for n in (3, 4, 5):
         assert len(family_poly(FamilySpec("M0", n))) == 2 * 4 ** (n - 2)

@@ -104,3 +104,19 @@ def test_from_lagrangian_errors():
         hypergraph_from_lagrangian(x(1) * x(2), 3)
     with pytest.raises(WrongDegreeError):
         hypergraph_from_lagrangian(x(1) * x(2) * x(3) + x(1) * x(2), 3)
+
+
+def test_from_lagrangian_reports_first_offender_in_canonical_order():
+    # both terms offend; the later one in insertion order is first canonically
+    poly = x(4) ** 2 * x(5) + 2 * x(1) * x(2) * x(3)
+    assert list(poly.terms) == [(4, 4, 5), (1, 2, 3)]
+    with pytest.raises(BadCoefficientError) as err:
+        hypergraph_from_lagrangian(poly, 3)
+    assert str(err.value) == "monomial x_1*x_2*x_3 has coefficient 2, expected 1"
+    poly = x(6) ** 2 * x(7) + x(5) ** 2 * x(6) + x(2) * x(3)
+    with pytest.raises(WrongDegreeError) as err2:
+        hypergraph_from_lagrangian(poly, 3)
+    assert err2.value.monomial == "x_2*x_3"
+    with pytest.raises(NonSquarefreeError) as err3:
+        hypergraph_from_lagrangian(x(6) ** 2 * x(7) + x(5) ** 2 * x(6), 3)
+    assert str(err3.value) == "monomial x_5^2*x_6 is not squarefree"

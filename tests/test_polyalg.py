@@ -9,10 +9,10 @@ from hypospec.polyalg import (Endomorphism, MissingVariableError, SparsePoly,
 
 
 def test_monomial_helpers():
-    a = ((1, 2), (3, 1))
-    b = ((2, 1), (3, 2))
+    a = (1, 1, 3)
+    b = (2, 3, 3)
     assert monomial_degree(a) == 3
-    assert monomial_mul(a, b) == ((1, 2), (2, 1), (3, 3))
+    assert monomial_mul(a, b) == (1, 1, 2, 3, 3, 3)
     assert monomial_mul((), a) == a
     assert monomial_key(()) == (0, ())
     assert monomial_key(a)[0] == 3
@@ -21,8 +21,8 @@ def test_monomial_helpers():
 
 
 def test_construction_cleans_zeros():
-    p = SparsePoly({((1, 1),): 2, ((2, 1),): 0})
-    assert p.terms == {((1, 1),): 2}
+    p = SparsePoly({(1,): 2, (2,): 0})
+    assert p.terms == {(1,): 2}
     assert SparsePoly.constant(0).is_zero
     assert SparsePoly().is_zero
     assert not SparsePoly.variable(4).is_zero
@@ -31,6 +31,16 @@ def test_construction_cleans_zeros():
 def test_construction_rejects_non_integer_coefficients():
     with pytest.raises(TypeError):
         SparsePoly({((1, 1),): 0.5})
+
+
+def test_public_constructor_validates_monomials():
+    with pytest.raises(ValueError):
+        SparsePoly({(-1, 2): 1})        # negative index
+    with pytest.raises(ValueError):
+        SparsePoly({(3, 1): 1})         # unsorted multiset
+    with pytest.raises(TypeError):
+        SparsePoly({(1, 2): 1.0})       # non-int coefficient
+    assert SparsePoly({(1, 1, 2): 3}) == 3 * x(1) ** 2 * x(2)
 
 
 def test_arithmetic_basics():
@@ -80,7 +90,7 @@ def test_variables_and_single_variable():
 def test_monomials_graded_lex_order():
     p = x(2) + x(1) * x(2) + 3 + x(1)
     monos = [m for m, _ in p.monomials()]
-    assert monos == [(), ((1, 1),), ((2, 1),), ((1, 1), (2, 1))]
+    assert monos == [(), (1,), (2,), (1, 2)]
 
 
 def test_derivative():
@@ -159,6 +169,38 @@ def test_substitution_is_ring_homomorphism_random():
         e = Endomorphism({i: random_poly() for i in range(6) if rng.random() < 0.6})
         assert (p + q).substitute(e) == p.substitute(e) + q.substitute(e)
         assert (p * q).substitute(e) == p.substitute(e) * q.substitute(e)
+
+
+def test_substitute_agrees_with_evaluation_at_images():
+    rng = random.Random(4417)
+
+    def random_poly(max_degree):
+        total = SparsePoly.zero()
+        for _ in range(rng.randint(1, 6)):
+            term = SparsePoly.constant(rng.choice([-3, -2, -1, 1, 2, 5]))
+            for _ in range(rng.randint(0, max_degree)):
+                term = term * x(rng.randint(0, 6))
+            total = total + term
+        return total
+
+    def bare_rename():
+        return {v: x(rng.randint(0, 6)) for v in range(7) if rng.random() < 0.7}
+
+    def polynomial_images():
+        return {v: random_poly(2) for v in range(7) if rng.random() < 0.7}
+
+    def mixed():
+        images = bare_rename()
+        images.update(polynomial_images())
+        return images
+
+    for make in (bare_rename, polynomial_images, mixed):
+        for _ in range(20):
+            p = random_poly(4)
+            endo = Endomorphism(make())
+            point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for v in range(7)}
+            at_images = {v: endo.image(v).evaluate_exact(point) for v in range(7)}
+            assert p.substitute(endo).evaluate_exact(point) == p.evaluate_exact(at_images)
 
 
 def test_to_text():

@@ -1,5 +1,6 @@
 """Exact-identity claims, their mutation sensitivity, and the numeric claims."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypospec.verify import (
     f_poly,
     fixed_point_map,
     format_exact,
+    links_at_ones,
     neigh_square,
     pair_gap_poly,
     run_suite,
@@ -97,8 +99,29 @@ def test_induction_cycles_parameter_bounds():
 
 def test_f_poly_frozen_terminal_branch():
     # r = n-2 collapses to 2^{n-1} * (x_1 - x_{1+2^{n-1}}) * x_1 * (-x_{1+2^{n-1}})
-    assert f_poly(3, 1).terms == {((1, 2), (5, 1)): -4, ((1, 1), (5, 2)): 4}
-    assert f_poly(4, 2).terms == {((1, 2), (9, 1)): -8, ((1, 1), (9, 2)): 8}
+    assert f_poly(3, 1).terms == {(1, 1, 5): -4, (1, 5, 5): 4}
+    assert f_poly(4, 2).terms == {(1, 1, 9): -8, (1, 9, 9): 8}
+
+
+def test_print_order_frozen():
+    # sha256 of to_text() taken before the multiset monomial encoding; it pins
+    # the graded-lex order of monomials with repeated variables
+    polys = [f_poly(3, 1), neigh_square(4, 0), pair_gap_poly(3),
+             (x(1) + 2 * x(2) - x(3)) ** 4, family_poly(FamilySpec("X", 4))]
+    digest = hashlib.sha256()
+    for p in polys:
+        digest.update(p.to_text().encode("ascii") + b"\n")
+    assert digest.hexdigest() == "e61c392f8a8ad9b67cb49afabd4b32567275d3db2c948abced679caabe85524e"
+
+
+def test_links_at_ones_matches_derivative():
+    for n in (3, 4):
+        poly = family_poly(FamilySpec("X", n))
+        links = links_at_ones(poly)
+        ones = {v: 1 for v in poly.variables()}
+        for v in family_hypergraph(FamilySpec("X", n)).vertices:
+            assert links[v] == poly.derivative(v).evaluate_exact(ones)
+    assert links_at_ones(3 * x(1) ** 2 * x(2) - x(2) ** 3) == {1: 6, 2: 0}
 
 
 def test_f_poly_bounds():
