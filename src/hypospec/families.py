@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .hypergraph import Hypergraph, hypergraph_from_lagrangian
 from .polyalg import Endomorphism, SparsePoly, x
 
 FAMILY_TAGS = ("C3", "D3", "G", "H", "T", "Gamma", "M0", "M1", "X", "Y")
 
-# Construction cost grows like 8^n; sizes past this need an explicit opt-in.
+# Construction cost grows like 8^n; sizes past this are refused.
 N_CAP = 12
 
 Permutation = dict[int, int]
@@ -55,18 +55,7 @@ def sigma_perm(n: int, i: int) -> Permutation:
     """
     if not -1 <= i <= n - 1:
         raise ValueError(f"sigma index must satisfy -1 <= i <= n-1, got i={i}, n={n}")
-    size = 1 << n
-    perm = {0: 0}
-    if i == -1:
-        for j in range(1, size + 1):
-            perm[j] = j
-        return perm
-    half = 1 << i
-    block = half << 1
-    for j in range(1, size + 1):
-        c = j % block or block
-        perm[j] = j + half if c <= half else j - half
-    return perm
+    return {0: 0} | {j: sigma_index(i, j) for j in range(1, (1 << n) + 1)}
 
 
 def tau_perm() -> Permutation:
@@ -89,11 +78,11 @@ def sigma_index(i: int, j: int) -> int:
     return j + half if c <= half else j - half
 
 
-def permutation_endo(perm: Mapping[int, int], name: str = "") -> Endomorphism:
+def permutation_endo(perm: Mapping[int, int]) -> Endomorphism:
     """x_j -> x_{perm(j)}; validates bijectivity on the permutation's domain."""
     if sorted(perm.keys()) != sorted(perm.values()):
-        raise ValueError(f"{name or 'map'} is not a permutation of its domain")
-    return Endomorphism({j: x(img) for j, img in perm.items()}, name=name)
+        raise ValueError("map is not a permutation of its domain")
+    return Endomorphism({j: x(img) for j, img in perm.items()})
 
 
 # -- structural endomorphisms -------------------------------------------------
@@ -107,7 +96,7 @@ def p_map(n: int, bit: int) -> Endomorphism:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     images = {i: x(mod_v(n, 2 * i - bit)) for i in range(1, (1 << n) + 1)}
-    return Endomorphism(images, name=f"p{bit}^{n}")
+    return Endomorphism(images)
 
 
 def p_eps(n: int, bits: Sequence[int]) -> Endomorphism:
@@ -117,7 +106,6 @@ def p_eps(n: int, bits: Sequence[int]) -> Endomorphism:
     endo = p_map(n, bits[-1])
     for b in reversed(bits[:-1]):
         endo = p_map(n, b).compose(endo)
-    endo.name = "p[" + "".join(str(b) for b in bits) + f"]^{n}"
     return endo
 
 
@@ -126,39 +114,37 @@ def e_map(n: int, r: int) -> Endomorphism:
     if not 2 <= r <= n:
         raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
     if r == n:
-        return Endomorphism({}, name=f"E_{r}^{n}")
+        return Endomorphism({})
     step = 1 << r
     # the 2^(n-r) indices of one class are distinct, so each image is one term dict
     images = {i: SparsePoly({(mod_v(n, i + s * step),): 1 for s in range(1, (1 << (n - r)) + 1)})
               for i in range(1, (1 << n) + 1)}
-    return Endomorphism(images, name=f"E_{r}^{n}")
+    return Endomorphism(images)
 
 
 def q_map(n: int) -> Endomorphism:
     """Half-period fold x_i -> x_i + x_{i + 2^{n-1}}; equals E_{n-1}^n."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    endo = e_map(n, n - 1)
-    endo.name = f"q^{n}"
-    return endo
+    return e_map(n, n - 1)
 
 
 def sigma_endo(n: int, i: int) -> Endomorphism:
-    return permutation_endo(sigma_perm(n, i), name=f"sigma_{i}^{n}")
+    return permutation_endo(sigma_perm(n, i))
 
 
 def theta_endo(n: int) -> Endomorphism:
-    return permutation_endo(theta_perm(n), name=f"theta_{n}")
+    return permutation_endo(theta_perm(n))
 
 
 def tau_endo() -> Endomorphism:
-    return permutation_endo(tau_perm(), name="tau")
+    return permutation_endo(tau_perm())
 
 
 # -- orbit substitution -------------------------------------------------------
 
 
-def orbit_substitution(n: int, generators: Iterable[Union[Mapping[int, int], Sequence[int]]]) -> Endomorphism:
+def orbit_substitution(n: int, generators: Iterable[Mapping[int, int]]) -> Endomorphism:
     """Endomorphism sending each variable to its orbit minimum under the
     group generated by the given vertex permutations of {0, ..., 2^n}.
 
@@ -170,10 +156,7 @@ def orbit_substitution(n: int, generators: Iterable[Union[Mapping[int, int], Seq
     domain = list(range(size))
     perms = []
     for gen in generators:
-        if isinstance(gen, Mapping):
-            table = [gen.get(v, -1) for v in domain]
-        else:
-            table = list(gen)
+        table = [gen.get(v, -1) for v in domain]
         if len(table) != size or sorted(table) != domain:
             raise ValueError(f"generator is not a permutation of 0..{size - 1}")
         perms.append(table)
@@ -193,7 +176,7 @@ def orbit_substitution(n: int, generators: Iterable[Union[Mapping[int, int], Seq
                 parent[max(ra, rb)] = min(ra, rb)
 
     images = {v: x(find(v)) for v in domain if find(v) != v}
-    return Endomorphism(images, name=f"orbit({len(perms)} gens, n={n})")
+    return Endomorphism(images)
 
 
 # -- family constructions -----------------------------------------------------
@@ -273,15 +256,15 @@ def _family_poly(family: str, n: int, k: int | None) -> SparsePoly:
     raise ValueError(f"unknown family {family!r}")
 
 
-def family_poly(spec: FamilySpec, *, allow_large: bool = False) -> SparsePoly:
+def family_poly(spec: FamilySpec) -> SparsePoly:
     """Generating polynomial of the requested family (memoized)."""
-    if spec.n > N_CAP and not allow_large:
-        raise ValueError(f"n = {spec.n} exceeds the guard {N_CAP}; pass allow_large=True to override")
+    if spec.n > N_CAP:
+        raise ValueError(f"n = {spec.n} exceeds the guard {N_CAP}")
     return _family_poly(spec.family, spec.n, spec.k)
 
 
-def family_hypergraph(spec: FamilySpec, *, allow_large: bool = False) -> Hypergraph:
-    return hypergraph_from_lagrangian(family_poly(spec, allow_large=allow_large), 3)
+def family_hypergraph(spec: FamilySpec) -> Hypergraph:
+    return hypergraph_from_lagrangian(family_poly(spec), 3)
 
 
 def base_cycles() -> tuple[SparsePoly, SparsePoly]:

@@ -323,9 +323,9 @@ class Endomorphism:
     first, then f, matching (f o g) on variables.
     """
 
-    __slots__ = ("images", "rename", "name")
+    __slots__ = ("images", "rename")
 
-    def __init__(self, images: Mapping[int, SparsePoly], name: str = "") -> None:
+    def __init__(self, images: Mapping[int, SparsePoly]) -> None:
         self.images: dict[int, SparsePoly] = {}
         self.rename: dict[int, int] = {}
         for v, img in images.items():
@@ -338,18 +338,14 @@ class Endomorphism:
                 continue  # identity images are implicit
             self.images[v] = img
             self.rename[v] = _NOT_A_VARIABLE if target is None else target
-        self.name = name
 
     @classmethod
     def identity(cls) -> "Endomorphism":
-        return cls({}, name="id")
+        return cls({})
 
     def image(self, index: int) -> SparsePoly:
         img = self.images.get(index)
         return img if img is not None else SparsePoly.variable(index)
-
-    def __call__(self, poly: SparsePoly) -> SparsePoly:
-        return poly.substitute(self)
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """Return self o other (apply `other` first)."""
@@ -358,12 +354,10 @@ class Endomorphism:
             images[v] = img.substitute(self)
         for v, img in self.images.items():
             images.setdefault(v, img)
-        label = f"({self.name} o {other.name})" if self.name or other.name else ""
-        return Endomorphism(images, name=label)
+        return Endomorphism(images)
 
     def __repr__(self) -> str:
-        label = self.name or f"{len(self.images)} images"
-        return f"Endomorphism<{label}>"
+        return f"Endomorphism<{len(self.images)} images>"
 
 
 def x(index: int) -> SparsePoly:

@@ -371,11 +371,12 @@ def principal_eigenpair(hypergraph: Hypergraph, config: SolverConfig | None = No
                      message=f"bracket width {hi - lo:.3e} after {iterations} iterations")
 
 
-def oracle_radius(hypergraph: Hypergraph, *, restarts: int = 8, seed: int = 0,
-                  tolerance: float = 1e-10, max_steps: int = 50_000) -> float:
+def oracle_radius(hypergraph: Hypergraph, *, restarts: int = 8, seed: int = 0) -> float:
     """m * max of the generating polynomial on the unit m-norm sphere.
 
-    Multi-start projected gradient ascent with a backtracking step size.
+    Multi-start projected gradient ascent with a backtracking step size; a
+    restart stops once the tangent gradient is below 1e-10 * max(1, m * f),
+    or after 50,000 steps.
     Kept free of the power-iteration code on purpose: this is the oracle the
     solver is checked against.
     """
@@ -402,7 +403,7 @@ def oracle_radius(hypergraph: Hypergraph, *, restarts: int = 8, seed: int = 0,
         fval = value(arr)
         step = 0.5
         stall = 0
-        for _ in range(max_steps):
+        for _ in range(50_000):
             grad = _apply_positions(epos, arr, nv)
             powered = arr ** (m - 1)
             # ascent direction tangent to the constraint surface; the raw
@@ -411,7 +412,7 @@ def oracle_radius(hypergraph: Hypergraph, *, restarts: int = 8, seed: int = 0,
             mult = float(grad @ powered) / float(powered @ powered)
             direction = grad - mult * powered
             defect = float(np.max(np.abs(direction)))
-            if defect <= tolerance * max(1.0, m * fval):
+            if defect <= 1e-10 * max(1.0, m * fval):
                 break
             cand = arr
             cval = fval

@@ -187,9 +187,6 @@ def test_families_are_homogeneous_multilinear():
 def test_size_cap():
     with pytest.raises(ValueError):
         family_poly(FamilySpec("X", N_CAP + 1))
-    # the override flag exists for deliberate big runs
-    spec = FamilySpec("G", N_CAP + 1, 2)
-    assert family_poly(spec, allow_large=True) is not None
 
 
 def test_sigma_endo_matches_perm():

@@ -11,6 +11,7 @@ from hypospec.polyalg import SparsePoly, x
 from hypospec.spectral import SolverConfig
 from hypospec.verify import (
     Claim,
+    _claim,
     claims_to_json,
     cone_over,
     f_poly,
@@ -46,6 +47,24 @@ def test_identity_suite_n4_all_pass():
     assert all(c.passed for c in claims)
 
 
+def test_identity_suite_verdict_frozen():
+    # sha256 of the verdict JSON taken before the claims shared one builder
+    verdict = claims_to_json(verify_identity_suite(3) + verify_identity_suite(4))
+    digest = hashlib.sha256(verdict.encode("ascii")).hexdigest()
+    assert digest == "6757ee81f784ff3b828ed77bef1b802819d8d1933c46da74ed98f1557f7e2cd8"
+
+
+def test_claim_stops_at_first_failure():
+    def failures():
+        yield "first"
+        raise AssertionError("read past the first failure")
+
+    claim = _claim("c", {"n": 3}, "exact-identity", failures())
+    assert not claim.passed and claim.detail == "first"
+    passed = _claim("c", {"n": 3}, "exact-identity", iter(()), "note")
+    assert passed.passed and passed.detail == "note"
+
+
 def test_identity_suite_rejects_small_n():
     with pytest.raises(ValueError):
         verify_identity_suite(2)
@@ -67,7 +86,7 @@ def test_basis_step_rejects_wrong_pair():
     """Feeding X in place of Y must surface a nonzero difference."""
     wrong = verify_basis_step(3, y_poly=family_poly(FamilySpec("X", 3)))
     assert not wrong.passed
-    assert "nonzero difference" in wrong.detail
+    assert wrong.detail.startswith("nonzero difference: ")
 
 
 def test_induction_cycles_rejects_mutated_family():
@@ -75,12 +94,14 @@ def test_induction_cycles_rejects_mutated_family():
     mutated = family_poly(FamilySpec("G", 3, 3)) + x(1) * x(2) * x(3)
     claim = verify_induction_cycles(3, 0, 3, g_poly=mutated)
     assert not claim.passed
+    assert claim.detail.startswith("nonzero difference: ")
 
 
 def test_sigma_general_rejects_mutated_family():
     mutated = family_poly(FamilySpec("X", 3)) + x(1) * x(2) * x(4)
     claim = verify_sigma_general(3, 0, x_poly=mutated)
     assert not claim.passed
+    assert claim.detail.startswith("nonzero difference: ")
 
 
 def test_induction_cycles_branch_labels():
