@@ -5,6 +5,10 @@ of a stored hypergraph), compare (certify the radius separation at a given
 n), deck (vertex-deleted canonical forms), hypomorphic (deck equality of two
 files), verify (the full claim suite).
 
+spectrum, compare and verify take --seed (0 starts the float solver from
+all-ones); the solver's other settings are fixed, and the header line of
+spectrum and compare records them.
+
 Exit codes: 0 success, 1 failed claim or failed comparison, 2 usage error.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
@@ -22,26 +26,17 @@ from typing import Sequence
 from .families import FAMILY_TAGS, FamilySpec, family_hypergraph
 from .hypergraph import Hypergraph
 from .iso import deck, hypomorphic
-from .spectral import (SolverConfig, oracle_radius, principal_eigenpair,
-                       rational_bracket, report_record)
+from .spectral import (MAX_ITERATIONS, SHIFT, TOLERANCE, oracle_radius,
+                       principal_eigenpair, rational_bracket, report_record)
 from .verify import run_suite, verify_main_theorem, write_verdict
 
 
-def _solver_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=1e-12, help="bracket and residual tolerance")
-    sub.add_argument("--max-iter", type=int, default=1_000_000, dest="max_iter")
-    sub.add_argument("--shift", type=float, default=1.0, help="diagonal shift of the iteration")
+def _seed_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="0 starts from all-ones")
 
 
-def _config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(tolerance=args.tol, max_iterations=args.max_iter,
-                        shift=args.shift, seed=args.seed)
-
-
 def _header(args: argparse.Namespace) -> str:
-    return (f"# tol {args.tol:g} max-iter {args.max_iter} shift {args.shift:g} "
-            f"seed {args.seed}")
+    return f"# tol {TOLERANCE:g} max-iter {MAX_ITERATIONS} shift {SHIFT:g} seed {args.seed}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,14 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     spectrum = sub.add_parser("spectrum", help="principal eigenpair of a stored hypergraph")
     spectrum.add_argument("file")
-    _solver_flags(spectrum)
+    _seed_flag(spectrum)
     spectrum.add_argument("--restarts", type=int, default=0,
                           help="also run the gradient oracle with this many restarts")
     spectrum.add_argument("--format", choices=("text", "json"), default="text")
 
     compare = sub.add_parser("compare", help="certify the radius separation of the pair at n")
     compare.add_argument("--n", required=True, type=int)
-    _solver_flags(compare)
+    _seed_flag(compare)
 
     deck_cmd = sub.add_parser("deck", help="vertex-deleted canonical forms of a stored hypergraph")
     deck_cmd.add_argument("file")
@@ -85,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default="verdict.json", help="verdict JSON path")
     verify.add_argument("--exact-only", action="store_true", dest="exact_only",
                         help="skip the numeric claims")
-    _solver_flags(verify)
+    _seed_flag(verify)
     return parser
 
 
@@ -129,9 +124,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     hg = _load(args.file)
-    cfg = _config(args)
     started = time.perf_counter()
-    pair = principal_eigenpair(hg, cfg)
+    pair = principal_eigenpair(hg, seed=args.seed)
     lo, hi, _ = rational_bracket(hg, pair.vector)
     print(f"solved in {time.perf_counter() - started:.2f}s", file=sys.stderr)
     record = report_record(pair, Path(args.file).stem, None)
@@ -157,8 +151,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    claim = verify_main_theorem(args.n, cfg)
+    claim = verify_main_theorem(args.n, seed=args.seed)
     print(f"claim finished in {claim.elapsed:.2f}s", file=sys.stderr)
     p = claim.params
     print(_header(args))
@@ -210,8 +203,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for n in ns:
         if n < 3:
             raise ValueError(f"--n values must be >= 3, got {n}")
-    cfg = _config(args)
-    claims = run_suite(ns, include_numeric=not args.exact_only, config=cfg)
+    claims = run_suite(ns, include_numeric=not args.exact_only, seed=args.seed)
     failed = 0
     for claim in claims:
         tag = "PASS" if claim.passed else "FAIL"

@@ -161,14 +161,25 @@ class Hypergraph:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Hypergraph":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"hypergraph JSON must be an object, not {type(data).__name__}")
         try:
-            return cls(data["rank"], data["vertices"], data["edges"])
+            rank, vertices, edges = data["rank"], data["vertices"], data["edges"]
         except KeyError as exc:
             raise ValueError(f"missing key {exc.args[0]!r} in hypergraph JSON") from None
+        if not (type(rank) is int and _int_list(vertices) and isinstance(edges, list)
+                and all(map(_int_list, edges))):
+            raise ValueError("hypergraph JSON needs an int rank, int vertices and int-list edges")
+        return cls(rank, vertices, edges)
 
     @classmethod
     def from_json(cls, text: str) -> "Hypergraph":
         return cls.from_json_dict(json.loads(text))
+
+
+def _int_list(items) -> bool:
+    # `type(...) is int` rather than isinstance: JSON true/false load as bool
+    return isinstance(items, list) and all(type(v) is int for v in items)
 
 
 def lagrangian_of(hypergraph: Hypergraph) -> SparsePoly:

@@ -10,10 +10,11 @@ componentwise ratios give certified lower and upper bounds on lambda
 (Collatz-Wielandt).  The solver is a shifted power iteration driven by those
 brackets.  `refined_eigenvector` sharpens its vector by Newton steps on an
 integer dyadic vector, and `rational_bracket` turns any positive vector into
-exact rational bounds.  `oracle_radius` is a deliberately independent second
-route that maximizes the generating polynomial on the unit m-norm sphere by
-projected gradient ascent and returns m times the maximum, which equals
-lambda by the Euler identity.
+exact rational bounds.  `oracle_radius` is a second route: projected gradient
+ascent of the generating polynomial f on the nonnegative unit m-norm sphere.
+m * f is at most lambda at every such point and equals it at the maximum (Euler
+identity).  Its ascent direction is `_apply_positions`, the kernel the power
+iteration applies; only its objective is computed on its own.
 """
 
 from __future__ import annotations
@@ -38,20 +39,11 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tolerance: float = 1e-12
-    max_iterations: int = 1_000_000
-    shift: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.shift < 0:
-            raise ValueError(f"shift must be >= 0, got {self.shift}")
+# The float iteration only supplies the start vector of the exact certificate,
+# so its settings are fixed; principal_eigenpair reads them when called.
+TOLERANCE = 1e-12
+MAX_ITERATIONS = 1_000_000
+SHIFT = 1.0
 
 
 @dataclass
@@ -83,9 +75,6 @@ class EigenPair:
             return float(self.vector[self._index[vertex]])
         except KeyError:
             raise UnknownVertexError(vertex) from None
-
-    def as_dict(self) -> dict[int, float]:
-        return {v: float(val) for v, val in zip(self.vertices, self.vector)}
 
 
 @lru_cache(maxsize=128)
@@ -129,17 +118,6 @@ def _apply_positions(epos: np.ndarray, arr: np.ndarray, nv: int) -> np.ndarray:
             w = cols[s] if w is None else w * cols[s]
         out += np.bincount(epos[:, t], weights=w, minlength=nv)
     return out
-
-
-def lagrangian_value(hypergraph: Hypergraph, values) -> float:
-    arr = _as_vector(hypergraph, values)
-    epos = _edge_positions(hypergraph)
-    if epos.shape[0] == 0:
-        return 0.0
-    prod = arr[epos[:, 0]]
-    for t in range(1, epos.shape[1]):
-        prod = prod * arr[epos[:, t]]
-    return float(prod.sum())
 
 
 def degree(hypergraph: Hypergraph, vertex: int) -> int:
@@ -285,8 +263,7 @@ def _newton_correction(hypergraph: Hypergraph, ints: list[int], sums: list[int],
     return np.linalg.solve(jac, rhs)
 
 
-def refined_eigenvector(hypergraph: Hypergraph, start, *,
-                        width: Fraction = Fraction(1, 1 << 128)
+def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction
                         ) -> tuple[list[Fraction], int]:
     """Newton refinement of a positive vector toward the principal eigenvector.
 
@@ -328,18 +305,18 @@ def refined_eigenvector(hypergraph: Hypergraph, start, *,
     return [Fraction(t, 1 << bits) for t in ints], steps
 
 
-def principal_eigenpair(hypergraph: Hypergraph, config: SolverConfig | None = None) -> EigenPair:
+def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0) -> EigenPair:
     """Shifted power iteration to the positive principal eigenpair.
 
-    Each step applies the tensor, adds shift * x^{m-1}, takes the (m-1)-th
+    Each step applies the tensor, adds SHIFT * x^{m-1}, takes the (m-1)-th
     root, and renormalizes; the eigenvalue brackets are the min and max
     Collatz-Wielandt ratios at the current iterate.  Convergence means the
-    bracket width and the residual both drop below the tolerance.  On
-    max_iterations the best iterate is returned with converged=False.
-    The tolerance is floored at 64 ulps of the upper bracket, which double
-    precision can still resolve once lambda is in the hundreds.
+    bracket width and the residual both drop below TOLERANCE, floored at 64
+    ulps of the upper bracket, which double precision can still resolve once
+    lambda is in the hundreds.  After MAX_ITERATIONS the best iterate is
+    returned with converged=False.  Seed 0 starts from all-ones; any other
+    seed jitters that start.
     """
-    cfg = config or SolverConfig()
     if not is_connected(hypergraph):
         raise NotConnectedError("principal eigenpair needs a connected hypergraph")
     m = hypergraph.rank
@@ -347,23 +324,23 @@ def principal_eigenpair(hypergraph: Hypergraph, config: SolverConfig | None = No
     epos = _edge_positions(hypergraph)
 
     arr = np.ones(nv)
-    if cfg.seed:
-        arr = arr + np.random.default_rng(cfg.seed).uniform(0.0, 0.5, nv)
+    if seed:
+        arr = arr + np.random.default_rng(seed).uniform(0.0, 0.5, nv)
     arr /= _lm_norm(arr, m)
 
     lo = hi = mid = res = 0.0
     iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         applied = _apply_positions(epos, arr, nv)
         powered = arr ** (m - 1)
         ratios = applied / powered
         lo, hi = float(ratios.min()), float(ratios.max())
         mid = 0.5 * (lo + hi)
         res = float(np.max(np.abs(applied - mid * powered)))
-        floor = max(cfg.tolerance, 64 * math.ulp(hi))
+        floor = max(TOLERANCE, 64 * math.ulp(hi))
         if hi - lo < floor and res < floor:
             return EigenPair(mid, lo, hi, arr, hypergraph.vertices, res, iterations)
-        nxt = (applied + cfg.shift * powered) ** (1.0 / (m - 1))
+        nxt = (applied + SHIFT * powered) ** (1.0 / (m - 1))
         arr = nxt / _lm_norm(nxt, m)
 
     return EigenPair(mid, lo, hi, arr, hypergraph.vertices, res, iterations,
@@ -377,8 +354,9 @@ def oracle_radius(hypergraph: Hypergraph, *, restarts: int = 8, seed: int = 0) -
     Multi-start projected gradient ascent with a backtracking step size; a
     restart stops once the tangent gradient is below 1e-10 * max(1, m * f),
     or after 50,000 steps.
-    Kept free of the power-iteration code on purpose: this is the oracle the
-    solver is checked against.
+    The ascent direction uses `_apply_positions`, as the power iteration
+    does; only the objective `value` is separate.  The result is m * f at a
+    unit-norm nonnegative point, so it never exceeds lambda beyond rounding.
     """
     if not is_connected(hypergraph):
         raise NotConnectedError("oracle_radius needs a connected hypergraph")
@@ -437,13 +415,6 @@ def oracle_radius(hypergraph: Hypergraph, *, restarts: int = 8, seed: int = 0) -
             step = min(step * 1.5, 4.0)
         best = max(best, fval)
     return m * best
-
-
-def residual_at(hypergraph: Hypergraph, values, value: float) -> float:
-    """Max-norm defect of the eigen equation at a candidate (vector, value)."""
-    arr = _as_vector(hypergraph, values)
-    applied = tensor_apply(hypergraph, arr)
-    return float(np.max(np.abs(applied - value * arr ** (hypergraph.rank - 1))))
 
 
 def vector_digest(vector: Sequence[float]) -> str:

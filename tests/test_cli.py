@@ -168,6 +168,28 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_malformed_json_hypergraph_exits_two(tmp_path, capsys):
+    """A bad input file is a usage error (2), never a failed claim (1)."""
+    path = tmp_path / "bad.json"
+    for blob in ('{"rank": 3, "vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}',
+                 '[3, [0, 1, 2], [[0, 1, 2]]]',
+                 '{"rank": 3, "vertices": [0.5, 1, 2], "edges": [[0.5, 1, 2]]}'):
+        path.write_text(blob, encoding="ascii")
+        for argv in (["spectrum", str(path)], ["deck", str(path)],
+                     ["hypomorphic", str(path), str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: hypergraph JSON")
+
+
+def test_solver_tuning_flags_are_gone(capsys):
+    """Only --seed reaches the float solver; its other settings are fixed."""
+    for verb in (["compare", "--n", "3"], ["spectrum", "x.hg"],
+                 ["verify", "--n", "3", "--exact-only"]):
+        for flag in (["--tol", "1e-9"], ["--max-iter", "5"], ["--shift", "2"]):
+            assert main(verb + flag) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "hypospec", "gen",
                            "--family", "X", "--n", "3"],

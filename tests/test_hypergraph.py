@@ -67,6 +67,25 @@ def test_json_round_trip():
     assert Hypergraph.from_json_dict(h.to_json_dict()) == h
 
 
+@pytest.mark.parametrize("blob", [
+    '[3, [0, 1, 2], [[0, 1, 2]]]',                                     # not an object
+    '"rank 3"',
+    '{"vertices": [0, 1, 2], "edges": [[0, 1, 2]]}',                   # rank missing
+    '{"rank": "3", "vertices": [0, 1, 2], "edges": [[0, 1, 2]]}',
+    '{"rank": true, "vertices": [0, 1], "edges": [[0, 1]]}',
+    '{"rank": 3, "vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}',
+    '{"rank": 3, "vertices": [0.5, 1, 2], "edges": [[0.5, 1, 2]]}',
+    '{"rank": 3, "vertices": [0, true, 2], "edges": [[0, true, 2]]}',
+    '{"rank": 3, "vertices": "012", "edges": [[0, 1, 2]]}',
+    '{"rank": 3, "vertices": [0, 1, 2], "edges": [0, 1, 2]}',
+    '{"rank": 3, "vertices": [0, 1, 2], "edges": [[0, 1, 2.0]]}',
+    '{"rank": 3, "vertices": [0, 1, 2], "edges": {"0": [0, 1, 2]}}',
+])
+def test_json_rejects_malformed_shape(blob):
+    with pytest.raises(ValueError):
+        Hypergraph.from_json(blob)
+
+
 def test_relabel():
     h = small()
     shifted = h.relabel({0: 10, 1: 11, 2: 12, 3: 13})

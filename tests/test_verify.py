@@ -8,7 +8,7 @@ import pytest
 
 from hypospec.families import FamilySpec, family_hypergraph, family_poly, orbit_substitution, theta_perm
 from hypospec.polyalg import SparsePoly, x
-from hypospec.spectral import SolverConfig
+from hypospec import spectral
 from hypospec.verify import (
     Claim,
     _claim,
@@ -215,10 +215,11 @@ def test_main_theorem_n3():
     assert claim.params["predicted_gap"] > 0
 
 
-def test_main_theorem_judges_only_the_exact_certificate():
+def test_main_theorem_judges_only_the_exact_certificate(monkeypatch):
     """Three power iterations leave the float brackets about 2e-3 wide; the
     Newton refinement still reaches separated exact brackets."""
-    claim = verify_main_theorem(4, SolverConfig(max_iterations=3))
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 3)
+    claim = verify_main_theorem(4)
     assert claim.passed, claim.detail
     assert claim.params["iterations_x"] == claim.params["iterations_y"] == 3
     assert claim.params["bracket_gap"] > 0
