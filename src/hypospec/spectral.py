@@ -8,9 +8,9 @@ whose left side is `tensor_apply`.  For a connected hypergraph the principal
 eigenpair is positive and unique up to scale, and for any positive vector the
 componentwise ratios give certified lower and upper bounds on lambda
 (Collatz-Wielandt).  The solver is a shifted power iteration driven by those
-brackets.  `refined_eigenvector` sharpens its vector by Newton steps on an
-integer dyadic vector, and `rational_bracket` turns any positive vector into
-exact rational bounds.  `oracle_radius` is a second route: projected gradient
+brackets.  One integer kernel computes every exact bracket: `rational_bracket`
+at any positive vector, and `refined_eigenvector` at each integer dyadic
+vector its Newton steps reach.  `oracle_radius` is a second route: projected gradient
 ascent of the generating polynomial f on the nonnegative unit m-norm sphere.
 m * f is at most lambda at every such point and equals it at the maximum (Euler
 identity).  Its ascent direction is `_apply_positions`, the kernel the power
@@ -136,6 +136,7 @@ def codegree(hypergraph: Hypergraph, u: int, v: int) -> int:
     return sum(1 for e in hypergraph.edges if u in e and v in e)
 
 
+@lru_cache(maxsize=128)
 def is_connected(hypergraph: Hypergraph) -> bool:
     """Connected in the edge-overlap sense, with every vertex in some edge."""
     if not hypergraph.vertices:
@@ -163,16 +164,10 @@ def _lm_norm(arr: np.ndarray, m: int) -> float:
 
 
 def _positive_fractions(hypergraph: Hypergraph, values) -> list[Fraction]:
-    if isinstance(values, Mapping):
-        try:
-            point = [Fraction(values[v]) for v in hypergraph.vertices]
-        except KeyError as exc:
-            raise UnknownVertexError(exc.args[0]) from None
-    else:
-        point = [Fraction(t) for t in values]
-        if len(point) != len(hypergraph.vertices):
-            raise DimensionMismatchError(
-                f"vector of length {len(point)} against {len(hypergraph.vertices)} vertices")
+    point = [Fraction(t) for t in values]
+    if len(point) != len(hypergraph.vertices):
+        raise DimensionMismatchError(
+            f"vector of length {len(point)} against {len(hypergraph.vertices)} vertices")
     if any(t <= 0 for t in point):
         raise ValueError("Collatz-Wielandt brackets need a strictly positive vector")
     return point
@@ -188,45 +183,44 @@ def _links(hypergraph: Hypergraph) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(map(tuple, links))
 
 
-def _edge_sums(hypergraph: Hypergraph, ints: Sequence[int]) -> list[int]:
-    """S_i = sum over the edges e at i of the product of the other entries of e."""
-    return [sum(math.prod([ints[q] for q in others]) for others in link)
+def _exact_bracket(hypergraph: Hypergraph, ints: Sequence[int]
+                   ) -> tuple[list[int], list[int], Fraction, Fraction]:
+    """S_i, P_i = a_i^{m-1} and the exact min and max of S_i / P_i at a positive
+    integer vector a, where S_i sums over the edges e at i the product of the
+    other entries of e; the extremes are picked by integer cross-multiplication."""
+    m = hypergraph.rank
+    sums = [sum(math.prod([ints[q] for q in others]) for others in link)
             for link in _links(hypergraph)]
-
-
-def _ratio_range(sums: Sequence[int], powered: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """Min and max of sums[i] / powered[i], picked by integer cross-multiplication."""
+    powered = [t ** (m - 1) for t in ints]
     lo_i = hi_i = 0
     for i in range(1, len(sums)):
         if sums[i] * powered[lo_i] < sums[lo_i] * powered[i]:
             lo_i = i
         if sums[i] * powered[hi_i] > sums[hi_i] * powered[i]:
             hi_i = i
-    return Fraction(sums[lo_i], powered[lo_i]), Fraction(sums[hi_i], powered[hi_i])
+    return (sums, powered, Fraction(sums[lo_i], powered[lo_i]),
+            Fraction(sums[hi_i], powered[hi_i]))
 
 
 def rational_bracket(hypergraph: Hypergraph, values
                      ) -> tuple[Fraction, Fraction, Fraction]:
     """Exact Collatz-Wielandt bracket plus residual at a positive vector.
 
-    Entries may be ints, floats, Fractions or numpy floats, as a sequence in
-    vertex order or a vertex-keyed mapping; each is taken at its exact
-    rational value, so the returned (lo, hi) provably contain the principal
-    eigenvalue no matter how the vector was produced.  The residual is
-    max_j |apply_j - mid * x_j^{m-1}| at the bracket midpoint.  The work is
-    done on the integer vector a = D * x for the common denominator D, since
-    the ratios S_i / a_i^{m-1} do not depend on the scale.
+    Entries may be ints, floats, Fractions or numpy floats, given in vertex
+    order; each is taken at its exact rational value, so the returned
+    (lo, hi) provably contain the principal eigenvalue no matter how the
+    vector was produced.  The residual is max_j |apply_j - mid * x_j^{m-1}|
+    at the bracket midpoint.  The work is done on the integer vector a = D * x
+    for the common denominator D, since the ratios S_i / a_i^{m-1} do not
+    depend on the scale.
     """
     point = _positive_fractions(hypergraph, values)
-    m = hypergraph.rank
     scale = math.lcm(*(t.denominator for t in point))
     ints = [t.numerator * (scale // t.denominator) for t in point]
-    sums = _edge_sums(hypergraph, ints)
-    powered = [t ** (m - 1) for t in ints]
-    lo, hi = _ratio_range(sums, powered)
+    sums, powered, lo, hi = _exact_bracket(hypergraph, ints)
     mid = (lo + hi) / 2
     worst = max(abs(s * mid.denominator - mid.numerator * p) for s, p in zip(sums, powered))
-    return lo, hi, Fraction(worst, mid.denominator * scale ** (m - 1))
+    return lo, hi, Fraction(worst, mid.denominator * scale ** (hypergraph.rank - 1))
 
 
 # Each Newton step carries the vector this many more bits; refinement stops
@@ -264,7 +258,7 @@ def _newton_correction(hypergraph: Hypergraph, ints: list[int], sums: list[int],
 
 
 def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction
-                        ) -> tuple[list[Fraction], int]:
+                        ) -> tuple[list[Fraction], int, Fraction, Fraction]:
     """Newton refinement of a positive vector toward the principal eigenvector.
 
     Mixed-precision iterative refinement: the vector is held as a / 2^B in
@@ -273,20 +267,20 @@ def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction
     _STEP_BITS.  Steps go on until the exact Collatz-Wielandt width is at
     most `width`; a step that does not narrow the bracket or leaves the
     positive cone ends the refinement, and so does reaching
-    MAX_REFINEMENT_BITS.  Returns the exact dyadic entries of the best
-    vector reached and the number of steps kept; rational_bracket turns the
-    entries into the certificate, which is valid for any positive vector.
+    MAX_REFINEMENT_BITS.  Returns (entries, steps, lo, hi): the exact dyadic
+    entries of the best vector reached, the number of steps kept, and the
+    exact bracket of those entries, equal to rational_bracket's (lo, hi).
     """
     if not is_connected(hypergraph):
         raise NotConnectedError("principal eigenpair needs a connected hypergraph")
     point = _positive_fractions(hypergraph, start)
-    m = hypergraph.rank
-    bits = max(64, *(t.denominator.bit_length() for t in point))
+    # a denominator 2^B has bit length B + 1, and B bits hold it exactly
+    bits = max(64, *(t.denominator.bit_length() - 1 for t in point))
     ints = [round(t * (1 << bits)) for t in point]
-    sums = _edge_sums(hypergraph, ints)
-    lo, hi = _ratio_range(sums, [t ** (m - 1) for t in ints])
+    sums, powered, lo, hi = _exact_bracket(hypergraph, ints)
     # Rayleigh quotient <x, A x^{m-1}> / <x, x^{[m-1]}>, at scale 2^bits
-    lam = (sum(s * t for s, t in zip(sums, ints)) << bits) // sum(t ** m for t in ints)
+    lam = ((sum(s * t for s, t in zip(sums, ints)) << bits)
+           // sum(p * t for p, t in zip(powered, ints)))
     lift = float(1 << _STEP_BITS)
     steps = 0
     while hi - lo > width and bits + _STEP_BITS <= MAX_REFINEMENT_BITS:
@@ -294,15 +288,14 @@ def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction
         trial = [(a << _STEP_BITS) + round(d * lift) for a, d in zip(ints, step)]
         if min(trial) <= 0:
             break
-        trial_sums = _edge_sums(hypergraph, trial)
-        trial_lo, trial_hi = _ratio_range(trial_sums, [t ** (m - 1) for t in trial])
+        trial_sums, _, trial_lo, trial_hi = _exact_bracket(hypergraph, trial)
         if trial_hi - trial_lo >= hi - lo:
             break
         ints, sums, lo, hi = trial, trial_sums, trial_lo, trial_hi
         lam = (lam << _STEP_BITS) + round(step[-1] * lift)
         bits += _STEP_BITS
         steps += 1
-    return [Fraction(t, 1 << bits) for t in ints], steps
+    return [Fraction(t, 1 << bits) for t in ints], steps, lo, hi
 
 
 def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0) -> EigenPair:

@@ -537,6 +537,12 @@ def verify_identity_suite(n: int) -> list[Claim]:
 # -- numeric claims --------------------------------------------------------------
 
 
+def _pair_gap(x: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+    """E_2(x_1 - x_3) and 3 x_0 (E_2(x_1 - x_3))^2 / sum x_i^3 at x on vertices 0..2^n."""
+    e2_diff = sum(x[1::4]) - sum(x[3::4])
+    return e2_diff, 3 * x[0] * e2_diff ** 2 / sum(t ** 3 for t in x)
+
+
 @_timed
 def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     """Certify that the pair has different spectral radii, with the predicted gap.
@@ -549,11 +555,15 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     separate with each width below 2^-64 of the gap; the printed values then
     no longer depend on the float start.
 
-    Passes iff mu_lo > lambda_hi exactly, the exact residuals are below
-    TOLERANCE, the scale-free gap polynomial
-    3 * x_0 * (E_2(x_1 - x_3))^2 / sum_i x_i^m is positive at the X^n
-    eigenvector, and mu_lo >= lambda_hi + that value - 1e-8.  Whether the
-    float stage converged does not enter the verdict.
+    Refinement returns the exact bracket of each vector it keeps, which
+    steers the rounds; then one rational_bracket per hypergraph is the
+    certificate of record, the only source of lo, hi and the residual.
+    Passes iff mu_lo > lambda_hi exactly, both exact residuals are below
+    TOLERANCE, and g = 3 x_0 (E_2(x_1 - x_3))^2 / sum x_i^3 at the X^n
+    eigenvector x is positive and at most mu_hi - lambda_lo: the variational
+    bound mu >= 3 f_Y(x) / sum x_i^3 = lambda + g holds as f_Y - f_X is the
+    pair-gap polynomial on the theta-fixed subspace (lemma-basis-step).
+    Whether the float stage converged does not enter the verdict.
 
     The params `predicted_gap` and `bracket_gap` are floats, so from n = 7 on
     they underflow to 0.0.  Where the predicted gap does, `predicted_gap_text`
@@ -566,8 +576,8 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     pair_y = principal_eigenpair(hy, seed=seed)
     vec_x = [Fraction(t) for t in pair_x.vector]
     vec_y = [Fraction(t) for t in pair_y.vector]
-    x_lo, x_hi, x_res = rational_bracket(hx, vec_x)
-    y_lo, y_hi, y_res = rational_bracket(hy, vec_y)
+    x_lo, x_hi, _ = rational_bracket(hx, vec_x)
+    y_lo, y_hi, _ = rational_bracket(hy, vec_y)
     steps = 0
     # The gap is unknown until the brackets separate, so until then each
     # round asks for about two Newton steps (100 bits); once they separate,
@@ -575,18 +585,14 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     while y_lo - x_hi <= max(x_hi - x_lo, y_hi - y_lo) * 2 ** 64:
         gap = y_lo - x_hi
         width = gap / 2 ** 65 if gap > 0 else max(x_hi - x_lo, y_hi - y_lo) / 2 ** 100
-        vec_x, steps_x = refined_eigenvector(hx, vec_x, width=width)
-        vec_y, steps_y = refined_eigenvector(hy, vec_y, width=width)
+        vec_x, steps_x, x_lo, x_hi = refined_eigenvector(hx, vec_x, width=width)
+        vec_y, steps_y, y_lo, y_hi = refined_eigenvector(hy, vec_y, width=width)
         if not steps_x + steps_y:
             break
         steps += steps_x + steps_y
-        x_lo, x_hi, x_res = rational_bracket(hx, vec_x)
-        y_lo, y_hi, y_res = rational_bracket(hy, vec_y)
-    entry = dict(zip(hx.vertices, vec_x))
-    e2_diff = sum(entry[j] for j in range(1, (1 << n) + 1) if j % 4 == 1) \
-        - sum(entry[j] for j in range(1, (1 << n) + 1) if j % 4 == 3)
-    predicted = 3 * entry[0] * e2_diff ** 2 / sum(t ** hx.rank for t in vec_x)
-    gap_value = float(predicted)
+    x_lo, x_hi, x_res = rational_bracket(hx, vec_x)
+    y_lo, y_hi, y_res = rational_bracket(hy, vec_y)
+    e2_diff, predicted = _pair_gap(vec_x)
     bits = max(t.denominator.bit_length() - 1 for t in vec_x + vec_y)
     params = {
         "n": n,
@@ -595,7 +601,7 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
         "residual_x": float(x_res), "residual_y": float(y_res),
         "iterations_x": pair_x.iterations, "iterations_y": pair_y.iterations,
         "refinement_bits": bits, "refinement_iterations": steps,
-        "e2_diff": float(e2_diff), "predicted_gap": gap_value,
+        "e2_diff": float(e2_diff), "predicted_gap": float(predicted),
         "bracket_gap": float(y_lo - x_hi),
     }
     if _underflows(predicted):
@@ -611,9 +617,9 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     if not y_lo > x_hi:
         problems.append(f"brackets do not separate even at {bits} bits: "
                         f"mu - lambda <= {format_exact(y_hi - x_lo, '.3e')}")
-    elif not float(y_lo) >= float(x_hi) + gap_value - 1e-8:
-        problems.append(f"bracket gap {format_exact(y_lo - x_hi, '.3e')} falls short of "
-                        f"predicted {format_exact(predicted, '.3e')} - 1e-8")
+    elif not y_hi - x_lo >= predicted:
+        problems.append(f"mu - lambda <= {format_exact(y_hi - x_lo, '.3e')}, short of "
+                        f"predicted gap {format_exact(predicted, '.3e')}")
     if problems:
         return Claim("main-theorem", params, "numeric", False, "; ".join(problems))
     return Claim("main-theorem", params, "numeric", True,

@@ -1,7 +1,8 @@
 """What the benchmark under perfbench/ relies on in the package.
 
-The tracer wraps named entry points, and the `certify` workload checks the
-header line of `compare` literally.  Renaming a wrapped function or changing
+The tracer wraps named entry points and reads counters off their results,
+and the `certify` workload checks the header line of `compare` literally.
+Renaming a wrapped function, changing the shape of its result or changing
 the header would otherwise break `--trace 1` or every `certify` operation
 without failing a test here.  The two perfbench modules are loaded from their
 files; the tracer's `install` is not run.
@@ -9,10 +10,12 @@ files; the tracer's `install` is not run.
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from hypospec import iso
+from hypospec import iso, spectral
 from hypospec.cli import main
+from hypospec.families import FamilySpec, family_hypergraph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,3 +40,24 @@ def test_compare_header_matches_certify_check(capsys, monkeypatch):
     workloads = _load("workloads", monkeypatch)
     assert main(["compare", "--n", "4", "--seed", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == workloads.compare_header(1)
+
+
+def test_tracer_hooks_read_real_results(monkeypatch):
+    tracer = _load("tracer", monkeypatch)
+    tr = tracer.Tracer()
+    h = family_hypergraph(FamilySpec("X", 3))
+    pair = spectral.principal_eigenpair(h)
+    tracer._float_solve(tr, pair, (h,), {})
+    width = Fraction(1, 1 << 128)
+    refined = spectral.refined_eigenvector(h, pair.vector, width=width)
+    tracer._refine(tr, refined, (h, pair.vector), {"width": width})
+    bracket = spectral.rational_bracket(h, refined[0])
+    tracer._bracket(tr, bracket, (h, refined[0]), {})
+    canonical = iso.canonical_form(h)
+    tracer._canonical(tr, canonical, (h,), {})
+    assert refined[1] >= 1
+    assert tr.counters["spectral.refine_iterations"] == refined[1]
+    assert tr.counters["spectral.float_iterations"] == pair.iterations
+    # two distinct fractions less than 2^-128 apart need a denominator past 2^64
+    assert tr.maxima["spectral.bracket_bits"] > 64
+    assert tr.counters["iso.aut_total"] == canonical.automorphism_count

@@ -127,15 +127,29 @@ def test_refined_eigenvector_certifies_tighter():
     h = family_hypergraph(FamilySpec("X", 3))
     pair = principal_eigenpair(h)
     lo0, hi0, _ = rational_bracket(h, [Fraction(float(t)) for t in pair.vector])
-    vec, iterations = refined_eigenvector(h, start=pair.vector, width=Fraction(1, 1 << 128))
+    vec, iterations, lo, hi = refined_eigenvector(h, start=pair.vector,
+                                                  width=Fraction(1, 1 << 128))
     assert all(isinstance(t, Fraction) and t > 0 for t in vec)
     lo1, hi1, res1 = rational_bracket(h, vec)
+    assert (lo, hi) == (lo1, hi1)         # the bracket it returns is that of its entries
     assert hi1 - lo1 < hi0 - lo0
     assert hi1 - lo1 < Fraction(1, 10 ** 25)
     assert lo0 <= hi1 and lo1 <= hi0      # both brackets enclose the same value
     assert iterations >= 1
     with pytest.raises(ValueError):
         refined_eigenvector(h, start=[1.0] * 8 + [0.0], width=Fraction(1, 1 << 128))
+
+
+def test_refinement_step_adds_exactly_step_bits():
+    """Entries at denominator 2^B are carried at B bits, so each kept step
+    adds _STEP_BITS and nothing more, on every call."""
+    h = family_hypergraph(FamilySpec("X", 3))
+    pair = principal_eigenpair(h)
+    vec, _, lo, hi = refined_eigenvector(h, start=pair.vector, width=Fraction(1, 1 << 128))
+    more, steps, _, _ = refined_eigenvector(h, start=vec, width=(hi - lo) / 2)
+    assert steps == 1
+    bits = max(t.denominator.bit_length() - 1 for t in vec)
+    assert max(t.denominator.bit_length() - 1 for t in more) == bits + 50
 
 
 def test_solver_rejects_disconnected():

@@ -8,7 +8,7 @@ import pytest
 
 from hypospec.families import FamilySpec, family_hypergraph, family_poly, orbit_substitution, theta_perm
 from hypospec.polyalg import SparsePoly, x
-from hypospec import spectral
+from hypospec import spectral, verify
 from hypospec.verify import (
     Claim,
     _claim,
@@ -224,6 +224,23 @@ def test_main_theorem_judges_only_the_exact_certificate(monkeypatch):
     assert claim.params["iterations_x"] == claim.params["iterations_y"] == 3
     assert claim.params["bracket_gap"] > 0
     assert claim.params["refinement_bits"] > 64
+
+
+def test_main_theorem_checks_the_predicted_gap(monkeypatch):
+    """mu - lambda is at least the gap polynomial at the X^n eigenvector, and
+    at n = 4 the bracket gap is only 1.09 times that, so a gap predicted
+    twice too large must fail the claim."""
+    exact = verify._pair_gap
+
+    def doubled(vec):
+        e2_diff, predicted = exact(vec)
+        return e2_diff, 2 * predicted
+
+    monkeypatch.setattr(verify, "_pair_gap", doubled)
+    claim = verify_main_theorem(4)
+    assert not claim.passed
+    assert "short of predicted gap" in claim.detail
+    assert claim.params["bracket_gap"] > 0
 
 
 def test_format_exact_survives_float_underflow():
