@@ -9,7 +9,9 @@ spectrum, compare and verify take --seed (0 starts the float solver from
 all-ones); the solver's other settings are fixed, and the header line of
 spectrum and compare records them.
 
-Exit codes: 0 success, 1 failed claim or failed comparison, 2 usage error.
+Exit codes: 0 success, 1 failed claim or failed comparison, 2 usage error
+(a malformed input file is one) or a canonical search past
+iso.SEARCH_NODE_LIMIT nodes.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
 """
@@ -169,9 +171,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_deck(args: argparse.Namespace) -> int:
     hg = _load(args.file)
     started = time.perf_counter()
-    # A file the user named is searched at its own size; the default bound
-    # guards library callers against accidental huge inputs.
-    d = deck(hg, size_bound=hg.num_vertices)
+    d = deck(hg)
     print(f"deck of {hg.num_vertices} computed in {time.perf_counter() - started:.2f}s",
           file=sys.stderr)
     for v, cf in d:
@@ -187,8 +187,7 @@ def _cmd_deck(args: argparse.Namespace) -> int:
 def _cmd_hypomorphic(args: argparse.Namespace) -> int:
     first = _load(args.first)
     second = _load(args.second)
-    ok, eta = hypomorphic(first, second,
-                          size_bound=max(first.num_vertices, second.num_vertices))
+    ok, eta = hypomorphic(first, second)
     if not ok:
         print("hypomorphic: no")
         return 1

@@ -3,14 +3,16 @@
 Variables are indexed by nonnegative integers: x_0, x_1, x_2, ...  A monomial
 is the sorted multiset of its variable indices, so x_1^2*x_3 is `(1, 1, 3)`
 and the constant monomial is `()`.  The product of two monomials is the
-sorted concatenation and the degree is the length, which suits the traffic
-here: squarefree, low-degree monomials under variable renamings (the
-packed-monomial idea of Monagan & Pearce, "Sparse polynomial multiplication
-and division in Maple 14", 2009).  The canonical graded-lexicographic term
-order and the text form are defined on the run-length `(variable, exponent)`
-form of a monomial.  A polynomial maps monomials to nonzero integer
-coefficients.  Coefficients are plain Python ints, so every computation is
-exact and an identity holds iff the difference has no terms at all.
+sorted concatenation and the degree is the length.  Two kinds of traffic
+were measured: squarefree cubics under variable renamings in the identity
+suite, and substitutions of degree up to about 100, seven of them with
+50k-160k terms, in the ring-homomorphism trials of acceptance criterion 9.
+Nothing is packed into machine words.  The canonical graded-lexicographic
+term order and the text form are defined on the run-length
+`(variable, exponent)` form of a monomial.  A polynomial maps monomials to
+nonzero integer coefficients.  Coefficients are plain Python ints, so every
+computation is exact and an identity holds iff the difference has no terms at
+all.
 
 The public constructor validates its terms; ring operations combine
 polynomials that are valid already, so their results are only cleared of

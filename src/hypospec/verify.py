@@ -393,11 +393,11 @@ def _claim_sigma_threshold(n: int) -> Claim:
             ern = e_map(n, r)
             for t in range(r, n):
                 for i in range(1, (1 << n) + 1):
-                    image = x(i).substitute(ern)
+                    image = ern.image(i)
                     yield (f"E_{r} differs at i={i}, t={t}",
-                           image - x(mod_v(n, i + (1 << t))).substitute(ern))
+                           image - ern.image(mod_v(n, i + (1 << t))))
                     yield (f"E_{r} not sigma_{t}-invariant at i={i}",
-                           image - x(sigma_index(t, i)).substitute(ern))
+                           image - ern.image(sigma_index(t, i)))
     return _exact("remark-sigma-threshold", {"n": n}, checks())
 
 
@@ -628,11 +628,11 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
                  f"at {bits} bits; predicted gap {format_exact(predicted, '.6g')}")
 
 
-def cone_over(base: Hypergraph, apex_links: Sequence[Sequence[int]], apex: int = 0) -> Hypergraph:
-    """Attach an apex through the given (rank-1)-element links; the apex must
-    meet every base vertex in the same number of edges."""
-    if apex in set(base.vertices):
-        raise ValueError(f"apex {apex} already belongs to the base")
+def cone_over(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -> Hypergraph:
+    """Attach the apex, vertex 0, through the given (rank-1)-element links; the
+    apex must meet every base vertex in the same number of edges."""
+    if 0 in set(base.vertices):
+        raise ValueError("apex 0 already belongs to the base")
     counts = {v: 0 for v in base.vertices}
     edges = list(base.edges)
     for link in apex_links:
@@ -643,10 +643,10 @@ def cone_over(base: Hypergraph, apex_links: Sequence[Sequence[int]], apex: int =
             if v not in counts:
                 raise ValueError(f"apex link {link!r} leaves the base vertex set")
             counts[v] += 1
-        edges.append((apex,) + link)
+        edges.append((0,) + link)
     if len(set(counts.values())) != 1:
         raise ValueError(f"apex codegree is not constant over the base: {sorted(set(counts.values()))}")
-    return Hypergraph(base.rank, (apex,) + base.vertices, edges)
+    return Hypergraph(base.rank, (0,) + base.vertices, edges)
 
 
 def _positive_root(lam_g: float, gamma: int, target: float, m: int) -> float:

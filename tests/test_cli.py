@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
+from hypospec import iso
 from hypospec.cli import _parse_n_range, main
 from hypospec.families import FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph
-from hypospec.iso import SIZE_BOUND
 
 
 @pytest.fixture
@@ -118,17 +118,12 @@ def test_deck_writes_default_json(x3_file, tmp_path, capsys):
     assert len(payload) == 9
 
 
-def test_named_file_above_default_size_bound(tmp_path, capsys):
-    """The size bound guards library callers; a file named on the command
-    line is searched at its own size."""
-    n = SIZE_BOUND + 2
-    triples = [(i, i + 1, i + 2) for i in range(0, n - 2, 3)]
-    path = tmp_path / "big.hg"
-    path.write_text(Hypergraph(3, range(n), triples).to_text(), encoding="ascii")
-    assert main(["deck", str(path)]) == 0
-    assert capsys.readouterr().out.count("deleted ") == n
-    assert main(["hypomorphic", str(path), str(path)]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "hypomorphic: yes"
+def test_deck_past_search_node_limit_exits_two(x3_file, monkeypatch, capsys):
+    monkeypatch.setattr(iso, "SEARCH_NODE_LIMIT", 0)
+    assert main(["deck", x3_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: canonical search on 8 vertices")
 
 
 def test_hypomorphic_pair(x3_file, y3_file, capsys):

@@ -11,8 +11,7 @@ from hypospec import iso
 from hypospec.families import FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph, UnknownVertexError
 from hypospec.iso import (
-    SIZE_BOUND,
-    SizeBoundExceededError,
+    SearchLimitError,
     are_isomorphic,
     automorphism_count,
     canonical_form,
@@ -220,12 +219,23 @@ def test_hypomorphic_rejects_size_mismatch():
     assert hypomorphic(X3, single) == (False, None)
 
 
-def test_size_bound_enforced():
-    verts = list(range(1, SIZE_BOUND + 2))
-    edges = [(i, i + 1, i + 2) for i in range(1, SIZE_BOUND)]
-    big = Hypergraph(3, verts, edges)
-    with pytest.raises(SizeBoundExceededError, match="size_bound"):
-        canonical_form(big)
-    small = Hypergraph(3, range(1, 7), [(1, 2, 3), (4, 5, 6)])
-    with pytest.raises(SizeBoundExceededError):
-        deck(small, size_bound=5)
+def test_hypomorphic_pairs_repeated_card_classes_in_increasing_order():
+    """Fano plane on 0..6 plus K_4^(3) on 7..10: two card classes, seven and
+    four cards.  Within each class eta pairs the vertices in increasing order."""
+    fano = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+    h = Hypergraph(3, range(11), fano + list(itertools.combinations(range(7, 11), 3)))
+    moved = h.relabel({v: (5 * v + 3) % 11 + 20 for v in h.vertices})
+    flag, eta = hypomorphic(h, moved)
+    assert flag
+    assert eta == {0: 20, 1: 21, 2: 22, 3: 23, 4: 26, 5: 27, 6: 28,
+                   7: 24, 8: 25, 9: 29, 10: 30}
+
+
+def test_search_node_limit_enforced(monkeypatch):
+    chain = Hypergraph(3, range(40), [(i, i + 1, i + 2) for i in range(38)])
+    cf = canonical_form(chain)
+    assert cf.size == 40 and cf.automorphism_count == 2
+    k9 = Hypergraph(3, range(9), itertools.combinations(range(9), 3))
+    monkeypatch.setattr(iso, "SEARCH_NODE_LIMIT", 10)
+    with pytest.raises(SearchLimitError, match="9 vertices.* 10 nodes"):
+        canonical_form(k9)

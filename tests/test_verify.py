@@ -263,9 +263,9 @@ def test_cone_over_x3_structure():
 
 
 def test_cone_over_validation():
+    with pytest.raises(ValueError, match="apex 0"):
+        cone_over(family_hypergraph(FamilySpec("X", 3)), [(1, 2)])  # apex collides with the base
     base = family_hypergraph(FamilySpec("C3", 3))
-    with pytest.raises(ValueError):
-        cone_over(base, [(1, 2)], apex=1)  # apex collides with the base
     with pytest.raises(ValueError):
         cone_over(base, [(1, 2, 3)])  # link has rank-many vertices
     with pytest.raises(ValueError):
