@@ -17,6 +17,15 @@ exhaustive search.  |Aut| is the product, over the levels of the first path,
 of the orbit size of the vertex individualised there under the automorphisms
 fixing the path above it (orbit-stabiliser).
 
+A refinement round is a few numpy passes over the edges.  Each edge's cell
+indices are sorted, and the edge is coded by the dense lexicographic rank of
+that sorted row.  Each vertex's codes are sorted, and the run is read as
+big-endian bytes: the vertex's profile.  Bytes compare like the tuples of
+sorted cell tuples they stand for, a shorter prefix first.  So a cell splits
+into the same groups, in the same order, as under the tuple profiles, and
+every node gets the same ordered partition.  A leaf's relabelled edge list
+is built the same way and compared as bytes.
+
 The search is exact at any size, but its node count is not bounded by a
 polynomial in the vertex count.  `canonical_form` counts the nodes it visits
 (one refinement each) and raises `SearchLimitError` past
@@ -28,7 +37,10 @@ all, while one random Steiner triple system on 31 vertices takes about 27,000.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .hypergraph import Hypergraph, UnknownVertexError
 
@@ -64,27 +76,81 @@ class CanonicalForm:
         return self.hypergraph().to_text()
 
 
-def _refine(cells: tuple[tuple[int, ...], ...], edge_list: list[tuple[int, ...]],
-            incidence: list[list[int]], n: int) -> tuple[tuple[int, ...], ...]:
-    """Split cells by edge cell-profile until stable.  Refinement is
-    isomorphism-invariant, which is what lets two leaves with equal relabeled
-    edges define an automorphism."""
-    while True:
+class _Incidence(NamedTuple):
+    """columns[j, e] is the index of the j-th vertex of edge e.  base holds
+    the vertex of each vertex-edge incidence, in increasing order, times the
+    edge count.  Vertex p's profile is bytes starts[p]:starts[p + 1] of a
+    buffer with 8 bytes per incidence."""
+
+    columns: np.ndarray
+    base: np.ndarray
+    starts: list[int]
+
+
+def _incidence(hypergraph: Hypergraph) -> _Incidence:
+    # Labels are unbounded ints, so the index map is a dict, not a search in
+    # an int64 array.
+    index = {v: i for i, v in enumerate(hypergraph.vertices)}
+    n, m = hypergraph.num_vertices, hypergraph.num_edges
+    flat = np.fromiter(map(index.__getitem__, chain.from_iterable(hypergraph.edges)),
+                       dtype=np.int64, count=m * hypergraph.rank)
+    columns = np.ascontiguousarray(flat.reshape(m, hypergraph.rank).T)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(columns.ravel(), minlength=n), out=ptr[1:])
+    return _Incidence(columns, np.sort(columns, axis=None) * m, (8 * ptr).tolist())
+
+
+def _sorted_rows(table: np.ndarray) -> list[np.ndarray]:
+    """The rows of an (r, m) table after sorting each column, by a bubble
+    network of whole-row compare-exchanges."""
+    rows = list(table)
+    for top in range(len(rows) - 1, 0, -1):
+        for j in range(top):
+            low, high = rows[j], rows[j + 1]
+            rows[j], rows[j + 1] = np.minimum(low, high), np.maximum(low, high)
+    return rows
+
+
+def _dense_rank(rows: list[np.ndarray], bound: int) -> np.ndarray:
+    """The dense lexicographic rank of each column of `rows`, whose entries
+    are in range(bound).  Folds in one row at a time: rank * bound + entry
+    stays below m * bound, and is re-ranked by one argsort."""
+    rank = rows[0]
+    for row in rows[1:]:
+        packed = rank * bound + row
+        order = np.argsort(packed)
+        ordered = packed[order]
+        fresh = np.ones(len(packed), dtype=bool)
+        fresh[1:] = ordered[1:] != ordered[:-1]
+        rank = np.empty_like(packed)
+        rank[order] = np.cumsum(fresh) - 1
+    return rank
+
+
+def _refine(cells: tuple[tuple[int, ...], ...], inc: _Incidence) -> tuple[tuple[int, ...], ...]:
+    """Split cells by edge cell-profile until stable (see the module
+    docstring for one round).  Refinement is isomorphism-invariant, which is
+    what lets two leaves with equal relabelled edges define an automorphism."""
+    columns, base, starts = inc
+    n, m = len(starts) - 1, columns.shape[1]
+    while len(cells) < n:
         cell_of = [0] * n
         for ci, cell in enumerate(cells):
             for p in cell:
                 cell_of[p] = ci
+        code = _dense_rank(_sorted_rows(np.array(cell_of)[columns]), n)
+        keys = (columns * m + code).ravel()
+        keys.sort()
+        profiles = (keys - base).astype(">u8").tobytes()
         new_cells: list[tuple[int, ...]] = []
         changed = False
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            groups: dict[tuple, list[int]] = {}
+            groups: dict[bytes, list[int]] = {}
             for p in cell:
-                profile = tuple(sorted(
-                    tuple(sorted(cell_of[q] for q in edge_list[ei])) for ei in incidence[p]))
-                groups.setdefault(profile, []).append(p)
+                groups.setdefault(profiles[starts[p]:starts[p + 1]], []).append(p)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
@@ -94,6 +160,7 @@ def _refine(cells: tuple[tuple[int, ...], ...], edge_list: list[tuple[int, ...]]
         if not changed:
             return cells
         cells = tuple(new_cells)
+    return cells
 
 
 def _orbit(points, generators: list[list[int]]) -> set[int]:
@@ -118,15 +185,19 @@ def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
     n = len(verts)
     if n == 0:
         return CanonicalForm(hypergraph.rank, 0, (), {}, 1)
-    index = {v: i for i, v in enumerate(verts)}
-    edge_list = [tuple(index[v] for v in e) for e in hypergraph.edges]
-    incidence: list[list[int]] = [[] for _ in range(n)]
-    for ei, e in enumerate(edge_list):
-        for p in e:
-            incidence[p].append(ei)
+    inc = _incidence(hypergraph)
+
+    def relabelled(order: list[int]) -> np.ndarray:
+        """The edges under vertex order[i] -> label i + 1, as sorted rows in
+        lexicographic order."""
+        label = np.empty(n, dtype=np.int64)
+        label[order] = np.arange(1, n + 1)
+        rows = _sorted_rows(label[inc.columns])
+        return np.stack(rows, axis=1)[np.argsort(_dense_rank(rows, n + 1))]
 
     # A leaf is (path, order, edges): the individualised vertices, the vertex
-    # at each canonical position, and the relabelled edge list.
+    # at each canonical position, and the relabelled edge list as big-endian
+    # bytes, which compare as the list of tuples does.
     first: tuple | None = None
     best: tuple | None = None
     generators: list[list[int]] = []
@@ -140,14 +211,11 @@ def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
         if nodes > SEARCH_NODE_LIMIT:
             raise SearchLimitError(f"canonical search on {n} vertices visited more "
                                    f"than SEARCH_NODE_LIMIT = {SEARCH_NODE_LIMIT} nodes")
-        cells = _refine(cells, edge_list, incidence, n)
+        cells = _refine(cells, inc)
         target = next((ci for ci, cell in enumerate(cells) if len(cell) > 1), None)
         if target is None:
             order = [cell[0] for cell in cells]
-            label = [0] * n
-            for li, p in enumerate(order):
-                label[p] = li + 1
-            candidate = tuple(sorted(tuple(sorted(label[p] for p in e)) for e in edge_list))
+            candidate = relabelled(order).astype(">u8").tobytes()
             if first is None:
                 first = best = (path, order, candidate)
                 return len(path)
@@ -156,7 +224,7 @@ def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
                     # Equal relabelled edges: mapping this leaf onto the known
                     # one is an automorphism fixing their common prefix, so the
                     # rest of this branch mirrors one already searched.
-                    generators.append([known_order[label[p] - 1] for p in range(n)])
+                    generators.append([q for _, q in sorted(zip(order, known_order))])
                     common = 0
                     while path[common] == known_path[common]:
                         common += 1
@@ -187,7 +255,8 @@ def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
         count *= len(_orbit((p,), _fixing(generators, first_path[:level])))
     position = {p: li + 1 for li, p in enumerate(best[1])}
     witness = {v: position[p] for p, v in enumerate(verts)}
-    return CanonicalForm(hypergraph.rank, n, best[2], witness, count)
+    edges = tuple(map(tuple, relabelled(best[1]).tolist()))
+    return CanonicalForm(hypergraph.rank, n, edges, witness, count)
 
 
 def automorphism_count(hypergraph: Hypergraph) -> int:
@@ -210,11 +279,15 @@ def are_isomorphic(first: Hypergraph, second: Hypergraph) -> tuple[bool, dict[in
 
 def delete_vertex(hypergraph: Hypergraph, vertex: int) -> Hypergraph:
     """Remove a vertex and every edge through it (vertex-deleted subhypergraph)."""
-    if vertex not in set(hypergraph.vertices):
+    if vertex not in hypergraph.vertices:
         raise UnknownVertexError(vertex)
-    return Hypergraph(hypergraph.rank,
-                      (v for v in hypergraph.vertices if v != vertex),
-                      (e for e in hypergraph.edges if vertex not in e))
+    # Filtering keeps the parent's sorted, valid tuples sorted and valid, so
+    # the card skips the validating constructor.
+    card = object.__new__(Hypergraph)
+    card.rank = hypergraph.rank
+    card.vertices = tuple(v for v in hypergraph.vertices if v != vertex)
+    card.edges = tuple([e for e in hypergraph.edges if vertex not in e])
+    return card
 
 
 @dataclass(frozen=True)
@@ -243,7 +316,8 @@ def hypomorphic(first: Hypergraph, second: Hypergraph) -> tuple[bool, dict[int, 
 
     Within each class of isomorphic cards, eta pairs the deleted vertices of
     `first` with those of `second` in increasing order."""
-    if first.rank != second.rank or first.num_vertices != second.num_vertices:
+    if first.rank != second.rank or first.num_vertices != second.num_vertices \
+            or first.num_edges != second.num_edges:
         return False, None
     cards_f = sorted((cf.key(), v) for v, cf in deck(first))
     cards_g = sorted((cf.key(), v) for v, cf in deck(second))

@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +113,10 @@ def test_automorphism_counts_frozen():
     assert automorphism_count(two_k4) == 2 * 24 ** 2
     three_edges = Hypergraph(3, range(11), [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
     assert automorphism_count(three_edges) == 6 * 6 ** 3 * 2
+    for k in range(7):
+        assert automorphism_count(Hypergraph(3, range(k), [])) == math.factorial(k)
+    one_edge = canonical_form(Hypergraph(3, range(6), [(0, 1, 2)]))
+    assert one_edge.automorphism_count == 36 and one_edge.edges == ((4, 5, 6),)
 
 
 def test_pruning_keeps_symmetric_search_small(monkeypatch):
@@ -127,6 +133,104 @@ def test_pruning_keeps_symmetric_search_small(monkeypatch):
     monkeypatch.setattr(iso, "_refine", counting)
     canonical_form(complete(range(9)))
     assert 0 < calls < 100
+
+
+def test_vertex_labels_past_int64():
+    big = 2 ** 64
+    cf = canonical_form(Hypergraph(3, [0, 1, 5, big], [(0, 1, big), (1, 5, big)]))
+    assert cf.edges == ((1, 3, 4), (2, 3, 4)) and cf.automorphism_count == 4
+    assert cf.witness == {0: 1, 1: 3, 5: 2, big: 4}
+
+
+def refine_by_tuples(cells, edge_list, incidence, n):
+    """The pure-Python refinement that the array kernel replaced, kept as an
+    oracle: each profile is the sorted tuple of the sorted cell tuples of a
+    vertex's edges."""
+    while True:
+        cell_of = [0] * n
+        for ci, cell in enumerate(cells):
+            for p in cell:
+                cell_of[p] = ci
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for p in cell:
+                profile = tuple(sorted(
+                    tuple(sorted(cell_of[q] for q in edge_list[ei])) for ei in incidence[p]))
+                groups.setdefault(profile, []).append(p)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for profile in sorted(groups):
+                    new_cells.append(tuple(sorted(groups[profile])))
+        if not changed:
+            return cells
+        cells = tuple(new_cells)
+
+
+def oracle_refine(h: Hypergraph, cells):
+    n = h.num_vertices
+    index = {v: i for i, v in enumerate(h.vertices)}
+    edge_list = [tuple(index[v] for v in e) for e in h.edges]
+    incidence = [[] for _ in range(n)]
+    for ei, e in enumerate(edge_list):
+        for p in e:
+            incidence[p].append(ei)
+    return refine_by_tuples(cells, edge_list, incidence, n)
+
+
+def refinement_inputs(rng: random.Random):
+    """Seeded hypergraphs of rank 2, 3 and 4 on up to 40 vertices, some of
+    them isolated, with unequal degrees; and two vertex-transitive unions
+    whose profiles all have one length."""
+    for rank in (2, 3, 4):
+        for _ in range(12):
+            nv = rng.randint(rank + 1, 40)
+            touched = rng.sample(range(nv), rng.randint(rank, nv))
+            pool = list(itertools.combinations(sorted(touched), rank))
+            edges = rng.sample(pool, rng.randint(1, min(len(pool), 12 * nv)))
+            yield Hypergraph(rank, range(nv), edges)
+    yield Hypergraph(3, range(16), circulant(8, [(0, 1, 3)]) | circulant(8, [(0, 1, 3)], 8))
+    yield Hypergraph(3, range(20), circulant(8, [(3, 4, 6)]) | circulant(12, [(0, 1, 5)], 8))
+
+
+def test_refine_matches_tuple_profiles():
+    """Equal ordered partitions from the unit partition, after individualising
+    one vertex of it, and after individualising the first vertex of the first
+    non-singleton cell of its refinement, as the search does."""
+    checked = 0
+    for h in refinement_inputs(random.Random(20261018)):
+        n = h.num_vertices
+        inc = iso._incidence(h)
+        unit = (tuple(range(n)),)
+        p = n // 2
+        starts = [unit, ((p,), tuple(q for q in range(n) if q != p))]
+        refined = oracle_refine(h, unit)
+        target = next((ci for ci, cell in enumerate(refined) if len(cell) > 1), None)
+        if target is not None:
+            cell = refined[target]
+            starts.append(refined[:target] + ((cell[0],), cell[1:]) + refined[target + 1:])
+        for cells in starts:
+            assert iso._refine(cells, inc) == oracle_refine(h, cells)
+            checked += 1
+    assert checked > 100
+
+
+def test_refine_orders_edge_codes_past_one_byte():
+    """A path on 0..399 in singleton cells, and a last cell {400, 401} whose
+    vertices meet the path at 200 and 300.  Their edges get codes 201 and 302,
+    which differ in the order of their low bytes, so the profiles must compare
+    by value: 400 goes first."""
+    h = Hypergraph(2, range(402), [(i, i + 1) for i in range(399)] + [(200, 400), (300, 401)])
+    cells = tuple((p,) for p in range(400)) + ((400, 401),)
+    refined = iso._refine(cells, iso._incidence(h))
+    assert refined == oracle_refine(h, cells)
+    assert refined[-2:] == ((400,), (401,))
 
 
 def test_automorphism_count_matches_brute_force_on_cycle_family():
@@ -160,6 +264,31 @@ def test_canonical_forms_match_exhaustive_search_digest():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == FROZEN_CANONICAL_DIGEST
 
 
+def test_reference_deck_digest():
+    """The benchmark checks each deck of X^5 and Y^5 against this digest of
+    the sorted canonical card texts; a change of cell order fails here too."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text())["deck_digest"]["5"]
+    for tag in ("X", "Y"):
+        texts = sorted(cf.text() for _, cf in deck(family_hypergraph(FamilySpec(tag, 5))))
+        assert hashlib.sha256(json.dumps(texts).encode("ascii")).hexdigest() == expected
+
+
+def test_leaf_order_compares_labels_past_one_byte():
+    """Refinement makes a path with a pendant vertex discrete, on labels
+    1..250, and cannot split K_6 plus K_{5,5}, labelled 251..266.  Leaves
+    differ only there, across label 256, so the relabelled edge lists must
+    compare by label value.  The digest is that of the search that compared
+    them as tuples."""
+    path = [(i, i + 1) for i in range(248)] + [(2, 249)]
+    k6 = list(itertools.combinations(range(250, 256), 2))
+    k55 = [(256 + i, 261 + j) for i in range(5) for j in range(5)]
+    cf = canonical_form(Hypergraph(2, range(266), path + k6 + k55))
+    assert cf.automorphism_count == math.factorial(6) * 2 * math.factorial(5) ** 2
+    assert hashlib.sha256(repr(cf.edges).encode()).hexdigest() == \
+        "efdc12df339dce511698db1ded7426233ba309f1c951e191ff5ebd257241650b"
+
+
 def test_pair_is_not_isomorphic():
     flag, witness = are_isomorphic(X3, Y3)
     assert flag is False and witness is None
@@ -190,6 +319,14 @@ def test_delete_vertex():
     assert all(0 not in e for e in h.edges)
     with pytest.raises(UnknownVertexError):
         delete_vertex(X3, 99)
+    # cards skip the validating constructor, and must equal what it builds
+    x4 = family_hypergraph(FamilySpec("X", 4))
+    for h in (x4, random_instance(random.Random(5), max_vertices=7)):
+        for v in h.vertices:
+            card = delete_vertex(h, v)
+            validated = Hypergraph(h.rank, (u for u in h.vertices if u != v),
+                                   (e for e in h.edges if v not in e))
+            assert card == validated and hash(card) == hash(validated)
 
 
 def test_decks_agree_for_the_pair():
@@ -217,6 +354,16 @@ def test_hypomorphic_pair_with_valid_eta():
 def test_hypomorphic_rejects_size_mismatch():
     single = Hypergraph(3, [1, 2, 3], [(1, 2, 3)])
     assert hypomorphic(X3, single) == (False, None)
+
+
+def test_hypomorphic_rejects_edge_count_mismatch_before_any_deck(monkeypatch):
+    """The card edge counts sum to m(n - r), so equal decks need equal m."""
+    def no_search(hypergraph):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr(iso, "canonical_form", no_search)
+    fewer = Hypergraph(3, X3.vertices, X3.edges[1:])
+    assert hypomorphic(X3, fewer) == (False, None)
 
 
 def test_hypomorphic_pairs_repeated_card_classes_in_increasing_order():
