@@ -26,6 +26,11 @@ into the same groups, in the same order, as under the tuple profiles, and
 every node gets the same ordered partition.  A leaf's relabelled edge list
 is built the same way and compared as bytes.
 
+A canonical form is keyed by the bytes of its best leaf: the big-endian
+64-bit words of the sorted relabelled edge list.  They compare as the tuple
+of edge tuples does, so decks, isomorphism and hypomorphism compare bytes,
+and the edge tuples are decoded from them only when read.
+
 The search is exact at any size, but its node count is not bounded by a
 polynomial in the vertex count.  `canonical_form` counts the nodes it visits
 (one refinement each) and raises `SearchLimitError` past
@@ -37,6 +42,7 @@ all, while one random Steiner triple system on 31 vertices takes about 27,000.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -55,19 +61,25 @@ class SearchLimitError(ValueError):
 class CanonicalForm:
     """Canonical relabeling of a hypergraph.
 
-    edges: canonical edge list over labels 1..size, lexicographically sorted.
+    code: the canonical edge list over labels 1..size, lexicographically
+    sorted, as big-endian 64-bit words; `edges` decodes it once, on demand.
     witness: input vertex -> canonical label.
     automorphism_count: order of the automorphism group of the input.
     """
 
     rank: int
     size: int
-    edges: tuple[tuple[int, ...], ...]
+    code: bytes
     witness: dict[int, int]
     automorphism_count: int
 
     def key(self) -> tuple:
-        return (self.rank, self.size, self.edges)
+        return (self.rank, self.size, self.code)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        words = np.frombuffer(self.code, dtype=">u8").reshape(-1, self.rank)
+        return tuple(map(tuple, words.tolist()))
 
     def hypergraph(self) -> Hypergraph:
         return Hypergraph(self.rank, range(1, self.size + 1), self.edges)
@@ -184,20 +196,21 @@ def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
     verts = hypergraph.vertices
     n = len(verts)
     if n == 0:
-        return CanonicalForm(hypergraph.rank, 0, (), {}, 1)
+        return CanonicalForm(hypergraph.rank, 0, b"", {}, 1)
     inc = _incidence(hypergraph)
 
-    def relabelled(order: list[int]) -> np.ndarray:
+    def relabelled(order: list[int]) -> bytes:
         """The edges under vertex order[i] -> label i + 1, as sorted rows in
-        lexicographic order."""
+        lexicographic order, in big-endian bytes, which compare as the list
+        of tuples does."""
         label = np.empty(n, dtype=np.int64)
         label[order] = np.arange(1, n + 1)
         rows = _sorted_rows(label[inc.columns])
-        return np.stack(rows, axis=1)[np.argsort(_dense_rank(rows, n + 1))]
+        edges = np.stack(rows, axis=1)[np.argsort(_dense_rank(rows, n + 1))]
+        return edges.astype(">u8").tobytes()
 
-    # A leaf is (path, order, edges): the individualised vertices, the vertex
-    # at each canonical position, and the relabelled edge list as big-endian
-    # bytes, which compare as the list of tuples does.
+    # A leaf is (path, order, code): the individualised vertices, the vertex
+    # at each canonical position, and the relabelled edge list as bytes.
     first: tuple | None = None
     best: tuple | None = None
     generators: list[list[int]] = []
@@ -215,12 +228,12 @@ def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
         target = next((ci for ci, cell in enumerate(cells) if len(cell) > 1), None)
         if target is None:
             order = [cell[0] for cell in cells]
-            candidate = relabelled(order).astype(">u8").tobytes()
+            candidate = relabelled(order)
             if first is None:
                 first = best = (path, order, candidate)
                 return len(path)
-            for known_path, known_order, known_edges in (first, best):
-                if candidate == known_edges:
+            for known_path, known_order, known_code in (first, best):
+                if candidate == known_code:
                     # Equal relabelled edges: mapping this leaf onto the known
                     # one is an automorphism fixing their common prefix, so the
                     # rest of this branch mirrors one already searched.
@@ -255,8 +268,7 @@ def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
         count *= len(_orbit((p,), _fixing(generators, first_path[:level])))
     position = {p: li + 1 for li, p in enumerate(best[1])}
     witness = {v: position[p] for p, v in enumerate(verts)}
-    edges = tuple(map(tuple, relabelled(best[1]).tolist()))
-    return CanonicalForm(hypergraph.rank, n, edges, witness, count)
+    return CanonicalForm(hypergraph.rank, n, best[2], witness, count)
 
 
 def automorphism_count(hypergraph: Hypergraph) -> int:

@@ -10,7 +10,10 @@ componentwise ratios give certified lower and upper bounds on lambda
 (Collatz-Wielandt).  The solver is a shifted power iteration driven by those
 brackets.  One integer kernel computes every exact bracket: `rational_bracket`
 at any positive vector, and `refined_eigenvector` at each integer dyadic
-vector its Newton steps reach.  `oracle_radius` is a second route: projected gradient
+vector its Newton steps reach.  The kernel groups the edges at a vertex by all
+their other members but the last, so each group costs one product of the
+shared members times the sum of the last ones, not one product per edge.
+`oracle_radius` is a second route: projected gradient
 ascent of the generating polynomial f on the nonnegative unit m-norm sphere.
 m * f is at most lambda at every such point and equals it at the maximum (Euler
 identity).  Its ascent direction is `_apply_positions`, the kernel the power
@@ -173,23 +176,31 @@ def _positive_fractions(hypergraph: Hypergraph, values) -> list[Fraction]:
     return point
 
 
+_Group = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 @lru_cache(maxsize=128)
-def _links(hypergraph: Hypergraph) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per vertex position, the positions of the other members of each edge at it."""
-    links: list[list[tuple[int, ...]]] = [[] for _ in hypergraph.vertices]
+def _links(hypergraph: Hypergraph) -> tuple[tuple[_Group, ...], ...]:
+    """Per vertex position, the positions of the other members of each edge at
+    it, grouped by all members but the last: (prefix, lasts) pairs."""
+    groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in hypergraph.vertices]
     for row in _edge_positions(hypergraph).tolist():
         for p in row:
-            links[p].append(tuple(q for q in row if q != p))
-    return tuple(map(tuple, links))
+            others = [q for q in row if q != p]
+            groups[p].setdefault(tuple(others[:-1]), []).append(others[-1])
+    return tuple(tuple((prefix, tuple(lasts)) for prefix, lasts in g.items()) for g in groups)
 
 
 def _exact_bracket(hypergraph: Hypergraph, ints: Sequence[int]
                    ) -> tuple[list[int], list[int], Fraction, Fraction]:
     """S_i, P_i = a_i^{m-1} and the exact min and max of S_i / P_i at a positive
     integer vector a, where S_i sums over the edges e at i the product of the
-    other entries of e; the extremes are picked by integer cross-multiplication."""
+    other entries of e; the extremes are picked by integer cross-multiplication.
+    Edges at i that share all other members but the last share one product:
+    S_i = sum over the groups of prod(prefix) * sum(lasts)."""
     m = hypergraph.rank
-    sums = [sum(math.prod([ints[q] for q in others]) for others in link)
+    get = ints.__getitem__
+    sums = [sum(math.prod(map(get, prefix)) * sum(map(get, lasts)) for prefix, lasts in link)
             for link in _links(hypergraph)]
     powered = [t ** (m - 1) for t in ints]
     lo_i = hi_i = 0

@@ -61,3 +61,19 @@ def test_tracer_hooks_read_real_results(monkeypatch):
     # two distinct fractions less than 2^-128 apart need a denominator past 2^64
     assert tr.maxima["spectral.bracket_bits"] > 64
     assert tr.counters["iso.aut_total"] == canonical.automorphism_count
+
+
+def test_deck_searches_each_card_through_the_module_attribute(monkeypatch):
+    """The tracer counts iso.canonical_calls by rebinding iso.canonical_form;
+    a deck that bound the function some other way would count zero."""
+    calls = 0
+    canonical = iso.canonical_form
+
+    def counting(hypergraph):
+        nonlocal calls
+        calls += 1
+        return canonical(hypergraph)
+
+    monkeypatch.setattr(iso, "canonical_form", counting)
+    h = family_hypergraph(FamilySpec("X", 3))
+    assert len(iso.deck(h).entries) == calls == h.num_vertices

@@ -378,6 +378,39 @@ def test_hypomorphic_pairs_repeated_card_classes_in_increasing_order():
                    7: 24, 8: 25, 9: 29, 10: 30}
 
 
+def tuple_key_eta(first: Hypergraph, second: Hypergraph) -> dict[int, int]:
+    """Eta built from keys holding the decoded edge tuples, as before the
+    forms were keyed by their bytes."""
+    cards_f = sorted(((cf.rank, cf.size, cf.edges), v) for v, cf in deck(first))
+    cards_g = sorted(((cf.rank, cf.size, cf.edges), v) for v, cf in deck(second))
+    assert [k for k, _ in cards_f] == [k for k, _ in cards_g]
+    return {v: w for (_, v), (_, w) in zip(cards_f, cards_g)}
+
+
+def test_byte_keys_give_the_tuple_key_eta():
+    """Cards of unequal edge counts and repeated classes: bytes must sort as
+    the edge tuples do, a shorter prefix first."""
+    rng = random.Random(41)
+    x4, _ = shuffled_copy(family_hypergraph(FamilySpec("X", 4)), rng)
+    y4, _ = shuffled_copy(family_hypergraph(FamilySpec("Y", 4)), rng)
+    fano = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+    h = Hypergraph(3, range(11), fano + list(itertools.combinations(range(7, 11), 3)))
+    moved = h.relabel({v: (5 * v + 3) % 11 + 20 for v in h.vertices})
+    for first, second in ((x4, y4), (h, moved)):
+        flag, eta = hypomorphic(first, second)
+        assert flag and eta == tuple_key_eta(first, second)
+
+
+def test_code_holds_the_edges():
+    for k in (0, 5):
+        cf = canonical_form(Hypergraph(3, range(k), []))
+        assert cf.code == b"" and cf.edges == ()
+    for h in (X3, Y3, Hypergraph(2, range(4), [(0, 1), (1, 2), (2, 3)])):
+        cf = canonical_form(h)
+        assert len(cf.code) == 8 * cf.rank * len(cf.edges)
+        assert cf.edges is cf.edges
+
+
 def test_search_node_limit_enforced(monkeypatch):
     chain = Hypergraph(3, range(40), [(i, i + 1, i + 2) for i in range(38)])
     cf = canonical_form(chain)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypospec import spectral
 from hypospec.families import FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph, UnknownVertexError, lagrangian_of
 from hypospec.spectral import (DimensionMismatchError, NotConnectedError,
@@ -121,6 +123,38 @@ def test_rational_bracket_residual():
     lo2, hi2, res2 = rational_bracket(h, [Fraction(2), Fraction(1), Fraction(1)])
     assert lo2 == Fraction(1, 4) and hi2 == 2
     assert res2 > 0
+
+
+def per_edge_bracket(h, ints):
+    """The per-edge exact kernel that the grouped sums replaced, kept as an
+    oracle: S_i sums math.prod of the other entries over each edge at i."""
+    index = {v: i for i, v in enumerate(h.vertices)}
+    rows = [[index[v] for v in e] for e in h.edges]
+    sums = [sum(math.prod(ints[q] for q in row if q != p) for row in rows if p in row)
+            for p in range(len(ints))]
+    powered = [t ** (h.rank - 1) for t in ints]
+    ratios = [Fraction(s, t) for s, t in zip(sums, powered)]
+    return sums, powered, min(ratios), max(ratios)
+
+
+def test_grouped_edge_sums_match_per_edge_products():
+    """Seeded hypergraphs of rank 2, 3 and 4 on scattered labels, each with
+    one vertex in no edge (sum 0), at entries of 1 to 700 bits."""
+    rng = random.Random(20261018)
+    checked = 0
+    for rank in (2, 3, 4):
+        for _ in range(8):
+            nv = rng.randint(rank + 2, 12)
+            labels = rng.sample(range(1000), nv)
+            pool = list(itertools.combinations(sorted(labels[1:]), rank))
+            h = Hypergraph(rank, labels, rng.sample(pool, rng.randint(1, len(pool))))
+            for bits in (1, 2, 64, 700):
+                ints = [rng.randint(1, 2 ** bits) for _ in range(nv)]
+                got = spectral._exact_bracket(h, ints)
+                assert got == per_edge_bracket(h, ints)
+                assert got[0][h.vertices.index(labels[0])] == 0
+                checked += 1
+    assert checked == 96
 
 
 def test_refined_eigenvector_certifies_tighter():
