@@ -8,6 +8,11 @@ bulk Gamma_n and differ only in how the apex is attached (M0 versus M1).
 
 The recursive definitions below are the construction of record; closed-form
 rebuilds used as an independent cross-check live in the verify module.
+
+The structural maps `p_map`, `e_map`, `sigma_endo` and `theta_endo` are
+memoised, as the family polynomials are: every caller with the same
+arguments gets the same Endomorphism object, so its `images` and `rename`
+dicts are shared and must not be mutated.  Derive new maps with `compose`.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ def permutation_endo(perm: Mapping[int, int]) -> Endomorphism:
 # -- structural endomorphisms -------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def p_map(n: int, bit: int) -> Endomorphism:
     """Doubling map into V_n: x_i -> x_{2i - bit mod V_n}.  bit 0 hits the
     even vertices, bit 1 the odd ones."""
@@ -109,6 +115,7 @@ def p_eps(n: int, bits: Sequence[int]) -> Endomorphism:
     return endo
 
 
+@lru_cache(maxsize=None)
 def e_map(n: int, r: int) -> Endomorphism:
     """Class-sum map: x_i -> sum of x_j over j = i mod 2^r in V_n; E_n^n = id."""
     if not 2 <= r <= n:
@@ -129,10 +136,12 @@ def q_map(n: int) -> Endomorphism:
     return e_map(n, n - 1)
 
 
+@lru_cache(maxsize=None)
 def sigma_endo(n: int, i: int) -> Endomorphism:
     return permutation_endo(sigma_perm(n, i))
 
 
+@lru_cache(maxsize=None)
 def theta_endo(n: int) -> Endomorphism:
     return permutation_endo(theta_perm(n))
 

@@ -60,7 +60,9 @@ class UnknownVertexError(KeyError):
 class Hypergraph:
     """Immutable uniform hypergraph with a deterministic edge order."""
 
-    __slots__ = ("rank", "vertices", "edges")
+    # `_hash` caches __hash__: hashing the edge tuple costs milliseconds at
+    # n = 7, and the spectral caches look each hypergraph up many times.
+    __slots__ = ("rank", "vertices", "edges", "_hash")
 
     def __init__(self, rank: int, vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> None:
         if not isinstance(rank, int) or rank < 2:
@@ -87,6 +89,7 @@ class Hypergraph:
         self.rank = rank
         self.vertices = verts
         self.edges = ordered
+        self._hash = None
 
     # -- basic protocol -----------------------------------------------------
 
@@ -96,7 +99,9 @@ class Hypergraph:
         return (self.rank, self.vertices, self.edges) == (other.rank, other.vertices, other.edges)
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.vertices, self.edges))
+        if self._hash is None:
+            self._hash = hash((self.rank, self.vertices, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Hypergraph(rank={self.rank}, vertices={len(self.vertices)}, edges={len(self.edges)})"

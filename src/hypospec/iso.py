@@ -299,6 +299,7 @@ def delete_vertex(hypergraph: Hypergraph, vertex: int) -> Hypergraph:
     card.rank = hypergraph.rank
     card.vertices = tuple(v for v in hypergraph.vertices if v != vertex)
     card.edges = tuple([e for e in hypergraph.edges if vertex not in e])
+    card._hash = None
     return card
 
 

@@ -12,6 +12,16 @@ failure's certificate.  Numeric claims carry certified Collatz-Wielandt
 brackets, recomputed in exact rational arithmetic before any verdict is
 drawn from them.
 
+The sigma-induction claims restrict before they difference.  With phi the
+orbit map and h = g o phi, the difference (g - g o sigma_r) o phi equals
+h - h o (phi o sigma_r): one pass over g, and the rest on the small orbit
+quotient.  That is exact only when sigma_r maps each orbit of phi onto an
+orbit (phi sigma_r phi = phi sigma_r).  It holds because theta and every
+sigma_i act on j - 1 as commuting XOR masks, and `restricted_difference`
+checks it on the vertex tables before each use, raising ValueError where
+it fails.  The orbit maps, like the structural maps of `families`, are
+memoised and shared.
+
 The closed-form family builders in this module are written against the index
 arithmetic directly, independent of the recursive constructions in
 `families`, so the cross-check claims exercise two genuinely different
@@ -27,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -123,14 +134,44 @@ def _timed(claim_fn: Callable[..., Claim]) -> Callable[..., Claim]:
     return wrapper
 
 
-def fixed_point_map(n: int, *, theta: bool = False, sigmas: Iterable[int] = ()):
-    """Orbit substitution for the group generated by the listed permutations."""
-    gens = []
-    if theta:
-        gens.append(theta_perm(n))
-    for i in sigmas:
-        gens.append(sigma_perm(n, i))
+def fixed_point_map(n: int, *, theta: bool = False, sigmas: Iterable[int] = ()) -> Endomorphism:
+    """Orbit substitution for the group generated by the listed permutations
+    (memoised by `(n, theta, tuple(sigmas))`; the map is shared, so it must
+    not be mutated)."""
+    return _fixed_point_map(n, theta, tuple(sigmas))
+
+
+@lru_cache(maxsize=None)
+def _fixed_point_map(n: int, theta: bool, sigmas: tuple[int, ...]) -> Endomorphism:
+    gens = [theta_perm(n)] if theta else []
+    gens += [sigma_perm(n, i) for i in sigmas]
     return orbit_substitution(n, gens)
+
+
+def _vertex_table(endo: Endomorphism, size: int) -> list[int]:
+    """The images of the vertices 0..size-1 under a renaming endomorphism."""
+    table = [endo.rename.get(v, v) for v in range(size)]
+    if min(table) < 0:
+        raise ValueError("endomorphism does not rename every vertex to a vertex")
+    return table
+
+
+def restricted_difference(n: int, g: SparsePoly, sigma: Endomorphism,
+                          phi: Endomorphism) -> SparsePoly:
+    """(g - g o sigma) o phi, restricted before it is differenced: with
+    h = g o phi it is h - h o (phi o sigma), one pass over g, and the rest
+    works on the orbit quotient.
+
+    The two agree exactly when phi sigma phi = phi sigma on 0..2^n, that is,
+    when sigma maps each orbit of phi onto an orbit.  That is checked on the
+    vertex tables first, and a ValueError is raised where it fails.
+    """
+    size = (1 << n) + 1
+    rep, moved = _vertex_table(phi, size), _vertex_table(sigma, size)
+    if any(rep[moved[rep[v]]] != rep[moved[v]] for v in range(size)):
+        raise ValueError(f"sigma does not map the orbits of phi onto orbits of V_{n}")
+    h = g.substitute(phi)
+    return h - h.substitute(phi.compose(sigma))
 
 
 # -- difference polynomials ----------------------------------------------------
@@ -213,10 +254,6 @@ def explicit_t(n: int) -> SparsePoly:
     return total
 
 
-def explicit_gamma(n: int) -> SparsePoly:
-    return explicit_t(n) + _base33_reindexed().substitute(e_map(n, 3))
-
-
 # -- exact claims ----------------------------------------------------------------
 
 
@@ -241,7 +278,7 @@ def verify_induction_cycles(n: int, r: int, k: int, *,
     g = g_poly if g_poly is not None else family_poly(FamilySpec("G", n, k))
     phi = fixed_point_map(n, theta=True, sigmas=range(r))
     expected = f_poly(n, r) if k == n - r else SparsePoly.zero()
-    diff = (g - g.substitute(sigma_endo(n, r)) - expected).substitute(phi)
+    diff = restricted_difference(n, g, sigma_endo(n, r), phi) - expected.substitute(phi)
     branch = "f" if k == n - r else "0"
     return _exact("lemma-induction-cycles", {"n": n, "r": r, "k": k, "expected": branch},
                   [(_NONZERO, diff)])
@@ -257,7 +294,8 @@ def verify_sigma_general(n: int, r: int, *, x_poly: SparsePoly | None = None) ->
         m0 = family_poly(FamilySpec("M0", n))
         yield f"M0 is not sigma_{r}-invariant", m0 - m0.substitute(sigma_endo(n, r))
         phi = fixed_point_map(n, theta=True, sigmas=range(r))
-        yield _NONZERO, (xp - xp.substitute(sigma_endo(n, r)) - f_poly(n, r)).substitute(phi)
+        yield _NONZERO, (restricted_difference(n, xp, sigma_endo(n, r), phi)
+                         - f_poly(n, r).substitute(phi))
     return _exact("lemma-sigma-general", {"n": n, "r": r}, checks())
 
 
@@ -309,8 +347,11 @@ def _claim_remark_rec_defn(n: int) -> Claim:
         yield f"{at} G2", explicit_g2(n) - family_poly(FamilySpec("G", n, 2))
         for k in range(3, n + 1):
             yield f"{at} G{k}", explicit_gk(n, k) - family_poly(FamilySpec("G", n, k))
-        yield f"{at} T", explicit_t(n) - family_poly(FamilySpec("T", n))
-        yield f"{at} Gamma", explicit_gamma(n) - family_poly(FamilySpec("Gamma", n))
+        t = explicit_t(n)
+        yield f"{at} T", t - family_poly(FamilySpec("T", n))
+        # Gamma = T + G_n^n, the closed form of T reused
+        gamma = t + _base33_reindexed().substitute(e_map(n, 3))
+        yield f"{at} Gamma", gamma - family_poly(FamilySpec("Gamma", n))
     return _exact("remark-rec-defn", {"n": n}, checks(),
                   f"{n + 1} closed forms match the recursions")
 

@@ -3,11 +3,14 @@
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hypospec.families import FamilySpec, family_hypergraph, family_poly, orbit_substitution, theta_perm
-from hypospec.polyalg import SparsePoly, x
+from hypospec.families import (FamilySpec, e_map, family_hypergraph, family_poly,
+                               orbit_substitution, p_map, permutation_endo, sigma_endo,
+                               theta_endo, theta_perm)
+from hypospec.polyalg import Endomorphism, SparsePoly, x
 from hypospec import spectral, verify
 from hypospec.verify import (
     Claim,
@@ -20,6 +23,7 @@ from hypospec.verify import (
     links_at_ones,
     neigh_square,
     pair_gap_poly,
+    restricted_difference,
     run_suite,
     standard_cone_samples,
     verify_basis_step,
@@ -32,6 +36,8 @@ from hypospec.verify import (
     verify_sigma_general,
     write_verdict,
 )
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def test_identity_suite_n3_all_pass():
@@ -52,6 +58,18 @@ def test_identity_suite_verdict_frozen():
     verdict = claims_to_json(verify_identity_suite(3) + verify_identity_suite(4))
     digest = hashlib.sha256(verdict.encode("ascii")).hexdigest()
     assert digest == "6757ee81f784ff3b828ed77bef1b802819d8d1933c46da74ed98f1557f7e2cd8"
+    # taken before the sigma-claims restricted to the orbit quotient first
+    verdict = claims_to_json(verify_identity_suite(5))
+    digest = hashlib.sha256(verdict.encode("ascii")).hexdigest()
+    assert digest == "7a3fe4a03de975e19c62eab65270e79954d255436f418a4d6133217f6c9c7969"
+
+
+def test_identity_suite_matches_benchmark_reference():
+    # the `identities` benchmark workload checks its verdict against this list
+    reference = json.loads(REFERENCE.read_text(encoding="ascii"))["identities"]["3..6"]
+    claims = run_suite([3, 4, 5, 6], include_numeric=False)
+    assert [[c.id, c.params] for c in claims] == reference
+    assert all(c.passed for c in claims)
 
 
 def test_claim_stops_at_first_failure():
@@ -187,6 +205,52 @@ def test_neigh_general_bounds():
 def test_fixed_point_map_matches_orbit_substitution():
     direct = orbit_substitution(3, [theta_perm(3)])
     assert fixed_point_map(3, theta=True).images == direct.images
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_restricted_difference_matches_direct(n):
+    gs = [family_poly(FamilySpec("X", n))]
+    gs += [family_poly(FamilySpec("G", n, k)) for k in range(2, n + 1)]
+    # sigma_{n-1} flips the top bit, so it maps orbits onto orbits but sends
+    # orbit minima to non-minima: there h o sigma and h o (phi o sigma) differ
+    for r in range(n):
+        sigma = sigma_endo(n, r)
+        for phi in (fixed_point_map(n, theta=True, sigmas=range(r)),
+                    fixed_point_map(n, theta=True)):
+            for g in gs:
+                direct = (g - g.substitute(sigma)).substitute(phi)
+                assert restricted_difference(n, g, sigma, phi) == direct
+
+
+def test_restricted_difference_rejects_incompatible_sigma():
+    # the transposition (1 2) splits the theta-orbits {1, 8} and {2, 7}
+    phi = fixed_point_map(3, theta=True)
+    swap = permutation_endo({v: {1: 2, 2: 1}.get(v, v) for v in range(9)})
+    with pytest.raises(ValueError, match="orbits"):
+        restricted_difference(3, family_poly(FamilySpec("X", 3)), swap, phi)
+    with pytest.raises(ValueError, match="rename"):
+        restricted_difference(3, x(1), Endomorphism({1: x(1) + x(2)}), phi)
+
+
+def test_memoised_maps_are_left_as_built():
+    # the suite shares one object per argument tuple; none may be mutated
+    verify_identity_suite(4)
+
+    def same(cached, fresh):
+        return cached.images == fresh.images and cached.rename == fresh.rename
+
+    for n in (4, 5):
+        for r in range(2, n + 1):
+            assert e_map(n, r) is e_map(n, r)
+            assert same(e_map(n, r), e_map.__wrapped__(n, r))
+        for theta in (False, True):
+            for sigmas in [(0,)] + [tuple(range(r)) for r in range(n)]:
+                cached = fixed_point_map(n, theta=theta, sigmas=sigmas)
+                assert cached is fixed_point_map(n, theta=theta, sigmas=list(sigmas))
+                assert same(cached, verify._fixed_point_map.__wrapped__(n, theta, sigmas))
+        assert all(same(p_map(n, b), p_map.__wrapped__(n, b)) for b in (0, 1))
+        assert all(same(sigma_endo(n, i), sigma_endo.__wrapped__(n, i)) for i in range(n))
+        assert same(theta_endo(n), theta_endo.__wrapped__(n))
 
 
 def test_claims_json_shape():
