@@ -31,17 +31,32 @@ A canonical form is keyed by the bytes of its best leaf: the big-endian
 of edge tuples does, so decks, isomorphism and hypomorphism compare bytes,
 and the edge tuples are decoded from them only when read.
 
+A deck needs one search per orbit of Aut(H) on the vertices, since g maps
+the card H - v onto H - g(v) for every automorphism g.  `deck` searches the
+parent H first, for generators of Aut(H) as permutations of vertex
+positions, then the first card of each orbit.  That card's incidence comes
+from the parent's: the edges at the deleted position are masked out and
+the positions above it shift down by one, which gives exactly the arrays
+of the card built as a hypergraph, so the search returns the same bytes.
+The other cards of the orbit copy its code and |Aut|.  If g maps card v
+to card w, w's witness is u -> witness_v(g^-1(u)), an isomorphism of H - w
+onto the same canonical edges; it can differ from the witness a search on
+H - w would return when that card has automorphisms.  X^n and Y^n have
+2^(n-1) + 1 orbits, so their decks take about half the card searches, and
+the deck of K_k takes one.
+
 The search is exact at any size, but its node count is not bounded by a
-polynomial in the vertex count.  `canonical_form` counts the nodes it visits
-(one refinement each) and raises `SearchLimitError` past
-`SEARCH_NODE_LIMIT`, so no input runs away silently.  The limit is on the
-quantity that grows, not on the size: the 65 cards of X^6 take 67 nodes in
-all, while one random Steiner triple system on 31 vertices takes about 27,000.
+polynomial in the vertex count.  Every search, the parent search of a deck
+included, counts the nodes it visits (one refinement each) and raises
+`SearchLimitError` past `SEARCH_NODE_LIMIT`, so no input runs away
+silently.  The limit is on the quantity that grows, not on the size: the
+deck of X^6, the parent and 33 cards, takes 38 nodes in all, while one
+random Steiner triple system on 31 vertices takes about 27,000.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple
@@ -65,6 +80,10 @@ class CanonicalForm:
     sorted, as big-endian 64-bit words; `edges` decodes it once, on demand.
     witness: input vertex -> canonical label.
     automorphism_count: order of the automorphism group of the input.
+    _generators: the automorphisms the search found, which generate the
+    group, as permutations of vertex positions (indices into the input's
+    vertex tuple).  A deck card copied from its orbit's representative has
+    none.  They are not part of the key.
     """
 
     rank: int
@@ -72,6 +91,7 @@ class CanonicalForm:
     code: bytes
     witness: dict[int, int]
     automorphism_count: int
+    _generators: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
 
     def key(self) -> tuple:
         return (self.rank, self.size, self.code)
@@ -103,13 +123,28 @@ def _incidence(hypergraph: Hypergraph) -> _Incidence:
     # Labels are unbounded ints, so the index map is a dict, not a search in
     # an int64 array.
     index = {v: i for i, v in enumerate(hypergraph.vertices)}
-    n, m = hypergraph.num_vertices, hypergraph.num_edges
+    m = hypergraph.num_edges
     flat = np.fromiter(map(index.__getitem__, chain.from_iterable(hypergraph.edges)),
                        dtype=np.int64, count=m * hypergraph.rank)
-    columns = np.ascontiguousarray(flat.reshape(m, hypergraph.rank).T)
+    return _from_columns(np.ascontiguousarray(flat.reshape(m, hypergraph.rank).T),
+                         hypergraph.num_vertices)
+
+
+def _from_columns(columns: np.ndarray, n: int) -> _Incidence:
+    m = columns.shape[1]
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(columns.ravel(), minlength=n), out=ptr[1:])
     return _Incidence(columns, np.sort(columns, axis=None) * m, (8 * ptr).tolist())
+
+
+def _card_incidence(inc: _Incidence, i: int) -> _Incidence:
+    """The incidence of the card that deletes the vertex at position i: the
+    parent's edges with no entry i, in their order, with the entries above i
+    shifted down by one.  It equals `_incidence(delete_vertex(h, v))`."""
+    columns = inc.columns
+    kept = np.ascontiguousarray(columns[:, (columns != i).all(axis=0)])
+    kept -= kept > i
+    return _from_columns(kept, len(inc.starts) - 2)
 
 
 def _sorted_rows(table: np.ndarray) -> list[np.ndarray]:
@@ -193,11 +228,15 @@ def _fixing(generators: list[list[int]], path: tuple[int, ...]) -> list[list[int
 
 
 def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
-    verts = hypergraph.vertices
+    return _search(hypergraph.rank, hypergraph.vertices, _incidence(hypergraph))
+
+
+def _search(rank: int, verts: tuple[int, ...], inc: _Incidence) -> CanonicalForm:
+    """The canonical form of the hypergraph on `verts` whose edges `inc` holds
+    by vertex position, with the automorphisms the search found."""
     n = len(verts)
     if n == 0:
-        return CanonicalForm(hypergraph.rank, 0, b"", {}, 1)
-    inc = _incidence(hypergraph)
+        return CanonicalForm(rank, 0, b"", {}, 1)
 
     def relabelled(order: list[int]) -> bytes:
         """The edges under vertex order[i] -> label i + 1, as sorted rows in
@@ -268,7 +307,7 @@ def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
         count *= len(_orbit((p,), _fixing(generators, first_path[:level])))
     position = {p: li + 1 for li, p in enumerate(best[1])}
     witness = {v: position[p] for p, v in enumerate(verts)}
-    return CanonicalForm(hypergraph.rank, n, best[2], witness, count)
+    return CanonicalForm(rank, n, best[2], witness, count, tuple(map(tuple, generators)))
 
 
 def automorphism_count(hypergraph: Hypergraph) -> int:
@@ -293,14 +332,8 @@ def delete_vertex(hypergraph: Hypergraph, vertex: int) -> Hypergraph:
     """Remove a vertex and every edge through it (vertex-deleted subhypergraph)."""
     if vertex not in hypergraph.vertices:
         raise UnknownVertexError(vertex)
-    # Filtering keeps the parent's sorted, valid tuples sorted and valid, so
-    # the card skips the validating constructor.
-    card = object.__new__(Hypergraph)
-    card.rank = hypergraph.rank
-    card.vertices = tuple(v for v in hypergraph.vertices if v != vertex)
-    card.edges = tuple([e for e in hypergraph.edges if vertex not in e])
-    card._hash = None
-    return card
+    return Hypergraph(hypergraph.rank, (v for v in hypergraph.vertices if v != vertex),
+                      (e for e in hypergraph.edges if vertex not in e))
 
 
 @dataclass(frozen=True)
@@ -320,8 +353,41 @@ class Deck:
 
 
 def deck(hypergraph: Hypergraph) -> Deck:
-    return Deck(tuple((v, canonical_form(delete_vertex(hypergraph, v)))
-                      for v in hypergraph.vertices))
+    """The canonical form of every card, in vertex order.  One search on the
+    parent gives generators of its automorphism group; one search per orbit
+    on the vertices gives the form of the orbit's first card, and the other
+    cards of the orbit copy its code and |Aut| with a composed witness (see
+    the module docstring).  `SearchLimitError` can come from any of these
+    searches, the parent's first."""
+    verts = hypergraph.vertices
+    n = len(verts)
+    generators = [np.array(g) for g in canonical_form(hypergraph)._generators]
+    inc = _incidence(hypergraph)
+    forms: list[CanonicalForm | None] = [None] * n
+    for i in range(n):
+        if forms[i] is not None:
+            continue
+        form = forms[i] = _search(hypergraph.rank, verts[:i] + verts[i + 1:],
+                                  _card_incidence(inc, i))
+        # labels[p]: the canonical label of the parent's vertex at position p
+        # in the card; the deleted position holds a dummy 0.
+        labels = {i: np.array([form.witness.get(v, 0) for v in verts])}
+        stack = [i]
+        while stack:
+            q = stack.pop()
+            for g in generators:
+                w = int(g[q])
+                if w in labels:
+                    continue
+                # g maps card q onto card w, so w's witness is q's after g^-1
+                moved = labels[w] = np.empty(n, dtype=np.int64)
+                moved[g] = labels[q]
+                forms[w] = CanonicalForm(hypergraph.rank, n - 1, form.code,
+                                         dict(zip(verts[:w] + verts[w + 1:],
+                                                  np.delete(moved, w).tolist())),
+                                         form.automorphism_count)
+                stack.append(w)
+    return Deck(tuple(zip(verts, forms)))
 
 
 def hypomorphic(first: Hypergraph, second: Hypergraph) -> tuple[bool, dict[int, int] | None]:

@@ -63,17 +63,45 @@ def test_tracer_hooks_read_real_results(monkeypatch):
     assert tr.counters["iso.aut_total"] == canonical.automorphism_count
 
 
-def test_deck_searches_each_card_through_the_module_attribute(monkeypatch):
-    """The tracer counts iso.canonical_calls by rebinding iso.canonical_form;
-    a deck that bound the function some other way would count zero."""
-    calls = 0
-    canonical = iso.canonical_form
+def test_deck_searches_the_parent_and_each_orbit_through_the_module_attributes(monkeypatch):
+    """The tracer counts iso.canonical_calls by rebinding iso.canonical_form
+    and iso.search_nodes by rebinding iso._refine.  `deck` looks the first up
+    once, for the parent, and the second at every search node; a deck that
+    bound either some other way would count too little.  On X^3 it runs one
+    search on the parent and one per orbit of the reversal: 5 orbits on 9
+    vertices."""
+    h = family_hypergraph(FamilySpec("X", 3))
+    reps = [0, 1, 2, 3, 4]
+    nodes = 0
+    refine = iso._refine
 
-    def counting(hypergraph):
-        nonlocal calls
-        calls += 1
+    def counting_refine(*args):
+        nonlocal nodes
+        nodes += 1
+        return refine(*args)
+
+    monkeypatch.setattr(iso, "_refine", counting_refine)
+    for card in [h] + [iso.delete_vertex(h, v) for v in reps]:
+        iso.canonical_form(card)
+    expected_nodes, nodes = nodes, 0
+
+    parents = []
+    searches = 0
+    canonical = iso.canonical_form
+    search = iso._search
+
+    def counting_canonical(hypergraph):
+        parents.append(hypergraph)
         return canonical(hypergraph)
 
-    monkeypatch.setattr(iso, "canonical_form", counting)
-    h = family_hypergraph(FamilySpec("X", 3))
-    assert len(iso.deck(h).entries) == calls == h.num_vertices
+    def counting_search(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
+    monkeypatch.setattr(iso, "canonical_form", counting_canonical)
+    monkeypatch.setattr(iso, "_search", counting_search)
+    assert len(iso.deck(h).entries) == h.num_vertices
+    assert parents == [h]
+    assert searches == len(reps) + 1
+    assert nodes == expected_nodes > 0

@@ -123,7 +123,7 @@ def test_deck_past_search_node_limit_exits_two(x3_file, monkeypatch, capsys):
     assert main(["deck", x3_file]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: canonical search on 8 vertices")
+    assert err.startswith("error: canonical search on 9 vertices")
 
 
 def test_hypomorphic_pair(x3_file, y3_file, capsys):

@@ -7,12 +7,14 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypospec import iso
 from hypospec.families import FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph, UnknownVertexError
 from hypospec.iso import (
+    Deck,
     SearchLimitError,
     are_isomorphic,
     automorphism_count,
@@ -319,14 +321,6 @@ def test_delete_vertex():
     assert all(0 not in e for e in h.edges)
     with pytest.raises(UnknownVertexError):
         delete_vertex(X3, 99)
-    # cards skip the validating constructor, and must equal what it builds
-    x4 = family_hypergraph(FamilySpec("X", 4))
-    for h in (x4, random_instance(random.Random(5), max_vertices=7)):
-        for v in h.vertices:
-            card = delete_vertex(h, v)
-            validated = Hypergraph(h.rank, (u for u in h.vertices if u != v),
-                                   (e for e in h.edges if v not in e))
-            assert card == validated and hash(card) == hash(validated)
 
 
 def test_decks_agree_for_the_pair():
@@ -419,3 +413,84 @@ def test_search_node_limit_enforced(monkeypatch):
     monkeypatch.setattr(iso, "SEARCH_NODE_LIMIT", 10)
     with pytest.raises(SearchLimitError, match="9 vertices.* 10 nodes"):
         canonical_form(k9)
+
+
+def per_card_deck(h: Hypergraph) -> Deck:
+    """The deck with one search per card, as before orbits were used, kept
+    as an oracle."""
+    return Deck(tuple((v, canonical_form(delete_vertex(h, v))) for v in h.vertices))
+
+
+def with_isolated_vertex(h: Hypergraph) -> Hypergraph:
+    return Hypergraph(h.rank, h.vertices + (max(h.vertices) + 1,), h.edges)
+
+
+def deck_inputs():
+    """Relabelled X^3..X^5 and Y^3..Y^5, and inputs whose automorphism
+    groups have large orbits, several generators, generators of order 7, or
+    none, each with a name."""
+    rng = random.Random(20261018)
+    for n in (3, 4, 5):
+        for tag in ("X", "Y"):
+            yield f"{tag}{n}", shuffled_copy(family_hypergraph(FamilySpec(tag, n)), rng)[0]
+    yield "K8", complete(range(8))
+    fano = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+    yield "Fano_K4", Hypergraph(3, range(11), fano + list(itertools.combinations(range(7, 11), 3)))
+    yield "two_X3", Hypergraph(3, range(18), X3.edges + X3.relabel({v: v + 9 for v in X3.vertices}).edges)
+    # Aut is the rotation group Z_7, whose generators are not involutions,
+    # so a witness composed with g in place of g^-1 fails here.
+    yield "Z7", Hypergraph(3, range(7), circulant(7, [(0, 1, 2), (0, 1, 3)]))
+    yield "edgeless5", Hypergraph(3, range(5), [])
+    yield "one_vertex", Hypergraph(3, [4], [])
+    for k in range(8):
+        yield f"random{k}", shuffled_copy(with_isolated_vertex(random_instance(rng, max_vertices=7)), rng)[0]
+
+
+DECK_INPUTS = [pytest.param(h, id=name) for name, h in deck_inputs()]
+
+
+@pytest.mark.parametrize("h", DECK_INPUTS)
+def test_deck_matches_per_card_deck(h):
+    ours, oracle = deck(h), per_card_deck(h)
+    assert [v for v, _ in ours] == [v for v, _ in oracle] == list(h.vertices)
+    assert [cf.key() for _, cf in ours] == [cf.key() for _, cf in oracle]
+    assert [cf.automorphism_count for _, cf in ours] == [cf.automorphism_count for _, cf in oracle]
+    assert ours.to_json_list() == oracle.to_json_list()
+
+
+@pytest.mark.parametrize("h", DECK_INPUTS)
+def test_every_deck_witness_is_an_isomorphism(h):
+    """Copied witnesses included: each maps the card's edges exactly onto its
+    canonical edges, and its vertices onto 1..n-1."""
+    for v, cf in deck(h):
+        card = delete_vertex(h, v)
+        assert list(cf.witness) == list(card.vertices)
+        assert sorted(cf.witness.values()) == list(range(1, h.num_vertices))
+        assert sorted(tuple(sorted(cf.witness[u] for u in e)) for e in card.edges) == list(cf.edges)
+
+
+def test_card_incidence_matches_the_deleted_card():
+    """The first vertex, the last, and isolated ones: an added last vertex in
+    no edge, and on the path the vertex 0 that no edge meets."""
+    path = Hypergraph(3, range(7), [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6)])
+    isolated = [with_isolated_vertex(X3), path]
+    for h in isolated + [X3, random_instance(random.Random(8), max_vertices=7)]:
+        parent = iso._incidence(h)
+        for i, v in enumerate(h.vertices):
+            derived = iso._card_incidence(parent, i)
+            direct = iso._incidence(delete_vertex(h, v))
+            assert np.array_equal(derived.columns, direct.columns)
+            assert np.array_equal(derived.base, direct.base)
+            assert derived.starts == direct.starts
+    assert not any(max(isolated[0].vertices) in e for e in isolated[0].edges)
+    assert not any(0 in e for e in path.edges)
+
+
+def test_deck_raises_when_the_parent_search_passes_the_limit(monkeypatch):
+    """The search on K_8 visits 36 nodes, on each of its cards 28.  Under a
+    limit of 30 only the parent search, which runs first, passes it."""
+    k8 = complete(range(8))
+    monkeypatch.setattr(iso, "SEARCH_NODE_LIMIT", 30)
+    canonical_form(delete_vertex(k8, 0))
+    with pytest.raises(SearchLimitError, match="on 8 vertices"):
+        deck(k8)
