@@ -5,13 +5,14 @@ of a stored hypergraph), compare (certify the radius separation at a given
 n), deck (vertex-deleted canonical forms), hypomorphic (deck equality of two
 files), verify (the full claim suite).
 
-spectrum, compare and verify take --seed (0 starts the float solver from
-all-ones); the solver's other settings are fixed, and the header line of
-spectrum and compare records them.
+compare takes --seed (0 starts the float solver from all-ones, as spectrum
+and verify always do); the solver's other settings are fixed, and the
+header line of spectrum and compare records them.
 
 Exit codes: 0 success, 1 failed claim or failed comparison, 2 usage error
-(a malformed input file is one) or a canonical search past
-iso.SEARCH_NODE_LIMIT nodes.
+(a malformed input file or an n past families.N_CAP is one) or a canonical
+search past iso.SEARCH_NODE_LIMIT nodes or past the depth the recursion
+limit allows.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
 """
@@ -33,12 +34,8 @@ from .spectral import (MAX_ITERATIONS, SHIFT, TOLERANCE, oracle_radius,
 from .verify import run_suite, verify_main_theorem, write_verdict
 
 
-def _seed_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="0 starts from all-ones")
-
-
-def _header(args: argparse.Namespace) -> str:
-    return f"# tol {TOLERANCE:g} max-iter {MAX_ITERATIONS} shift {SHIFT:g} seed {args.seed}"
+def _header(seed: int) -> str:
+    return f"# tol {TOLERANCE:g} max-iter {MAX_ITERATIONS} shift {SHIFT:g} seed {seed}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,14 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     spectrum = sub.add_parser("spectrum", help="principal eigenpair of a stored hypergraph")
     spectrum.add_argument("file")
-    _seed_flag(spectrum)
     spectrum.add_argument("--restarts", type=int, default=0,
                           help="also run the gradient oracle with this many restarts")
     spectrum.add_argument("--format", choices=("text", "json"), default="text")
 
     compare = sub.add_parser("compare", help="certify the radius separation of the pair at n")
     compare.add_argument("--n", required=True, type=int)
-    _seed_flag(compare)
+    compare.add_argument("--seed", type=int, default=0, help="0 starts from all-ones")
 
     deck_cmd = sub.add_parser("deck", help="vertex-deleted canonical forms of a stored hypergraph")
     deck_cmd.add_argument("file")
@@ -82,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default="verdict.json", help="verdict JSON path")
     verify.add_argument("--exact-only", action="store_true", dest="exact_only",
                         help="skip the numeric claims")
-    _seed_flag(verify)
     return parser
 
 
@@ -127,18 +122,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     hg = _load(args.file)
     started = time.perf_counter()
-    pair = principal_eigenpair(hg, seed=args.seed)
+    pair = principal_eigenpair(hg)
     lo, hi, _ = rational_bracket(hg, pair.vector)
     print(f"solved in {time.perf_counter() - started:.2f}s", file=sys.stderr)
     record = report_record(pair, Path(args.file).stem, None)
     record["lambda_lo"] = float(lo)
     record["lambda_hi"] = float(hi)
     if args.restarts > 0:
-        record["oracle"] = oracle_radius(hg, restarts=args.restarts, seed=args.seed)
+        record["oracle"] = oracle_radius(hg, restarts=args.restarts)
     if args.format == "json":
         print(json.dumps(record, sort_keys=True, indent=2))
     else:
-        print(_header(args))
+        print(_header(0))
         print(f"file {args.file}")
         print(f"rank {hg.rank} vertices {hg.num_vertices} edges {hg.num_edges}")
         for key in sorted(record):
@@ -156,7 +151,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     claim = verify_main_theorem(args.n, seed=args.seed)
     print(f"claim finished in {claim.elapsed:.2f}s", file=sys.stderr)
     p = claim.params
-    print(_header(args))
+    print(_header(args.seed))
     print(f"lambda(X^{args.n}) in [{p['lambda_lo']:.17g}, {p['lambda_hi']:.17g}]")
     print(f"mu(Y^{args.n}) in [{p['mu_lo']:.17g}, {p['mu_hi']:.17g}]")
     print(f"predicted gap {p.get('predicted_gap_text', format(p['predicted_gap'], '.17g'))}")
@@ -200,9 +195,8 @@ def _cmd_hypomorphic(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
     for n in ns:
-        if n < 3:
-            raise ValueError(f"--n values must be >= 3, got {n}")
-    claims = run_suite(ns, include_numeric=not args.exact_only, seed=args.seed)
+        FamilySpec("X", n)  # refuses n < 3 and n > N_CAP before any claim runs
+    claims = run_suite(ns, include_numeric=not args.exact_only)
     failed = 0
     for claim in claims:
         tag = "PASS" if claim.passed else "FAIL"

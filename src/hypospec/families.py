@@ -26,8 +26,11 @@ from .polyalg import Endomorphism, SparsePoly, x
 
 FAMILY_TAGS = ("C3", "D3", "G", "H", "T", "Gamma", "M0", "M1", "X", "Y")
 
-# Construction cost grows like 8^n; sizes past this are refused.
-N_CAP = 12
+# The term count of X^n grows by about 8 per level, and memory with it.  On
+# an 8 GB, 2-vCPU Xeon with Python 3.11, X^8 (707,200 terms) builds in 2.1 s
+# at a 215 MB peak and X^9 (5,625,088 terms) in 20 s at 1,380 MB; X^10
+# would need about 11 GB.  FamilySpec refuses n past this cap.
+N_CAP = 9
 
 Permutation = dict[int, int]
 
@@ -206,6 +209,8 @@ class FamilySpec:
             raise ValueError(f"{self.family} exists only at n = 3")
         if self.n < 3:
             raise ValueError(f"n must be >= 3, got {self.n}")
+        if self.n > N_CAP:
+            raise ValueError(f"n = {self.n} exceeds N_CAP = {N_CAP}")
         if self.family == "G":
             if self.k is None:
                 raise ValueError("family G needs k")
@@ -267,8 +272,6 @@ def _family_poly(family: str, n: int, k: int | None) -> SparsePoly:
 
 def family_poly(spec: FamilySpec) -> SparsePoly:
     """Generating polynomial of the requested family (memoized)."""
-    if spec.n > N_CAP:
-        raise ValueError(f"n = {spec.n} exceeds the guard {N_CAP}")
     return _family_poly(spec.family, spec.n, spec.k)
 
 

@@ -51,11 +51,16 @@ included, counts the nodes it visits (one refinement each) and raises
 `SearchLimitError` past `SEARCH_NODE_LIMIT`, so no input runs away
 silently.  The limit is on the quantity that grows, not on the size: the
 deck of X^6, the parent and 33 cards, takes 38 nodes in all, while one
-random Steiner triple system on 31 vertices takes about 27,000.
+random Steiner triple system on 31 vertices takes about 27,000.  The search
+recurses once per individualised vertex, so it also raises
+`SearchLimitError` on a path deeper than the interpreter's recursion limit
+leaves room for, about 950 levels under the default limit of 1,000: the
+edgeless hypergraph on 1,100 vertices is one such input.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -67,9 +72,15 @@ from .hypergraph import Hypergraph, UnknownVertexError
 
 SEARCH_NODE_LIMIT = 100_000
 
+# The search recurses once per individualised vertex.  It stops this many
+# frames short of the interpreter's recursion limit, room enough for the
+# calls one node makes.
+_NODE_FRAMES = 50
+
 
 class SearchLimitError(ValueError):
-    """The canonical search visited more than SEARCH_NODE_LIMIT nodes."""
+    """The canonical search visited more than SEARCH_NODE_LIMIT nodes, or
+    went deeper than the interpreter's recursion limit leaves room for."""
 
 
 @dataclass(frozen=True)
@@ -101,11 +112,8 @@ class CanonicalForm:
         words = np.frombuffer(self.code, dtype=">u8").reshape(-1, self.rank)
         return tuple(map(tuple, words.tolist()))
 
-    def hypergraph(self) -> Hypergraph:
-        return Hypergraph(self.rank, range(1, self.size + 1), self.edges)
-
     def text(self) -> str:
-        return self.hypergraph().to_text()
+        return Hypergraph(self.rank, range(1, self.size + 1), self.edges).to_text()
 
 
 class _Incidence(NamedTuple):
@@ -254,6 +262,9 @@ def _search(rank: int, verts: tuple[int, ...], inc: _Incidence) -> CanonicalForm
     best: tuple | None = None
     generators: list[list[int]] = []
     nodes = 0
+    frame, max_depth = sys._getframe(), sys.getrecursionlimit() - _NODE_FRAMES
+    while frame is not None:
+        frame, max_depth = frame.f_back, max_depth - 1
 
     def visit(cells: tuple[tuple[int, ...], ...], path: tuple[int, ...]) -> int:
         """Search below the node reached by individualising `path`.  Returns the
@@ -263,6 +274,10 @@ def _search(rank: int, verts: tuple[int, ...], inc: _Incidence) -> CanonicalForm
         if nodes > SEARCH_NODE_LIMIT:
             raise SearchLimitError(f"canonical search on {n} vertices visited more "
                                    f"than SEARCH_NODE_LIMIT = {SEARCH_NODE_LIMIT} nodes")
+        if len(path) > max_depth:
+            raise SearchLimitError(f"canonical search on {n} vertices went deeper than "
+                                   f"{max_depth} individualised vertices, as deep as the "
+                                   "interpreter's recursion limit allows")
         cells = _refine(cells, inc)
         target = next((ci for ci, cell in enumerate(cells) if len(cell) > 1), None)
         if target is None:
@@ -341,9 +356,6 @@ class Deck:
     """All vertex-deleted canonical forms, tagged by the deleted vertex."""
 
     entries: tuple[tuple[int, CanonicalForm], ...]
-
-    def key(self) -> tuple:
-        return tuple(sorted(cf.key() for _, cf in self.entries))
 
     def __iter__(self) -> Iterator[tuple[int, CanonicalForm]]:
         return iter(self.entries)

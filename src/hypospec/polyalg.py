@@ -49,14 +49,6 @@ class MissingVariableError(KeyError):
         return f"no value bound for variable x_{self.index}"
 
 
-def monomial_degree(mono: Monomial) -> int:
-    return len(mono)
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(sorted(a + b))
-
-
 def _runs(mono: Monomial) -> tuple[tuple[int, int], ...]:
     """Run-length form: ((variable, exponent), ...) in increasing variable order."""
     return tuple((v, len(list(group))) for v, group in groupby(mono))
@@ -77,7 +69,7 @@ def _dict_mul(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, 
     out: dict[Monomial, int] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(sorted(ma + mb))  # monomial_mul, inlined in the hot loop
+            m = tuple(sorted(ma + mb))
             out[m] = out.get(m, 0) + ca * cb
     return out
 
@@ -122,12 +114,6 @@ class SparsePoly:
     @classmethod
     def constant(cls, c: int) -> "SparsePoly":
         return cls({ONE: c})
-
-    @classmethod
-    def variable(cls, index: int) -> "SparsePoly":
-        if not isinstance(index, int) or index < 0:
-            raise ValueError(f"variable index must be an int >= 0, got {index!r}")
-        return _adopt({(index,): 1})
 
     # -- ring operations ----------------------------------------------------
 
@@ -184,12 +170,6 @@ class SparsePoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        """Degree of the zero polynomial is -1 by convention here."""
-        if not self.terms:
-            return -1
-        return max(len(m) for m in self.terms)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degrees = {len(m) for m in self.terms}
@@ -347,7 +327,7 @@ class Endomorphism:
 
     def image(self, index: int) -> SparsePoly:
         img = self.images.get(index)
-        return img if img is not None else SparsePoly.variable(index)
+        return img if img is not None else x(index)
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """Return self o other (apply `other` first)."""
@@ -363,5 +343,7 @@ class Endomorphism:
 
 
 def x(index: int) -> SparsePoly:
-    """Shorthand constructor for the variable x_index."""
-    return SparsePoly.variable(index)
+    """The variable x_index."""
+    if not isinstance(index, int) or index < 0:
+        raise ValueError(f"variable index must be an int >= 0, got {index!r}")
+    return _adopt({(index,): 1})

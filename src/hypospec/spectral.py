@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -68,15 +68,11 @@ class EigenPair:
     iterations: int
     converged: bool = True
     message: str = ""
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index = {v: i for i, v in enumerate(self.vertices)}
 
     def entry(self, vertex: int) -> float:
         try:
-            return float(self.vector[self._index[vertex]])
-        except KeyError:
+            return float(self.vector[self.vertices.index(vertex)])
+        except ValueError:
             raise UnknownVertexError(vertex) from None
 
 
@@ -88,22 +84,13 @@ def _edge_positions(hypergraph: Hypergraph) -> np.ndarray:
     return np.array([[index[v] for v in e] for e in hypergraph.edges], dtype=np.int64)
 
 
-def _as_vector(hypergraph: Hypergraph, values: Union[Sequence[float], Mapping[int, float], np.ndarray]) -> np.ndarray:
-    if isinstance(values, Mapping):
-        try:
-            return np.array([float(values[v]) for v in hypergraph.vertices])
-        except KeyError as exc:
-            raise UnknownVertexError(exc.args[0]) from None
+def tensor_apply(hypergraph: Hypergraph, values: Sequence[float]) -> np.ndarray:
+    """Left side of the eigenvalue equation at `values`, given and returned in
+    vertex order."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != (len(hypergraph.vertices),):
         raise DimensionMismatchError(
             f"expected a vector of length {len(hypergraph.vertices)}, got shape {arr.shape}")
-    return arr
-
-
-def tensor_apply(hypergraph: Hypergraph, values) -> np.ndarray:
-    """Left side of the eigenvalue equation at `values`, ordered like vertices."""
-    arr = _as_vector(hypergraph, values)
     return _apply_positions(_edge_positions(hypergraph), arr, len(hypergraph.vertices))
 
 
@@ -142,15 +129,13 @@ def codegree(hypergraph: Hypergraph, u: int, v: int) -> int:
 @lru_cache(maxsize=128)
 def is_connected(hypergraph: Hypergraph) -> bool:
     """Connected in the edge-overlap sense, with every vertex in some edge."""
-    if not hypergraph.vertices:
+    if not hypergraph.edges:
         return False
     adjacency: dict[int, set[int]] = {v: set() for v in hypergraph.vertices}
     for e in hypergraph.edges:
         for a in e:
             adjacency[a].update(e)
     start = hypergraph.vertices[0]
-    if not adjacency[start]:
-        return len(hypergraph.vertices) == 1 and bool(hypergraph.edges)
     seen = {start}
     stack = [start]
     while stack:

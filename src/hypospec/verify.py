@@ -550,9 +550,9 @@ def _claim_q_e3_composition(n: int) -> Claim:
 def verify_identity_suite(n: int) -> list[Claim]:
     """All exact claims at a given n, in a deterministic order.  Its loops fix
     the parameter ranges of the private `_claim_*` checks, which take them
-    unchecked."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    unchecked.  FamilySpec validates n, so n past N_CAP fails before any
+    claim builds a map."""
+    FamilySpec("X", n)
     claims = [_claim_rec_defn_g_n(n), _claim_remark_rec_defn(n)]
     if n == 3:
         claims.append(_claim_two_cycles_reindex())
@@ -708,8 +708,7 @@ def _positive_root(lam_g: float, gamma: int, target: float, m: int) -> float:
 
 
 @_timed
-def verify_regular_cone(base: Hypergraph, apex_links: Sequence[Sequence[int]],
-                        *, seed: int = 0) -> Claim:
+def verify_regular_cone(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -> Claim:
     """Check the cone equivalences: over a regular base the principal vector
     is constant on the base and the apex ratio solves the scalar root
     equation; over a non-regular base both constancy statements fail."""
@@ -717,8 +716,8 @@ def verify_regular_cone(base: Hypergraph, apex_links: Sequence[Sequence[int]],
     gamma = codegree(cone, 0, base.vertices[0])
     degrees = {degree(base, v) for v in base.vertices}
     regular = len(degrees) == 1
-    pair_base = principal_eigenpair(base, seed=seed)
-    pair_cone = principal_eigenpair(cone, seed=seed)
+    pair_base = principal_eigenpair(base)
+    pair_cone = principal_eigenpair(cone)
     base_entries = [pair_cone.entry(v) for v in base.vertices]
     spread_cone = max(base_entries) - min(base_entries)
     spread_base = float(pair_base.vector.max() - pair_base.vector.min())
@@ -765,15 +764,14 @@ def standard_cone_samples() -> list[tuple[Hypergraph, list[tuple[int, ...]]]]:
     return [(c3, links), (gamma3, links)]
 
 
-def run_suite(ns: Sequence[int], *, include_numeric: bool = True,
-              seed: int = 0) -> list[Claim]:
+def run_suite(ns: Sequence[int], *, include_numeric: bool = True) -> list[Claim]:
     """Identity suites for each n, plus the numeric claims."""
     claims: list[Claim] = []
     for n in ns:
         claims.extend(verify_identity_suite(n))
     if include_numeric:
         for n in ns:
-            claims.append(verify_main_theorem(n, seed=seed))
+            claims.append(verify_main_theorem(n))
         for base, links in standard_cone_samples():
-            claims.append(verify_regular_cone(base, links, seed=seed))
+            claims.append(verify_regular_cone(base, links))
     return claims

@@ -8,7 +8,7 @@ import pytest
 
 from hypospec import iso
 from hypospec.cli import _parse_n_range, main
-from hypospec.families import FamilySpec, family_hypergraph
+from hypospec.families import N_CAP, FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph
 
 
@@ -156,6 +156,25 @@ def test_verify_rejects_small_n(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_past_size_cap_exits_two_before_any_claim(tmp_path, capsys):
+    verdict = tmp_path / "v.json"
+    assert main(["verify", "--n", f"3..{N_CAP + 1}", "--exact-only",
+                 "--out", str(verdict)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: n = {N_CAP + 1} exceeds N_CAP")
+    assert not verdict.exists()
+
+
+def test_deck_past_search_depth_exits_two(tmp_path, capsys):
+    path = tmp_path / "edgeless.hg"
+    path.write_text(Hypergraph(3, range(1100), []).to_text(), encoding="ascii")
+    assert main(["deck", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: canonical search on 1100 vertices went deeper than")
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -177,12 +196,15 @@ def test_malformed_json_hypergraph_exits_two(tmp_path, capsys):
 
 
 def test_solver_tuning_flags_are_gone(capsys):
-    """Only --seed reaches the float solver; its other settings are fixed."""
+    """Only compare takes --seed; the float solver's other settings are fixed."""
     for verb in (["compare", "--n", "3"], ["spectrum", "x.hg"],
                  ["verify", "--n", "3", "--exact-only"]):
         for flag in (["--tol", "1e-9"], ["--max-iter", "5"], ["--shift", "2"]):
             assert main(verb + flag) == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+    for verb in (["spectrum", "x.hg"], ["verify", "--n", "3", "--exact-only"]):
+        assert main(verb + ["--seed", "5"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entry_point():

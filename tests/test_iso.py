@@ -323,10 +323,6 @@ def test_delete_vertex():
         delete_vertex(X3, 99)
 
 
-def test_decks_agree_for_the_pair():
-    assert deck(X3).key() == deck(Y3).key()
-
-
 def test_deck_entries_follow_vertex_order():
     entries = list(deck(X3))
     assert [v for v, _ in entries] == list(X3.vertices)
@@ -413,6 +409,18 @@ def test_search_node_limit_enforced(monkeypatch):
     monkeypatch.setattr(iso, "SEARCH_NODE_LIMIT", 10)
     with pytest.raises(SearchLimitError, match="9 vertices.* 10 nodes"):
         canonical_form(k9)
+
+
+@pytest.mark.parametrize("h", [Hypergraph(3, range(1100), []),
+                               Hypergraph(3, range(1560),
+                                          [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(520)])],
+                         ids=["edgeless-1100", "triples-520"])
+def test_deep_search_raises_before_the_recursion_limit(h):
+    """One search level per individualised vertex: these paths are about
+    1,100 and 1,040 levels deep, past the default recursion limit of 1,000."""
+    for search in (canonical_form, deck):
+        with pytest.raises(SearchLimitError, match=f"on {h.num_vertices} vertices went deeper"):
+            search(h)
 
 
 def per_card_deck(h: Hypergraph) -> Deck:

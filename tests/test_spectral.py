@@ -45,11 +45,9 @@ def test_tensor_apply_ones_gives_degrees():
 
 def test_tensor_apply_shapes_and_errors():
     h = single_edge()
-    assert np.allclose(tensor_apply(h, {1: 2.0, 2: 3.0, 3: 4.0}), [12.0, 8.0, 6.0])
+    assert np.allclose(tensor_apply(h, [2.0, 3.0, 4.0]), [12.0, 8.0, 6.0])
     with pytest.raises(DimensionMismatchError):
         tensor_apply(h, [1.0, 2.0])
-    with pytest.raises(UnknownVertexError):
-        tensor_apply(h, {1: 1.0, 2: 1.0, 9: 1.0})
 
 
 def test_euler_identity_numeric():

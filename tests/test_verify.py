@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hypospec.families import (FamilySpec, e_map, family_hypergraph, family_poly,
+from hypospec.families import (N_CAP, FamilySpec, e_map, family_hypergraph, family_poly,
                                orbit_substitution, p_map, permutation_endo, sigma_endo,
                                theta_endo, theta_perm)
 from hypospec.polyalg import Endomorphism, SparsePoly, x
@@ -86,6 +86,11 @@ def test_claim_stops_at_first_failure():
 def test_identity_suite_rejects_small_n():
     with pytest.raises(ValueError):
         verify_identity_suite(2)
+
+
+def test_identity_suite_rejects_n_past_the_size_cap():
+    with pytest.raises(ValueError, match="exceeds N_CAP"):
+        verify_identity_suite(N_CAP + 1)
 
 
 def test_identity_suite_order_is_deterministic():
