@@ -17,7 +17,10 @@ JSON object {"rank": m, "vertices": [...], "edges": [[...], ...]}.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .polyalg import SparsePoly, monomial_key, monomial_text
 
@@ -60,9 +63,10 @@ class UnknownVertexError(KeyError):
 class Hypergraph:
     """Immutable uniform hypergraph with a deterministic edge order."""
 
-    # `_hash` caches __hash__: hashing the edge tuple costs milliseconds at
-    # n = 7, and the spectral caches look each hypergraph up many times.
-    __slots__ = ("rank", "vertices", "edges", "_hash")
+    # `_hash` and `_positions` are filled on first use.  Hashing the edge
+    # tuple costs milliseconds at n = 7, and the `lru_cache`s of `spectral`
+    # (`_links`, `is_connected`) look each hypergraph up many times.
+    __slots__ = ("rank", "vertices", "edges", "_hash", "_positions")
 
     def __init__(self, rank: int, vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> None:
         if not isinstance(rank, int) or rank < 2:
@@ -90,6 +94,7 @@ class Hypergraph:
         self.vertices = verts
         self.edges = ordered
         self._hash = None
+        self._positions = None
 
     # -- basic protocol -----------------------------------------------------
 
@@ -113,6 +118,21 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Each edge's vertices as indices into `vertices`: a read-only int64
+        array of shape (num_edges, rank), one row per edge in edge order.
+        The spectral kernels and the canonical search all index by it."""
+        if self._positions is None:
+            # Labels are unbounded ints, so the index map is a dict, not a
+            # search in an int64 array.
+            index = {v: i for i, v in enumerate(self.vertices)}
+            flat = np.fromiter(map(index.__getitem__, chain.from_iterable(self.edges)),
+                               dtype=np.int64, count=len(self.edges) * self.rank)
+            flat.flags.writeable = False
+            self._positions = flat.reshape(len(self.edges), self.rank)
+        return self._positions
 
     def relabel(self, mapping: Mapping[int, int]) -> "Hypergraph":
         """Relabel vertices through an injective map covering every vertex."""

@@ -63,7 +63,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -128,14 +127,7 @@ class _Incidence(NamedTuple):
 
 
 def _incidence(hypergraph: Hypergraph) -> _Incidence:
-    # Labels are unbounded ints, so the index map is a dict, not a search in
-    # an int64 array.
-    index = {v: i for i, v in enumerate(hypergraph.vertices)}
-    m = hypergraph.num_edges
-    flat = np.fromiter(map(index.__getitem__, chain.from_iterable(hypergraph.edges)),
-                       dtype=np.int64, count=m * hypergraph.rank)
-    return _from_columns(np.ascontiguousarray(flat.reshape(m, hypergraph.rank).T),
-                         hypergraph.num_vertices)
+    return _from_columns(np.ascontiguousarray(hypergraph.positions.T), hypergraph.num_vertices)
 
 
 def _from_columns(columns: np.ndarray, n: int) -> _Incidence:

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -76,14 +77,6 @@ class EigenPair:
             raise UnknownVertexError(vertex) from None
 
 
-@lru_cache(maxsize=128)
-def _edge_positions(hypergraph: Hypergraph) -> np.ndarray:
-    index = {v: i for i, v in enumerate(hypergraph.vertices)}
-    if not hypergraph.edges:
-        return np.zeros((0, hypergraph.rank), dtype=np.int64)
-    return np.array([[index[v] for v in e] for e in hypergraph.edges], dtype=np.int64)
-
-
 def tensor_apply(hypergraph: Hypergraph, values: Sequence[float]) -> np.ndarray:
     """Left side of the eigenvalue equation at `values`, given and returned in
     vertex order."""
@@ -91,7 +84,7 @@ def tensor_apply(hypergraph: Hypergraph, values: Sequence[float]) -> np.ndarray:
     if arr.shape != (len(hypergraph.vertices),):
         raise DimensionMismatchError(
             f"expected a vector of length {len(hypergraph.vertices)}, got shape {arr.shape}")
-    return _apply_positions(_edge_positions(hypergraph), arr, len(hypergraph.vertices))
+    return _apply_positions(hypergraph.positions, arr, len(hypergraph.vertices))
 
 
 def _apply_positions(epos: np.ndarray, arr: np.ndarray, nv: int) -> np.ndarray:
@@ -126,27 +119,6 @@ def codegree(hypergraph: Hypergraph, u: int, v: int) -> int:
     return sum(1 for e in hypergraph.edges if u in e and v in e)
 
 
-@lru_cache(maxsize=128)
-def is_connected(hypergraph: Hypergraph) -> bool:
-    """Connected in the edge-overlap sense, with every vertex in some edge."""
-    if not hypergraph.edges:
-        return False
-    adjacency: dict[int, set[int]] = {v: set() for v in hypergraph.vertices}
-    for e in hypergraph.edges:
-        for a in e:
-            adjacency[a].update(e)
-    start = hypergraph.vertices[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        a = stack.pop()
-        for b in adjacency[a]:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return len(seen) == len(hypergraph.vertices)
-
-
 def _lm_norm(arr: np.ndarray, m: int) -> float:
     return float((arr ** m).sum() ** (1.0 / m))
 
@@ -169,11 +141,30 @@ def _links(hypergraph: Hypergraph) -> tuple[tuple[_Group, ...], ...]:
     """Per vertex position, the positions of the other members of each edge at
     it, grouped by all members but the last: (prefix, lasts) pairs."""
     groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in hypergraph.vertices]
-    for row in _edge_positions(hypergraph).tolist():
+    for row in hypergraph.positions.tolist():
         for p in row:
             others = [q for q in row if q != p]
             groups[p].setdefault(tuple(others[:-1]), []).append(others[-1])
     return tuple(tuple((prefix, tuple(lasts)) for prefix, lasts in g.items()) for g in groups)
+
+
+@lru_cache(maxsize=128)
+def is_connected(hypergraph: Hypergraph) -> bool:
+    """Connected in the edge-overlap sense, with every vertex in some edge:
+    a search from the first vertex over the members of the edges at each
+    vertex, as `_links` lists them."""
+    if not hypergraph.edges:
+        return False
+    links = _links(hypergraph)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for prefix, lasts in links[stack.pop()]:
+            for q in chain(prefix, lasts):
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+    return len(seen) == len(links)
 
 
 def _exact_bracket(hypergraph: Hypergraph, ints: Sequence[int]
@@ -236,7 +227,7 @@ def _newton_correction(hypergraph: Hypergraph, ints: list[int], sums: list[int],
     """
     m = hypergraph.rank
     nv = len(ints)
-    epos = _edge_positions(hypergraph)
+    epos = hypergraph.positions
     scale = 1 << (bits * (m - 1))
     rhs = np.zeros(nv + 1)
     rhs[:nv] = [(lam * t ** (m - 1) - (s << bits)) / scale for s, t in zip(sums, ints)]
@@ -310,7 +301,7 @@ def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0) -> EigenPair:
         raise NotConnectedError("principal eigenpair needs a connected hypergraph")
     m = hypergraph.rank
     nv = len(hypergraph.vertices)
-    epos = _edge_positions(hypergraph)
+    epos = hypergraph.positions
 
     arr = np.ones(nv)
     if seed:
@@ -351,7 +342,7 @@ def oracle_radius(hypergraph: Hypergraph, *, restarts: int = 8, seed: int = 0) -
         raise NotConnectedError("oracle_radius needs a connected hypergraph")
     m = hypergraph.rank
     nv = len(hypergraph.vertices)
-    epos = _edge_positions(hypergraph)
+    epos = hypergraph.positions
     rng = np.random.default_rng(seed)
 
     def value(arr: np.ndarray) -> float:

@@ -22,10 +22,14 @@ checks it on the vertex tables before each use, raising ValueError where
 it fails.  The orbit maps, like the structural maps of `families`, are
 memoised and shared.
 
-The closed-form family builders in this module are written against the index
-arithmetic directly, independent of the recursive constructions in
-`families`, so the cross-check claims exercise two genuinely different
-routes.
+The closed forms in this module are written against the index arithmetic
+directly, independent of the recursive constructions in `families`, so the
+cross-check claims exercise two genuinely different routes.  One builder,
+`explicit_gk`, gives every G_k^n, k = 2 included: a level polynomial summed
+over the doubling words p_eps, with p_eps(i) computed in closed form.
+`remark-rec-defn` checks G_2^n..G_n^n in turn and sums T = G_2^n + ... +
+G_{n-1}^n and Gamma = T + G_n^n from the forms it has just checked, so each
+closed form is built once.
 """
 
 from __future__ import annotations
@@ -207,12 +211,11 @@ def pair_gap_poly(n: int) -> SparsePoly:
 # -- closed-form rebuilds (independent of the recursive constructions) ---------
 
 
-def _base33_reindexed() -> SparsePoly:
-    """Both cycle sums on V_3, written with the +-1 and +-3 offsets directly."""
+def _offset_cycle(off: int) -> SparsePoly:
+    """The cycle sum over V_3 with the +-off offsets written directly."""
     total = SparsePoly.zero()
     for i in range(1, 9):
-        for off in (1, 3):
-            total = total + x(mod_v(3, i - off)) * x(i) * x(mod_v(3, i + off))
+        total = total + x(mod_v(3, i - off)) * x(i) * x(mod_v(3, i + off))
     return total
 
 
@@ -220,37 +223,24 @@ def _p_eps_index(n: int, bits: Sequence[int], i: int) -> int:
     return mod_v(n, (i << len(bits)) - sum(b << j for j, b in enumerate(bits)))
 
 
-def _map_indices(poly: SparsePoly, fn: Callable[[int], int]) -> SparsePoly:
-    return poly.substitute(Endomorphism({v: x(fn(v)) for v in poly.variables()}))
-
-
-def explicit_g2(n: int) -> SparsePoly:
-    total = SparsePoly.zero()
-    for bits in product((0, 1), repeat=n - 3):
-        for i in range(1, 5):
-            term = SparsePoly.constant(1)
-            for off in (0, 2, 4):
-                term = term * x(_p_eps_index(n, bits, i + off))
-            total = total + term
-    return total
-
-
 def explicit_gk(n: int, k: int) -> SparsePoly:
-    if not 3 <= k <= n:
-        raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")
-    level_k = _base33_reindexed().substitute(e_map(k, 3))
+    """G_k^n in closed form: the level polynomial, G_2^3 for k = 2 and the
+    two V_3 cycles under E_3^k otherwise, summed over every doubling word
+    eps of length `depth` with each index i sent to p_eps(i)."""
+    if not 2 <= k <= n:
+        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if k == 2:
+        level, depth = SparsePoly.zero(), n - 3
+        for i in range(1, 5):
+            level = level + x(i) * x(i + 2) * x(i + 4)
+    else:
+        level, depth = (_offset_cycle(1) + _offset_cycle(3)).substitute(e_map(k, 3)), n - k
+    if depth == 0:
+        return level
     total = SparsePoly.zero()
-    for bits in product((0, 1), repeat=n - k):
-        total = total + _map_indices(level_k, lambda v, b=bits: _p_eps_index(n, b, v))
-    return total
-
-
-def explicit_t(n: int) -> SparsePoly:
-    total = explicit_g2(n)
-    for r in range(1, n - 2):
-        level = _base33_reindexed().substitute(e_map(n - r, 3))
-        for bits in product((0, 1), repeat=r):
-            total = total + _map_indices(level, lambda v, b=bits: _p_eps_index(n, b, v))
+    for bits in product((0, 1), repeat=depth):
+        total = total + level.substitute(
+            Endomorphism({v: x(_p_eps_index(n, bits, v)) for v in level.variables()}))
     return total
 
 
@@ -258,10 +248,9 @@ def explicit_t(n: int) -> SparsePoly:
 
 
 @_timed
-def verify_basis_step(n: int, *, x_poly: SparsePoly | None = None,
-                      y_poly: SparsePoly | None = None) -> Claim:
+def verify_basis_step(n: int, *, y_poly: SparsePoly | None = None) -> Claim:
     """On the theta-fixed subspace, Y^n - X^n equals x_0 * (E_2(x_1-x_3))^2."""
-    xp = x_poly if x_poly is not None else family_poly(FamilySpec("X", n))
+    xp = family_poly(FamilySpec("X", n))
     yp = y_poly if y_poly is not None else family_poly(FamilySpec("Y", n))
     phi = fixed_point_map(n, theta=True)
     diff = (yp - xp - pair_gap_poly(n)).substitute(phi)
@@ -300,8 +289,7 @@ def verify_sigma_general(n: int, r: int, *, x_poly: SparsePoly | None = None) ->
 
 
 @_timed
-def verify_induction_neigh(n: int, r: int, k: int, *,
-                           g_poly: SparsePoly | None = None) -> Claim:
+def verify_induction_neigh(n: int, r: int, k: int) -> Claim:
     """Link difference G_k^n[1] - G_k^n[1+2^r] on the subspace fixed by theta
     and sigma_0..sigma_r: the stated square when k = n - r, else 0.
 
@@ -313,7 +301,7 @@ def verify_induction_neigh(n: int, r: int, k: int, *,
     if k == n - r and k == 2:
         raise ValueError(f"(n={n}, r={r}, k=2): the square branch needs E_{n + 1}^{n}, "
                          "which does not exist; valid square cases have k = n - r >= 3")
-    g = g_poly if g_poly is not None else family_poly(FamilySpec("G", n, k))
+    g = family_poly(FamilySpec("G", n, k))
     phi = fixed_point_map(n, theta=True, sigmas=range(r + 1))
     expected = neigh_square(n, r) if k == n - r else SparsePoly.zero()
     diff = (g.derivative(1) - g.derivative(1 + (1 << r)) - expected).substitute(phi)
@@ -323,11 +311,11 @@ def verify_induction_neigh(n: int, r: int, k: int, *,
 
 
 @_timed
-def verify_neigh_general(n: int, r: int, *, x_poly: SparsePoly | None = None) -> Claim:
+def verify_neigh_general(n: int, r: int) -> Claim:
     """X^n[1] - X^n[1+2^r] equals the stated square on the same subspace."""
     if not 0 <= r <= n - 3:
         raise ValueError(f"need 0 <= r <= n-3, got r={r}, n={n}")
-    xp = x_poly if x_poly is not None else family_poly(FamilySpec("X", n))
+    xp = family_poly(FamilySpec("X", n))
     phi = fixed_point_map(n, theta=True, sigmas=range(r + 1))
     diff = (xp.derivative(1) - xp.derivative(1 + (1 << r)) - neigh_square(n, r)).substitute(phi)
     return _exact("lemma-neigh-general", {"n": n, "r": r}, [(_NONZERO, diff)])
@@ -344,25 +332,22 @@ def _claim_rec_defn_g_n(n: int) -> Claim:
 def _claim_remark_rec_defn(n: int) -> Claim:
     def checks():
         at = "closed form differs from recursion at"
-        yield f"{at} G2", explicit_g2(n) - family_poly(FamilySpec("G", n, 2))
-        for k in range(3, n + 1):
-            yield f"{at} G{k}", explicit_gk(n, k) - family_poly(FamilySpec("G", n, k))
-        t = explicit_t(n)
+        t = SparsePoly.zero()
+        for k in range(2, n + 1):
+            g = explicit_gk(n, k)
+            yield f"{at} G{k}", g - family_poly(FamilySpec("G", n, k))
+            if k < n:
+                t = t + g
         yield f"{at} T", t - family_poly(FamilySpec("T", n))
-        # Gamma = T + G_n^n, the closed form of T reused
-        gamma = t + _base33_reindexed().substitute(e_map(n, 3))
-        yield f"{at} Gamma", gamma - family_poly(FamilySpec("Gamma", n))
+        yield f"{at} Gamma", t + g - family_poly(FamilySpec("Gamma", n))
     return _exact("remark-rec-defn", {"n": n}, checks(),
                   f"{n + 1} closed forms match the recursions")
 
 
 @_timed
 def _claim_two_cycles_reindex() -> Claim:
-    c3, d3 = base_cycles()
-    direct = SparsePoly.zero()
-    for j in range(1, 9):
-        direct = direct + x(mod_v(3, j - 3)) * x(j) * x(mod_v(3, j + 3))
-    return _exact("remark-two-cycles-reindex", {"n": 3}, [(_NONZERO, d3 - direct)],
+    _, d3 = base_cycles()
+    return _exact("remark-two-cycles-reindex", {"n": 3}, [(_NONZERO, d3 - _offset_cycle(3))],
                   "tau-substituted cycle equals the +-3 offset sum")
 
 
@@ -765,7 +750,10 @@ def standard_cone_samples() -> list[tuple[Hypergraph, list[tuple[int, ...]]]]:
 
 
 def run_suite(ns: Sequence[int], *, include_numeric: bool = True) -> list[Claim]:
-    """Identity suites for each n, plus the numeric claims."""
+    """Identity suites for each n, plus the numeric claims.  Every n is
+    validated before any claim runs, so an n past N_CAP costs nothing."""
+    for n in ns:
+        FamilySpec("X", n)
     claims: list[Claim] = []
     for n in ns:
         claims.extend(verify_identity_suite(n))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from hypospec import iso
-from hypospec.cli import _parse_n_range, main
+from hypospec.cli import _load, _parse_n_range, main
 from hypospec.families import N_CAP, FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph
 
@@ -47,6 +47,14 @@ def test_gen_json_inferred_from_extension(tmp_path, capsys):
     capsys.readouterr()
     hg = Hypergraph.from_json(path.read_text())
     assert hg == family_hypergraph(FamilySpec("Gamma", 3))
+
+
+@pytest.mark.parametrize("suffix", [".hg", ".json"])
+def test_gen_file_reads_back_through_the_loader(suffix, tmp_path, capsys):
+    path = str(tmp_path / f"x3{suffix}")
+    assert main(["gen", "--family", "X", "--n", "3", "--out", path]) == 0
+    capsys.readouterr()
+    assert _load(path) == family_hypergraph(FamilySpec("X", 3))
 
 
 def test_gen_layer_family_needs_k(capsys):
@@ -196,7 +204,8 @@ def test_malformed_json_hypergraph_exits_two(tmp_path, capsys):
 
 
 def test_solver_tuning_flags_are_gone(capsys):
-    """Only compare takes --seed; the float solver's other settings are fixed."""
+    """Only compare takes --seed; the float solver's other settings are fixed.
+    gen takes no --format: the --out extension decides it."""
     for verb in (["compare", "--n", "3"], ["spectrum", "x.hg"],
                  ["verify", "--n", "3", "--exact-only"]):
         for flag in (["--tol", "1e-9"], ["--max-iter", "5"], ["--shift", "2"]):
@@ -205,6 +214,8 @@ def test_solver_tuning_flags_are_gone(capsys):
     for verb in (["spectrum", "x.hg"], ["verify", "--n", "3", "--exact-only"]):
         assert main(verb + ["--seed", "5"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["gen", "--family", "X", "--n", "3", "--format", "json"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -76,6 +76,9 @@ def test_is_connected():
     assert not is_connected(split)
     isolated = Hypergraph(3, range(4), [(0, 1, 2)])
     assert not is_connected(isolated)
+    # the walk runs over vertex positions: scattered labels, first vertex isolated
+    assert is_connected(Hypergraph(3, [2, 5, 9, 40], [(2, 5, 9), (2, 9, 40)]))
+    assert not is_connected(Hypergraph(3, [2, 5, 9, 40], [(5, 9, 40)]))
 
 
 def test_single_edge_closed_form():

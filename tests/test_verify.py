@@ -355,3 +355,34 @@ def test_run_suite_exact_only():
     claims = run_suite([3], include_numeric=False)
     assert len(claims) == 25
     assert all(c.kind != "numeric" for c in claims)
+
+
+def test_run_suite_validates_every_n_before_any_claim(monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "verify_identity_suite", ran.append)
+    with pytest.raises(ValueError, match="exceeds N_CAP"):
+        run_suite([3, 4, N_CAP + 1], include_numeric=False)
+    assert ran == []
+
+
+REC_DEFN_FAULTS = [("G2", FamilySpec("G", 4, 2)), ("G3", FamilySpec("G", 4, 3)),
+                   ("G4", FamilySpec("G", 4, 4)), ("T", FamilySpec("T", 4)),
+                   ("Gamma", FamilySpec("Gamma", 4))]
+
+
+@pytest.mark.parametrize("first", range(len(REC_DEFN_FAULTS)))
+def test_remark_rec_defn_fails_at_the_first_planted_fault(first, monkeypatch):
+    """A stray edge in the recursion of one family and of every later one:
+    the claim names the first, so G2..Gn are checked in turn, then T, then
+    Gamma."""
+    faulty = {spec for _, spec in REC_DEFN_FAULTS[first:]}
+
+    def planted(spec):
+        poly = family_poly(spec)
+        return poly + x(1) * x(2) * x(3) if spec in faulty else poly
+
+    monkeypatch.setattr(verify, "family_poly", planted)
+    claim = verify._claim_remark_rec_defn(4)
+    assert not claim.passed
+    assert claim.detail.startswith(
+        f"closed form differs from recursion at {REC_DEFN_FAULTS[first][0]}: ")
