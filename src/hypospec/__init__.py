@@ -8,10 +8,15 @@ stack into pass/fail claims.  `cli` exposes everything as subcommands.
 
 The package exports the names the README's library example uses; everything
 else is imported from its module, as in `from hypospec.iso import deck`.
+
+numpy is loaded only where a float solve or a canonical search runs: the
+float functions of `spectral` and `Hypergraph.positions` import it when
+called, and `iso`, which imports it at module level, is imported on first
+use of `hypomorphic` (a module `__getattr__`).  So `import hypospec`, the
+exact identity suite and `hypospec gen` run on the standard library alone.
 """
 
 from .families import FamilySpec, family_hypergraph
-from .iso import hypomorphic
 from .spectral import principal_eigenpair, rational_bracket
 from .verify import verify_main_theorem
 
@@ -21,3 +26,11 @@ __all__ = [
     "FamilySpec", "family_hypergraph", "hypomorphic", "principal_eigenpair",
     "rational_bracket", "verify_main_theorem", "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name == "hypomorphic":
+        from .iso import hypomorphic
+
+        return hypomorphic
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,6 +15,9 @@ search past iso.SEARCH_NODE_LIMIT nodes or past the depth the recursion
 limit allows.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
+
+deck and hypomorphic import `iso` in their handlers, so gen and
+verify --exact-only run without loading numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Sequence
 
 from .families import FAMILY_TAGS, FamilySpec, family_hypergraph
 from .hypergraph import Hypergraph
-from .iso import deck, hypomorphic
 from .spectral import (MAX_ITERATIONS, SHIFT, TOLERANCE, oracle_radius,
                        principal_eigenpair, rational_bracket, report_record)
 from .verify import run_suite, verify_main_theorem, write_verdict
@@ -161,6 +163,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_deck(args: argparse.Namespace) -> int:
+    from .iso import deck
+
     hg = _load(args.file)
     started = time.perf_counter()
     d = deck(hg)
@@ -177,6 +181,8 @@ def _cmd_deck(args: argparse.Namespace) -> int:
 
 
 def _cmd_hypomorphic(args: argparse.Namespace) -> int:
+    from .iso import hypomorphic
+
     first = _load(args.first)
     second = _load(args.second)
     ok, eta = hypomorphic(first, second)

@@ -10,9 +10,10 @@ The recursive definitions below are the construction of record; closed-form
 rebuilds used as an independent cross-check live in the verify module.
 
 The structural maps `p_map`, `e_map`, `sigma_endo` and `theta_endo` are
-memoised, as the family polynomials are: every caller with the same
-arguments gets the same Endomorphism object, so its `images` and `rename`
-dicts are shared and must not be mutated.  Derive new maps with `compose`.
+memoised, as the family polynomials and hypergraphs are: every caller with
+the same arguments gets the same Endomorphism object, so its `images` and
+`rename` dicts are shared and must not be mutated.  Derive new maps with
+`compose`.
 """
 
 from __future__ import annotations
@@ -275,7 +276,9 @@ def family_poly(spec: FamilySpec) -> SparsePoly:
     return _family_poly(spec.family, spec.n, spec.k)
 
 
+@lru_cache(maxsize=None)
 def family_hypergraph(spec: FamilySpec) -> Hypergraph:
+    """The family member as a rank-3 hypergraph (memoized)."""
     return hypergraph_from_lagrangian(family_poly(spec), 3)
 
 

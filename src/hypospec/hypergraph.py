@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .polyalg import SparsePoly, monomial_key, monomial_text
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NonSquarefreeError(ValueError):
@@ -69,8 +70,7 @@ class Hypergraph:
     __slots__ = ("rank", "vertices", "edges", "_hash", "_positions")
 
     def __init__(self, rank: int, vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> None:
-        if not isinstance(rank, int) or rank < 2:
-            raise ValueError(f"rank must be an int >= 2, got {rank!r}")
+        _check_rank(rank)
         verts = tuple(sorted(vertices))
         if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertices")
@@ -95,6 +95,18 @@ class Hypergraph:
         self.edges = ordered
         self._hash = None
         self._positions = None
+
+    @classmethod
+    def _adopt(cls, rank: int, vertices: tuple[int, ...],
+               edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
+        """Wrap parts that are valid already: sorted distinct nonnegative
+        vertices, and distinct edges in sorted order, each a sorted tuple of
+        `rank` distinct vertices from `vertices`.  Only the rank is checked."""
+        _check_rank(rank)
+        hg = object.__new__(cls)
+        hg.rank, hg.vertices, hg.edges = rank, vertices, edges
+        hg._hash = hg._positions = None
+        return hg
 
     # -- basic protocol -----------------------------------------------------
 
@@ -125,6 +137,8 @@ class Hypergraph:
         array of shape (num_edges, rank), one row per edge in edge order.
         The spectral kernels and the canonical search all index by it."""
         if self._positions is None:
+            import numpy as np
+
             # Labels are unbounded ints, so the index map is a dict, not a
             # search in an int64 array.
             index = {v: i for i, v in enumerate(self.vertices)}
@@ -202,6 +216,11 @@ class Hypergraph:
         return cls.from_json_dict(json.loads(text))
 
 
+def _check_rank(rank) -> None:
+    if not isinstance(rank, int) or rank < 2:
+        raise ValueError(f"rank must be an int >= 2, got {rank!r}")
+
+
 def _int_list(items) -> bool:
     # `type(...) is int` rather than isinstance: JSON true/false load as bool
     return isinstance(items, list) and all(type(v) is int for v in items)
@@ -218,7 +237,9 @@ def hypergraph_from_lagrangian(poly: SparsePoly, rank: int) -> Hypergraph:
     The vertex list is the union of edge supports.  Raises a named error
     identifying the first offending monomial in canonical order when the
     polynomial is not a sum of distinct squarefree degree-`rank` monomials
-    with coefficient 1.
+    with coefficient 1.  A monomial that passes is a sorted tuple of `rank`
+    distinct nonnegative indices, and the terms are distinct, so the edges
+    are only put in order, not validated again.
     """
     edges = []
     offenders = []
@@ -235,5 +256,6 @@ def hypergraph_from_lagrangian(poly: SparsePoly, rank: int) -> Hypergraph:
         if len(mono) != rank:
             raise WrongDegreeError(text, len(mono), rank)
         raise BadCoefficientError(text, poly.terms[mono])
-    vertices = sorted({v for e in edges for v in e})
-    return Hypergraph(rank, vertices, edges)
+    edges.sort()
+    vertices = tuple(sorted(set(chain.from_iterable(edges))))
+    return Hypergraph._adopt(rank, vertices, tuple(edges))

@@ -28,11 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .hypergraph import Hypergraph, UnknownVertexError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NotConnectedError(ValueError):
@@ -80,6 +81,8 @@ class EigenPair:
 def tensor_apply(hypergraph: Hypergraph, values: Sequence[float]) -> np.ndarray:
     """Left side of the eigenvalue equation at `values`, given and returned in
     vertex order."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if arr.shape != (len(hypergraph.vertices),):
         raise DimensionMismatchError(
@@ -88,6 +91,8 @@ def tensor_apply(hypergraph: Hypergraph, values: Sequence[float]) -> np.ndarray:
 
 
 def _apply_positions(epos: np.ndarray, arr: np.ndarray, nv: int) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros(nv)
     if epos.shape[0] == 0:
         return out
@@ -225,6 +230,8 @@ def _newton_correction(hypergraph: Hypergraph, ints: list[int], sums: list[int],
     float derivative in x, the column -x^{[m-1]} for lam, and the row
     x^{[m-1]} that keeps the m-norm fixed to first order.
     """
+    import numpy as np
+
     m = hypergraph.rank
     nv = len(ints)
     epos = hypergraph.positions
@@ -297,6 +304,8 @@ def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0) -> EigenPair:
     returned with converged=False.  Seed 0 starts from all-ones; any other
     seed jitters that start.
     """
+    import numpy as np
+
     if not is_connected(hypergraph):
         raise NotConnectedError("principal eigenpair needs a connected hypergraph")
     m = hypergraph.rank
@@ -338,6 +347,8 @@ def oracle_radius(hypergraph: Hypergraph, *, restarts: int = 8, seed: int = 0) -
     does; only the objective `value` is separate.  The result is m * f at a
     unit-norm nonnegative point, so it never exceeds lambda beyond rounding.
     """
+    import numpy as np
+
     if not is_connected(hypergraph):
         raise NotConnectedError("oracle_radius needs a connected hypergraph")
     m = hypergraph.rank

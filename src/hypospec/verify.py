@@ -14,12 +14,14 @@ drawn from them.
 
 The sigma-induction claims restrict before they difference.  With phi the
 orbit map and h = g o phi, the difference (g - g o sigma_r) o phi equals
-h - h o (phi o sigma_r): one pass over g, and the rest on the small orbit
-quotient.  That is exact only when sigma_r maps each orbit of phi onto an
-orbit (phi sigma_r phi = phi sigma_r).  It holds because theta and every
-sigma_i act on j - 1 as commuting XOR masks, and `restricted_difference`
-checks it on the vertex tables before each use, raising ValueError where
-it fails.  The orbit maps, like the structural maps of `families`, are
+h - h o (phi o sigma_r), which works on the small orbit quotient alone.
+That is exact only when sigma_r maps each orbit of phi onto an orbit
+(phi sigma_r phi = phi sigma_r).  It holds because theta and every sigma_i
+act on j - 1 as commuting XOR masks, and `restricted_difference` checks it
+on the vertex tables before each use, raising ValueError where it fails.
+`restricted_family` builds h for phi_r from its entry for phi_{r-1}, so
+only r = 0 passes over the full family polynomial.  The orbit maps and the
+restricted polynomials, like the structural maps of `families`, are
 memoised and shared.
 
 The closed forms in this module are written against the index arithmetic
@@ -160,11 +162,11 @@ def _vertex_table(endo: Endomorphism, size: int) -> list[int]:
     return table
 
 
-def restricted_difference(n: int, g: SparsePoly, sigma: Endomorphism,
+def restricted_difference(n: int, h: SparsePoly, sigma: Endomorphism,
                           phi: Endomorphism) -> SparsePoly:
-    """(g - g o sigma) o phi, restricted before it is differenced: with
-    h = g o phi it is h - h o (phi o sigma), one pass over g, and the rest
-    works on the orbit quotient.
+    """(g - g o sigma) o phi from h = g o phi, the polynomial already
+    restricted: it is h - h o (phi o sigma), which works on the orbit
+    quotient alone.
 
     The two agree exactly when phi sigma phi = phi sigma on 0..2^n, that is,
     when sigma maps each orbit of phi onto an orbit.  That is checked on the
@@ -174,8 +176,19 @@ def restricted_difference(n: int, g: SparsePoly, sigma: Endomorphism,
     rep, moved = _vertex_table(phi, size), _vertex_table(sigma, size)
     if any(rep[moved[rep[v]]] != rep[moved[v]] for v in range(size)):
         raise ValueError(f"sigma does not map the orbits of phi onto orbits of V_{n}")
-    h = g.substitute(phi)
     return h - h.substitute(phi.compose(sigma))
+
+
+@lru_cache(maxsize=None)
+def restricted_family(spec: FamilySpec, r: int) -> SparsePoly:
+    """The family polynomial g under phi_r = fixed_point_map(n, theta=True,
+    sigmas=range(r)), memoised and shared like `family_poly`.
+
+    The orbits of phi_r only coarsen as r grows and phi_r sends each variable
+    to its orbit minimum, so g o phi_r = (g o phi_{r-1}) o phi_r: each entry
+    is the r - 1 entry restricted again, a much smaller input than g."""
+    prev = family_poly(spec) if r == 0 else restricted_family(spec, r - 1)
+    return prev.substitute(fixed_point_map(spec.n, theta=True, sigmas=range(r)))
 
 
 # -- difference polynomials ----------------------------------------------------
@@ -264,10 +277,11 @@ def verify_induction_cycles(n: int, r: int, k: int, *,
     sigma_0..sigma_{r-1}: equals f_r^n when k = n - r, else 0."""
     if not (0 <= r <= n - 2 and 2 <= k <= n):
         raise ValueError(f"need 0 <= r <= n-2 and 2 <= k <= n, got r={r}, k={k}, n={n}")
-    g = g_poly if g_poly is not None else family_poly(FamilySpec("G", n, k))
     phi = fixed_point_map(n, theta=True, sigmas=range(r))
+    h = (g_poly.substitute(phi) if g_poly is not None
+         else restricted_family(FamilySpec("G", n, k), r))
     expected = f_poly(n, r) if k == n - r else SparsePoly.zero()
-    diff = restricted_difference(n, g, sigma_endo(n, r), phi) - expected.substitute(phi)
+    diff = restricted_difference(n, h, sigma_endo(n, r), phi) - expected.substitute(phi)
     branch = "f" if k == n - r else "0"
     return _exact("lemma-induction-cycles", {"n": n, "r": r, "k": k, "expected": branch},
                   [(_NONZERO, diff)])
@@ -278,12 +292,13 @@ def verify_sigma_general(n: int, r: int, *, x_poly: SparsePoly | None = None) ->
     """Same difference for the full X^n; M0 must be exactly sigma_r-invariant."""
     if not 0 <= r <= n - 2:
         raise ValueError(f"need 0 <= r <= n-2, got r={r}, n={n}")
-    xp = x_poly if x_poly is not None else family_poly(FamilySpec("X", n))
     def checks():
         m0 = family_poly(FamilySpec("M0", n))
         yield f"M0 is not sigma_{r}-invariant", m0 - m0.substitute(sigma_endo(n, r))
         phi = fixed_point_map(n, theta=True, sigmas=range(r))
-        yield _NONZERO, (restricted_difference(n, xp, sigma_endo(n, r), phi)
+        h = (x_poly.substitute(phi) if x_poly is not None
+             else restricted_family(FamilySpec("X", n), r))
+        yield _NONZERO, (restricted_difference(n, h, sigma_endo(n, r), phi)
                          - f_poly(n, r).substitute(phi))
     return _exact("lemma-sigma-general", {"n": n, "r": r}, checks())
 

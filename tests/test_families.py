@@ -5,6 +5,7 @@ from hypospec.families import (FAMILY_TAGS, N_CAP, FamilySpec, base_cycles,
                                orbit_substitution, p_eps, p_map, q_map,
                                sigma_endo, sigma_index, sigma_perm, tau_endo,
                                tau_perm, theta_endo, theta_perm)
+from hypospec.hypergraph import Hypergraph, hypergraph_from_lagrangian
 from hypospec.polyalg import SparsePoly, x
 from hypospec.spectral import codegree, degree
 
@@ -165,6 +166,29 @@ def test_x_y_hypergraph_shape():
     hy = family_hypergraph(FamilySpec("Y", 3))
     assert hy.vertices == hx.vertices
     assert hx != hy
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_family_hypergraph_equals_the_validating_constructor(n):
+    """family_hypergraph validates each monomial once and is memoised; the
+    result equals the constructor's, which sorts and checks every edge."""
+    specs = [FamilySpec(tag, n) for tag in FAMILY_TAGS
+             if tag != "G" and (n == 3 or tag not in ("C3", "D3"))]
+    specs += [FamilySpec("G", n, k) for k in range(2, n + 1)]
+    for spec in specs:
+        poly = family_poly(spec)
+        built = family_hypergraph(spec)
+        reference = Hypergraph(3, {v for mono in poly.terms for v in mono}, list(poly.terms))
+        assert built == reference and hash(built) == hash(reference), spec
+        assert type(built.vertices) is tuple and type(built.edges) is tuple
+        assert family_hypergraph(spec) is built
+
+
+def test_from_lagrangian_keeps_every_check_that_can_fail():
+    with pytest.raises(ValueError, match="rank must be"):
+        hypergraph_from_lagrangian(x(1) + x(2), 1)
+    with pytest.raises(ValueError, match="rank must be"):
+        hypergraph_from_lagrangian(SparsePoly.zero(), 1)
 
 
 def test_gamma3_degrees_and_codegrees():

@@ -24,6 +24,7 @@ from hypospec.verify import (
     neigh_square,
     pair_gap_poly,
     restricted_difference,
+    restricted_family,
     run_suite,
     standard_cone_samples,
     verify_basis_step,
@@ -224,7 +225,29 @@ def test_restricted_difference_matches_direct(n):
                     fixed_point_map(n, theta=True)):
             for g in gs:
                 direct = (g - g.substitute(sigma)).substitute(phi)
-                assert restricted_difference(n, g, sigma, phi) == direct
+                assert restricted_difference(n, g.substitute(phi), sigma, phi) == direct
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_restricted_family_chains_the_orbit_maps(n):
+    """Each phi_r entry is built from the phi_{r-1} entry, and equals one
+    substitution of the full polynomial."""
+    for spec in [FamilySpec("X", n)] + [FamilySpec("G", n, k) for k in range(2, n + 1)]:
+        g = family_poly(spec)
+        for r in range(n + 1):
+            direct = g.substitute(fixed_point_map(n, theta=True, sigmas=range(r)))
+            assert restricted_family(spec, r) == direct, (spec, r)
+
+
+def test_injected_polynomials_bypass_the_restriction_cache():
+    mutated = family_poly(FamilySpec("X", 4)) + x(1) * x(2) * x(5)
+    cached = restricted_family(FamilySpec("X", 4), 1)
+    assert not verify_sigma_general(4, 1, x_poly=mutated).passed
+    assert restricted_family(FamilySpec("X", 4), 1) is cached
+    assert verify_sigma_general(4, 1).passed
+    g = family_poly(FamilySpec("G", 4, 3))
+    assert not verify_induction_cycles(4, 1, 3, g_poly=g + x(1) * x(2) * x(5)).passed
+    assert verify_induction_cycles(4, 1, 3, g_poly=g).passed
 
 
 def test_restricted_difference_rejects_incompatible_sigma():
