@@ -16,8 +16,8 @@ limit allows.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
 
-deck and hypomorphic import `iso` in their handlers, so gen and
-verify --exact-only run without loading numpy.
+deck and hypomorphic import `iso` in their handlers, so they alone load
+numpy; every other subcommand runs on the standard library.
 """
 
 from __future__ import annotations

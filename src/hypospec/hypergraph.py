@@ -135,7 +135,8 @@ class Hypergraph:
     def positions(self) -> np.ndarray:
         """Each edge's vertices as indices into `vertices`: a read-only int64
         array of shape (num_edges, rank), one row per edge in edge order.
-        The spectral kernels and the canonical search all index by it."""
+        The canonical search of `iso` indexes by it; the spectral kernels
+        build their own table, so they never load numpy."""
         if self._positions is None:
             import numpy as np
 

@@ -10,30 +10,36 @@ componentwise ratios give certified lower and upper bounds on lambda
 (Collatz-Wielandt).  The solver is a shifted power iteration driven by those
 brackets.  One integer kernel computes every exact bracket: `rational_bracket`
 at any positive vector, and `refined_eigenvector` at each integer dyadic
-vector its Newton steps reach.  The kernel groups the edges at a vertex by all
+vector its Newton steps reach.
+
+Every kernel walks one table, `_links`: the edges at a vertex grouped by all
 their other members but the last, so each group costs one product of the
 shared members times the sum of the last ones, not one product per edge.
-`oracle_radius` is a second route: projected gradient
-ascent of the generating polynomial f on the nonnegative unit m-norm sphere.
-m * f is at most lambda at every such point and equals it at the maximum (Euler
-identity).  Its ascent direction is `_apply_positions`, the kernel the power
-iteration applies; only its objective is computed on its own.
+`_edge_sums` applies it to ints for the exact brackets and to floats for the
+power iteration; `jacobian_factors` differentiates it once per hypergraph for
+the Newton stage, whose float64 corrections are solved against that one LU
+factorization.  `oracle_radius` is a second route: projected gradient ascent
+of the generating polynomial f on the nonnegative unit m-norm sphere.  m * f
+is at most lambda at every such point and equals it at the maximum (Euler
+identity), and m * f(x) = sum_i x_i S_i(x), so the same sums give both the
+ascent direction and the objective.
+
+The module runs on the standard library alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import TYPE_CHECKING, Sequence
+from operator import mul, truediv
+from typing import Sequence
 
 from .hypergraph import Hypergraph, UnknownVertexError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class NotConnectedError(ValueError):
@@ -57,14 +63,14 @@ class EigenPair:
 
     `value` is the midpoint of [value_lo, value_hi]; the brackets come from
     Collatz-Wielandt ratios at `vector` and are valid even before convergence.
-    The vector is positive and normalized in the m-norm, indexed like
-    `vertices`.
+    The vector is a tuple of positive floats normalized in the m-norm,
+    indexed like `vertices`.
     """
 
     value: float
     value_lo: float
     value_hi: float
-    vector: np.ndarray
+    vector: tuple[float, ...]
     vertices: tuple[int, ...]
     residual: float
     iterations: int
@@ -73,39 +79,44 @@ class EigenPair:
 
     def entry(self, vertex: int) -> float:
         try:
-            return float(self.vector[self.vertices.index(vertex)])
+            return self.vector[self.vertices.index(vertex)]
         except ValueError:
             raise UnknownVertexError(vertex) from None
 
 
-def tensor_apply(hypergraph: Hypergraph, values: Sequence[float]) -> np.ndarray:
+_Group = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+@lru_cache(maxsize=128)
+def _links(hypergraph: Hypergraph) -> tuple[tuple[_Group, ...], ...]:
+    """Per vertex position, the positions of the other members of each edge at
+    it, grouped by all members but the last: (prefix, lasts) pairs."""
+    index = {v: i for i, v in enumerate(hypergraph.vertices)}
+    groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in hypergraph.vertices]
+    for edge in hypergraph.edges:
+        row = [index[v] for v in edge]
+        for p in row:
+            others = [q for q in row if q != p]
+            groups[p].setdefault(tuple(others[:-1]), []).append(others[-1])
+    return tuple(tuple((prefix, tuple(lasts)) for prefix, lasts in g.items()) for g in groups)
+
+
+def _edge_sums(links, values: Sequence) -> list:
+    """S_i = sum over the edges e at i of the product of the other entries of
+    e, exact for ints: each group adds prod(prefix) * sum(lasts)."""
+    get = values.__getitem__
+    return [sum(math.prod(map(get, prefix)) * sum(map(get, lasts)) for prefix, lasts in link)
+            for link in links]
+
+
+def tensor_apply(hypergraph: Hypergraph, values: Sequence[float]) -> list[float]:
     """Left side of the eigenvalue equation at `values`, given and returned in
     vertex order."""
-    import numpy as np
-
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (len(hypergraph.vertices),):
+    point = [float(t) for t in values]
+    if len(point) != len(hypergraph.vertices):
         raise DimensionMismatchError(
-            f"expected a vector of length {len(hypergraph.vertices)}, got shape {arr.shape}")
-    return _apply_positions(hypergraph.positions, arr, len(hypergraph.vertices))
-
-
-def _apply_positions(epos: np.ndarray, arr: np.ndarray, nv: int) -> np.ndarray:
-    import numpy as np
-
-    out = np.zeros(nv)
-    if epos.shape[0] == 0:
-        return out
-    m = epos.shape[1]
-    cols = [arr[epos[:, t]] for t in range(m)]
-    for t in range(m):
-        w = None
-        for s in range(m):
-            if s == t:
-                continue
-            w = cols[s] if w is None else w * cols[s]
-        out += np.bincount(epos[:, t], weights=w, minlength=nv)
-    return out
+            f"expected a vector of length {len(hypergraph.vertices)}, got length {len(point)}")
+    return [float(s) for s in _edge_sums(_links(hypergraph), point)]
 
 
 def degree(hypergraph: Hypergraph, vertex: int) -> int:
@@ -124,8 +135,10 @@ def codegree(hypergraph: Hypergraph, u: int, v: int) -> int:
     return sum(1 for e in hypergraph.edges if u in e and v in e)
 
 
-def _lm_norm(arr: np.ndarray, m: int) -> float:
-    return float((arr ** m).sum() ** (1.0 / m))
+def _unit(values: list[float], m: int) -> list[float]:
+    """`values` scaled to unit m-norm."""
+    norm = math.fsum(t ** m for t in values) ** (1.0 / m)
+    return [t / norm for t in values]
 
 
 def _positive_fractions(hypergraph: Hypergraph, values) -> list[Fraction]:
@@ -136,21 +149,6 @@ def _positive_fractions(hypergraph: Hypergraph, values) -> list[Fraction]:
     if any(t <= 0 for t in point):
         raise ValueError("Collatz-Wielandt brackets need a strictly positive vector")
     return point
-
-
-_Group = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-@lru_cache(maxsize=128)
-def _links(hypergraph: Hypergraph) -> tuple[tuple[_Group, ...], ...]:
-    """Per vertex position, the positions of the other members of each edge at
-    it, grouped by all members but the last: (prefix, lasts) pairs."""
-    groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in hypergraph.vertices]
-    for row in hypergraph.positions.tolist():
-        for p in row:
-            others = [q for q in row if q != p]
-            groups[p].setdefault(tuple(others[:-1]), []).append(others[-1])
-    return tuple(tuple((prefix, tuple(lasts)) for prefix, lasts in g.items()) for g in groups)
 
 
 @lru_cache(maxsize=128)
@@ -175,14 +173,10 @@ def is_connected(hypergraph: Hypergraph) -> bool:
 def _exact_bracket(hypergraph: Hypergraph, ints: Sequence[int]
                    ) -> tuple[list[int], list[int], Fraction, Fraction]:
     """S_i, P_i = a_i^{m-1} and the exact min and max of S_i / P_i at a positive
-    integer vector a, where S_i sums over the edges e at i the product of the
-    other entries of e; the extremes are picked by integer cross-multiplication.
-    Edges at i that share all other members but the last share one product:
-    S_i = sum over the groups of prod(prefix) * sum(lasts)."""
+    integer vector a, where S_i are the `_edge_sums`; the extremes are picked
+    by integer cross-multiplication."""
     m = hypergraph.rank
-    get = ints.__getitem__
-    sums = [sum(math.prod(map(get, prefix)) * sum(map(get, lasts)) for prefix, lasts in link)
-            for link in _links(hypergraph)]
+    sums = _edge_sums(_links(hypergraph), ints)
     powered = [t ** (m - 1) for t in ints]
     lo_i = hi_i = 0
     for i in range(1, len(sums)):
@@ -198,13 +192,13 @@ def rational_bracket(hypergraph: Hypergraph, values
                      ) -> tuple[Fraction, Fraction, Fraction]:
     """Exact Collatz-Wielandt bracket plus residual at a positive vector.
 
-    Entries may be ints, floats, Fractions or numpy floats, given in vertex
-    order; each is taken at its exact rational value, so the returned
-    (lo, hi) provably contain the principal eigenvalue no matter how the
-    vector was produced.  The residual is max_j |apply_j - mid * x_j^{m-1}|
-    at the bracket midpoint.  The work is done on the integer vector a = D * x
-    for the common denominator D, since the ratios S_i / a_i^{m-1} do not
-    depend on the scale.
+    Entries may be ints, floats or Fractions, given in vertex order; each is
+    taken at its exact rational value, so the returned (lo, hi) provably
+    contain the principal eigenvalue no matter how the vector was produced.
+    The residual is max_j |apply_j - mid * x_j^{m-1}| at the bracket
+    midpoint.  The work is done on the integer vector a = D * x for the
+    common denominator D, since the ratios S_i / a_i^{m-1} do not depend on
+    the scale.
     """
     point = _positive_fractions(hypergraph, values)
     scale = math.lcm(*(t.denominator for t in point))
@@ -215,55 +209,104 @@ def rational_bracket(hypergraph: Hypergraph, values
     return lo, hi, Fraction(worst, mid.denominator * scale ** (hypergraph.rank - 1))
 
 
+# -- Newton stage ------------------------------------------------------------------
+
+# LU factors of a square float matrix: the rows, with U on and above the
+# diagonal and L's unit-diagonal multipliers below it, and the row order.
+LUFactors = tuple[list[list[float]], list[int]]
+
+
+def _lu_factor(matrix: list[list[float]]) -> LUFactors:
+    """LU factorization with partial pivoting, in place on `matrix`'s rows."""
+    size = len(matrix)
+    order = list(range(size))
+    for k in range(size):
+        p = max(range(k, size), key=lambda i: abs(matrix[i][k]))
+        if not matrix[p][k]:
+            raise ValueError("singular Newton Jacobian")
+        matrix[k], matrix[p] = matrix[p], matrix[k]
+        order[k], order[p] = order[p], order[k]
+        pivot = matrix[k]
+        tail = pivot[k + 1:]
+        for row in matrix[k + 1:]:
+            if row[k]:
+                f = row[k] = row[k] / pivot[k]
+                row[k + 1:] = [u - f * v for u, v in zip(row[k + 1:], tail)]
+    return matrix, order
+
+
+def _lu_solve(factors: LUFactors, rhs: Sequence[float]) -> list[float]:
+    """x with A x = rhs, from the LU factors of A."""
+    rows, order = factors
+    y = [rhs[i] for i in order]
+    for i in range(1, len(y)):
+        y[i] -= sum(map(mul, rows[i][:i], y[:i]))
+    for i in range(len(y) - 1, -1, -1):
+        y[i] = (y[i] - sum(map(mul, rows[i][i + 1:], y[i + 1:]))) / rows[i][i]
+    return y
+
+
+def _jacobian(hypergraph: Hypergraph, vector: Sequence[float], value: float
+              ) -> list[list[float]]:
+    """Newton Jacobian of the pair (x, lambda) at a float point, in rows.
+
+    Row i < nv is the derivative of S_i(x) - lambda x_i^{m-1}: from each
+    `_links` group, every last member gets prod(prefix) and every prefix
+    member the product of the rest of the prefix times sum(lasts); the
+    diagonal loses (m-1) lambda x_i^{m-2}, and the column for lambda is
+    -x^{[m-1]}.  The last row, x^{[m-1]}, keeps the m-norm fixed to first
+    order.
+    """
+    m = hypergraph.rank
+    x = [float(t) for t in vector]
+    nv = len(x)
+    jac = [[0.0] * (nv + 1) for _ in range(nv + 1)]
+    for p, link in enumerate(_links(hypergraph)):
+        row = jac[p]
+        for prefix, lasts in link:
+            shared = math.prod(x[q] for q in prefix)
+            for r in lasts:
+                row[r] += shared
+            if prefix:
+                total = sum(x[r] for r in lasts)
+                for k, q in enumerate(prefix):
+                    row[q] += math.prod(x[u] for u in prefix[:k] + prefix[k + 1:]) * total
+        row[p] -= (m - 1) * value * x[p] ** (m - 2)
+        row[nv] = -x[p] ** (m - 1)
+    jac[nv][:nv] = [t ** (m - 1) for t in x]
+    return jac
+
+
+def jacobian_factors(hypergraph: Hypergraph, vector: Sequence[float], value: float
+                     ) -> LUFactors:
+    """LU factors of the Newton Jacobian at a float eigenpair estimate, for
+    every step of `refined_eigenvector`; the vector is in vertex order."""
+    return _lu_factor(_jacobian(hypergraph, vector, value))
+
+
 # Each Newton step carries the vector this many more bits; refinement stops
 # before the working precision would pass MAX_REFINEMENT_BITS.
 _STEP_BITS = 50
 MAX_REFINEMENT_BITS = 4096
 
 
-def _newton_correction(hypergraph: Hypergraph, ints: list[int], sums: list[int],
-                       lam: int, bits: int) -> np.ndarray:
-    """Float64 Newton correction of the pair (a / 2^bits, lam / 2^bits), times 2^bits.
-
-    `sums` are the edge sums of `ints`.  The residual A x^{m-1} - lam x^{[m-1]}
-    is taken exactly in integers and only then rounded.  The Jacobian is the
-    float derivative in x, the column -x^{[m-1]} for lam, and the row
-    x^{[m-1]} that keeps the m-norm fixed to first order.
-    """
-    import numpy as np
-
-    m = hypergraph.rank
-    nv = len(ints)
-    epos = hypergraph.positions
-    scale = 1 << (bits * (m - 1))
-    rhs = np.zeros(nv + 1)
-    rhs[:nv] = [(lam * t ** (m - 1) - (s << bits)) / scale for s, t in zip(sums, ints)]
-    arr = np.array([t / (1 << bits) for t in ints])
-    jac = np.zeros((nv + 1, nv + 1))
-    for p in range(m):
-        for q in range(m):
-            if p != q:
-                others = [arr[epos[:, u]] for u in range(m) if u not in (p, q)]
-                np.add.at(jac, (epos[:, p], epos[:, q]), np.prod(others, axis=0))
-    jac[np.arange(nv), np.arange(nv)] -= (m - 1) * (lam / (1 << bits)) * arr ** (m - 2)
-    jac[:nv, nv] = -arr ** (m - 1)
-    jac[nv, :nv] = arr ** (m - 1)
-    return np.linalg.solve(jac, rhs)
-
-
-def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction
+def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction,
+                        factors: LUFactors | None = None
                         ) -> tuple[list[Fraction], int, Fraction, Fraction]:
     """Newton refinement of a positive vector toward the principal eigenvector.
 
     Mixed-precision iterative refinement: the vector is held as a / 2^B in
-    Python ints, the residual of the eigen equation is exact, and the Newton
-    correction is solved in float64 and added back with B grown by
-    _STEP_BITS.  Steps go on until the exact Collatz-Wielandt width is at
-    most `width`; a step that does not narrow the bracket or leaves the
-    positive cone ends the refinement, and so does reaching
-    MAX_REFINEMENT_BITS.  Returns (entries, steps, lo, hi): the exact dyadic
-    entries of the best vector reached, the number of steps kept, and the
-    exact bracket of those entries, equal to rational_bracket's (lo, hi).
+    Python ints, the residual A x^{m-1} - lam x^{[m-1]} of the eigen equation
+    is exact and only then rounded, and the correction is solved in float64
+    against one fixed Jacobian factorization and added back with B grown by
+    _STEP_BITS.  `factors` is that factorization, from `jacobian_factors`
+    near the eigenpair; without it the call factors at its own start.
+    Steps go on until the exact Collatz-Wielandt width is at most `width`; a
+    step that does not narrow the bracket or leaves the positive cone ends
+    the refinement, and so does reaching MAX_REFINEMENT_BITS.  Returns
+    (entries, steps, lo, hi): the exact dyadic entries of the best vector
+    reached, the number of steps kept, and the exact bracket of those
+    entries, equal to rational_bracket's (lo, hi).
     """
     if not is_connected(hypergraph):
         raise NotConnectedError("principal eigenpair needs a connected hypergraph")
@@ -275,21 +318,31 @@ def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction
     # Rayleigh quotient <x, A x^{m-1}> / <x, x^{[m-1]}>, at scale 2^bits
     lam = ((sum(s * t for s, t in zip(sums, ints)) << bits)
            // sum(p * t for p, t in zip(powered, ints)))
+    if factors is None:
+        factors = jacobian_factors(hypergraph, [t / (1 << bits) for t in ints],
+                                   lam / (1 << bits))
     lift = float(1 << _STEP_BITS)
     steps = 0
     while hi - lo > width and bits + _STEP_BITS <= MAX_REFINEMENT_BITS:
-        step = _newton_correction(hypergraph, ints, sums, lam, bits)
+        # the residual at (a / 2^bits, lam / 2^bits), times 2^bits, so the
+        # solve returns the correction times 2^bits
+        scale = 1 << (bits * (hypergraph.rank - 1))
+        rhs = [(lam * p - (s << bits)) / scale for s, p in zip(sums, powered)]
+        step = _lu_solve(factors, rhs + [0.0])
         trial = [(a << _STEP_BITS) + round(d * lift) for a, d in zip(ints, step)]
         if min(trial) <= 0:
             break
-        trial_sums, _, trial_lo, trial_hi = _exact_bracket(hypergraph, trial)
+        trial_sums, trial_powered, trial_lo, trial_hi = _exact_bracket(hypergraph, trial)
         if trial_hi - trial_lo >= hi - lo:
             break
-        ints, sums, lo, hi = trial, trial_sums, trial_lo, trial_hi
+        ints, sums, powered, lo, hi = trial, trial_sums, trial_powered, trial_lo, trial_hi
         lam = (lam << _STEP_BITS) + round(step[-1] * lift)
         bits += _STEP_BITS
         steps += 1
     return [Fraction(t, 1 << bits) for t in ints], steps, lo, hi
+
+
+# -- float stage -------------------------------------------------------------------
 
 
 def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0) -> EigenPair:
@@ -302,37 +355,34 @@ def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0) -> EigenPair:
     ulps of the upper bracket, which double precision can still resolve once
     lambda is in the hundreds.  After MAX_ITERATIONS the best iterate is
     returned with converged=False.  Seed 0 starts from all-ones; any other
-    seed jitters that start.
+    nonnegative seed jitters that start through `random.Random(seed)`, and a
+    negative seed is a ValueError.
     """
-    import numpy as np
-
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if not is_connected(hypergraph):
         raise NotConnectedError("principal eigenpair needs a connected hypergraph")
     m = hypergraph.rank
-    nv = len(hypergraph.vertices)
-    epos = hypergraph.positions
-
-    arr = np.ones(nv)
-    if seed:
-        arr = arr + np.random.default_rng(seed).uniform(0.0, 0.5, nv)
-    arr /= _lm_norm(arr, m)
+    links = _links(hypergraph)
+    rng = random.Random(seed)
+    x = _unit([1.0 + rng.uniform(0.0, 0.5) if seed else 1.0 for _ in links], m)
+    root = 1.0 / (m - 1)
 
     lo = hi = mid = res = 0.0
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        applied = _apply_positions(epos, arr, nv)
-        powered = arr ** (m - 1)
-        ratios = applied / powered
-        lo, hi = float(ratios.min()), float(ratios.max())
+        applied = _edge_sums(links, x)
+        powered = [t ** (m - 1) for t in x]
+        ratios = list(map(truediv, applied, powered))
+        lo, hi = min(ratios), max(ratios)
         mid = 0.5 * (lo + hi)
-        res = float(np.max(np.abs(applied - mid * powered)))
+        res = max(abs(a - mid * p) for a, p in zip(applied, powered))
         floor = max(TOLERANCE, 64 * math.ulp(hi))
         if hi - lo < floor and res < floor:
-            return EigenPair(mid, lo, hi, arr, hypergraph.vertices, res, iterations)
-        nxt = (applied + SHIFT * powered) ** (1.0 / (m - 1))
-        arr = nxt / _lm_norm(nxt, m)
+            return EigenPair(mid, lo, hi, tuple(x), hypergraph.vertices, res, iterations)
+        x = _unit([(a + SHIFT * p) ** root for a, p in zip(applied, powered)], m)
 
-    return EigenPair(mid, lo, hi, arr, hypergraph.vertices, res, iterations,
+    return EigenPair(mid, lo, hi, tuple(x), hypergraph.vertices, res, iterations,
                      converged=False,
                      message=f"bracket width {hi - lo:.3e} after {iterations} iterations")
 
@@ -342,70 +392,54 @@ def oracle_radius(hypergraph: Hypergraph, *, restarts: int = 8, seed: int = 0) -
 
     Multi-start projected gradient ascent with a backtracking step size; a
     restart stops once the tangent gradient is below 1e-10 * max(1, m * f),
-    or after 50,000 steps.
-    The ascent direction uses `_apply_positions`, as the power iteration
-    does; only the objective `value` is separate.  The result is m * f at a
-    unit-norm nonnegative point, so it never exceeds lambda beyond rounding.
+    or after 50,000 steps.  The gradient at x is S(x) = `_edge_sums`, as in
+    the power iteration, and the objective is m * f(x) = <x, S(x)>.  The
+    result is m * f at a unit-norm nonnegative point, so it never exceeds
+    lambda beyond rounding.
     """
-    import numpy as np
-
     if not is_connected(hypergraph):
         raise NotConnectedError("oracle_radius needs a connected hypergraph")
     m = hypergraph.rank
-    nv = len(hypergraph.vertices)
-    epos = hypergraph.positions
-    rng = np.random.default_rng(seed)
-
-    def value(arr: np.ndarray) -> float:
-        prod = arr[epos[:, 0]]
-        for t in range(1, m):
-            prod = prod * arr[epos[:, t]]
-        return float(prod.sum())
+    links = _links(hypergraph)
+    rng = random.Random(seed)
 
     best = 0.0
     for trial in range(restarts):
-        if trial == 0:
-            arr = np.ones(nv)
-        else:
-            arr = rng.uniform(0.05, 1.0, nv)
-        arr /= _lm_norm(arr, m)
-        fval = value(arr)
+        x = _unit([rng.uniform(0.05, 1.0) if trial else 1.0 for _ in links], m)
+        grad = _edge_sums(links, x)
+        fval = math.fsum(map(mul, x, grad))
         step = 0.5
         stall = 0
         for _ in range(50_000):
-            grad = _apply_positions(epos, arr, nv)
-            powered = arr ** (m - 1)
+            powered = [t ** (m - 1) for t in x]
             # ascent direction tangent to the constraint surface; the raw
             # Euclidean gradient followed by renormalization is not an
             # ascent direction for m > 2
-            mult = float(grad @ powered) / float(powered @ powered)
-            direction = grad - mult * powered
-            defect = float(np.max(np.abs(direction)))
-            if defect <= 1e-10 * max(1.0, m * fval):
+            mult = math.fsum(map(mul, grad, powered)) / math.fsum(map(mul, powered, powered))
+            direction = [g - mult * p for g, p in zip(grad, powered)]
+            if max(map(abs, direction)) <= 1e-10 * max(1.0, fval):
                 break
-            cand = arr
-            cval = fval
             while step > 1e-18:
-                cand = np.maximum(arr + step * direction, 0.0)
-                norm = _lm_norm(cand, m)
-                if norm > 0.0:
-                    cand /= norm
-                    cval = value(cand)
+                cand = [max(a + step * d, 0.0) for a, d in zip(x, direction)]
+                if any(cand):
+                    cand = _unit(cand, m)
+                    cgrad = _edge_sums(links, cand)
+                    cval = math.fsum(map(mul, cand, cgrad))
                     if cval >= fval:
                         break
                 step *= 0.5
             if step <= 1e-18:
                 break
-            if cval - fval <= 1e-15 * max(1.0, fval):
+            if cval - fval <= 1e-15 * max(m, fval):
                 stall += 1
             else:
                 stall = 0
-            arr, fval = cand, cval
+            x, grad, fval = cand, cgrad, cval
             if stall >= 50:
                 break
             step = min(step * 1.5, 4.0)
         best = max(best, fval)
-    return m * best
+    return best
 
 
 def vector_digest(vector: Sequence[float]) -> str:

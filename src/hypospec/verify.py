@@ -52,8 +52,8 @@ from .families import (FamilySpec, base_cycles, e_map, family_hypergraph,
                        q_map, sigma_endo, sigma_index, sigma_perm, theta_perm)
 from .hypergraph import Hypergraph
 from .polyalg import Endomorphism, SparsePoly, x
-from .spectral import (TOLERANCE, codegree, degree, principal_eigenpair,
-                       rational_bracket, refined_eigenvector)
+from .spectral import (TOLERANCE, codegree, degree, jacobian_factors,
+                       principal_eigenpair, rational_bracket, refined_eigenvector)
 
 
 @dataclass
@@ -594,7 +594,8 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     (about 1e-8 at n = 3, 2e-25 at n = 4, 2e-68 at n = 5), so both float
     vectors are Newton-refined in exact dyadic arithmetic until the brackets
     separate with each width below 2^-64 of the gap; the printed values then
-    no longer depend on the float start.
+    no longer depend on the float start.  Each hypergraph's Newton Jacobian
+    is factored once, at its float eigenpair, and every round reuses it.
 
     Refinement returns the exact bracket of each vector it keeps, which
     steers the rounds; then one rational_bracket per hypergraph is the
@@ -619,6 +620,8 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     vec_y = [Fraction(t) for t in pair_y.vector]
     x_lo, x_hi, _ = rational_bracket(hx, vec_x)
     y_lo, y_hi, _ = rational_bracket(hy, vec_y)
+    factors_x = jacobian_factors(hx, pair_x.vector, pair_x.value)
+    factors_y = jacobian_factors(hy, pair_y.vector, pair_y.value)
     steps = 0
     # The gap is unknown until the brackets separate, so until then each
     # round asks for about two Newton steps (100 bits); once they separate,
@@ -626,8 +629,10 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     while y_lo - x_hi <= max(x_hi - x_lo, y_hi - y_lo) * 2 ** 64:
         gap = y_lo - x_hi
         width = gap / 2 ** 65 if gap > 0 else max(x_hi - x_lo, y_hi - y_lo) / 2 ** 100
-        vec_x, steps_x, x_lo, x_hi = refined_eigenvector(hx, vec_x, width=width)
-        vec_y, steps_y, y_lo, y_hi = refined_eigenvector(hy, vec_y, width=width)
+        vec_x, steps_x, x_lo, x_hi = refined_eigenvector(hx, vec_x, width=width,
+                                                         factors=factors_x)
+        vec_y, steps_y, y_lo, y_hi = refined_eigenvector(hy, vec_y, width=width,
+                                                         factors=factors_y)
         if not steps_x + steps_y:
             break
         steps += steps_x + steps_y
@@ -720,7 +725,7 @@ def verify_regular_cone(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -
     pair_cone = principal_eigenpair(cone)
     base_entries = [pair_cone.entry(v) for v in base.vertices]
     spread_cone = max(base_entries) - min(base_entries)
-    spread_base = float(pair_base.vector.max() - pair_base.vector.min())
+    spread_base = max(pair_base.vector) - min(pair_base.vector)
     params = {
         "base_vertices": base.num_vertices, "base_edges": base.num_edges,
         "regular_base": regular, "apex_codegree": gamma,

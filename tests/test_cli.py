@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from hypospec import iso
 from hypospec.cli import _load, _parse_n_range, main
 from hypospec.families import N_CAP, FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 @pytest.fixture
@@ -116,6 +119,21 @@ def test_compare_prints_reference_lines(seed, capsys):
     assert main(["compare", "--n", "4", "--seed", seed]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"# tol 1e-12 max-iter 1000000 shift 1 seed {seed}"] + COMPARE_4
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_compare_n5_prints_benchmark_reference(seed, capsys):
+    """The lines the benchmark's certify workload checks, at two starts."""
+    expected = json.loads(REFERENCE.read_text())["compare"]["5"]
+    assert main(["compare", "--n", "5", "--seed", seed]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == expected
+
+
+def test_compare_rejects_negative_seed(capsys):
+    assert main(["compare", "--n", "3", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be a nonnegative integer, got -1\n"
 
 
 def test_deck_writes_default_json(x3_file, tmp_path, capsys):

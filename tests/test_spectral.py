@@ -3,7 +3,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hypospec import spectral
@@ -39,13 +38,13 @@ def random_connected(rng, max_vertices=6):
 def test_tensor_apply_ones_gives_degrees():
     h = cycle8()
     out = tensor_apply(h, [1.0] * 8)
-    assert np.allclose(out, 3.0)        # every vertex lies in 3 edges
+    assert out == [3.0] * 8             # every vertex lies in 3 edges
     assert degree(h, 1) == 3
 
 
 def test_tensor_apply_shapes_and_errors():
     h = single_edge()
-    assert np.allclose(tensor_apply(h, [2.0, 3.0, 4.0]), [12.0, 8.0, 6.0])
+    assert tensor_apply(h, [2.0, 3.0, 4.0]) == [12.0, 8.0, 6.0]
     with pytest.raises(DimensionMismatchError):
         tensor_apply(h, [1.0, 2.0])
 
@@ -55,7 +54,7 @@ def test_euler_identity_numeric():
     rng = random.Random(7)
     for _ in range(10):
         v = [rng.uniform(0.2, 1.5) for _ in range(8)]
-        lhs = float(np.dot(tensor_apply(h, v), v))
+        lhs = math.fsum(map(math.prod, zip(tensor_apply(h, v), v)))
         rhs = lagrangian_of(h).evaluate(dict(zip(h.vertices, v)))
         assert lhs == pytest.approx(3.0 * rhs, rel=1e-12)
 
@@ -97,9 +96,9 @@ def test_regular_cycle_eigenpair():
     # 3-regular and connected, so lambda = 3 and the vector is constant
     pair = principal_eigenpair(cycle8())
     assert pair.value == pytest.approx(3.0, abs=1e-12)
-    spread = float(pair.vector.max() - pair.vector.min())
+    spread = max(pair.vector) - min(pair.vector)
     assert spread < 1e-12
-    norm = float((pair.vector ** 3).sum())
+    norm = math.fsum(t ** 3 for t in pair.vector)
     assert norm == pytest.approx(1.0, rel=1e-12)
 
 
@@ -138,24 +137,97 @@ def per_edge_bracket(h, ints):
     return sums, powered, min(ratios), max(ratios)
 
 
-def test_grouped_edge_sums_match_per_edge_products():
-    """Seeded hypergraphs of rank 2, 3 and 4 on scattered labels, each with
-    one vertex in no edge (sum 0), at entries of 1 to 700 bits."""
-    rng = random.Random(20261018)
-    checked = 0
+def random_hypergraphs(rng):
+    """Eight hypergraphs of each rank 2, 3 and 4 on scattered labels, each
+    with its first label in no edge."""
     for rank in (2, 3, 4):
         for _ in range(8):
             nv = rng.randint(rank + 2, 12)
             labels = rng.sample(range(1000), nv)
             pool = list(itertools.combinations(sorted(labels[1:]), rank))
-            h = Hypergraph(rank, labels, rng.sample(pool, rng.randint(1, len(pool))))
-            for bits in (1, 2, 64, 700):
-                ints = [rng.randint(1, 2 ** bits) for _ in range(nv)]
-                got = spectral._exact_bracket(h, ints)
-                assert got == per_edge_bracket(h, ints)
-                assert got[0][h.vertices.index(labels[0])] == 0
-                checked += 1
+            yield labels[0], Hypergraph(rank, labels, rng.sample(pool, rng.randint(1, len(pool))))
+
+
+def test_grouped_edge_sums_match_per_edge_products():
+    """Seeded hypergraphs of rank 2, 3 and 4 on scattered labels, each with
+    one vertex in no edge (sum 0), at entries of 1 to 700 bits."""
+    rng = random.Random(20261018)
+    checked = 0
+    for isolated, h in random_hypergraphs(rng):
+        for bits in (1, 2, 64, 700):
+            ints = [rng.randint(1, 2 ** bits) for _ in h.vertices]
+            got = spectral._exact_bracket(h, ints)
+            assert got == per_edge_bracket(h, ints)
+            assert got[0][h.vertices.index(isolated)] == 0
+            checked += 1
     assert checked == 96
+
+
+def test_tensor_apply_matches_per_edge_products():
+    """Float entries that are small integers keep every product and sum
+    exact, so the grouped float sums equal the per-edge integer oracle."""
+    rng = random.Random(7)
+    for _, h in random_hypergraphs(rng):
+        ints = [rng.randint(1, 1 << 10) for _ in h.vertices]
+        assert tensor_apply(h, [float(t) for t in ints]) == per_edge_bracket(h, ints)[0]
+
+
+def per_edge_jacobian(h, x, value):
+    """The Newton Jacobian summed edge by edge: dS_p/dx_q adds, for each edge
+    at p and q, the product of its other entries; then the lambda terms and
+    the norm row."""
+    index = {v: i for i, v in enumerate(h.vertices)}
+    m, nv = h.rank, len(x)
+    jac = [[0.0] * (nv + 1) for _ in range(nv + 1)]
+    for row in ([index[v] for v in e] for e in h.edges):
+        for p, q in itertools.permutations(row, 2):
+            jac[p][q] += math.prod(x[u] for u in row if u not in (p, q))
+    for p in range(nv):
+        jac[p][p] -= (m - 1) * value * x[p] ** (m - 2)
+        jac[p][nv] = -x[p] ** (m - 1)
+        jac[nv][p] = x[p] ** (m - 1)
+    return jac
+
+
+def test_grouped_jacobian_matches_per_edge_oracle():
+    """Entries k/8 with k <= 16 keep every float product and sum exact, so
+    the Jacobian differentiated from the `_links` groups must equal the
+    per-edge one entry for entry, at ranks 2, 3 and 4."""
+    rng = random.Random(3)
+    for _, h in random_hypergraphs(rng):
+        x = [rng.randint(1, 16) / 8 for _ in h.vertices]
+        value = rng.randint(1, 64) / 4
+        assert spectral._jacobian(h, x, value) == per_edge_jacobian(h, x, value)
+
+
+def fraction_solve(matrix, rhs):
+    """Gauss-Jordan elimination in exact rationals: the oracle of the LU solve."""
+    size = len(rhs)
+    rows = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for k in range(size):
+        p = next(i for i in range(k, size) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(size):
+            if i != k and rows[i][k]:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return [rows[i][size] / rows[i][i] for i in range(size)]
+
+
+def test_lu_solve_matches_exact_elimination():
+    rng = random.Random(11)
+    systems = [([[rng.uniform(-1.0, 1.0) for _ in range(size)] for _ in range(size)],
+                [rng.uniform(-1.0, 1.0) for _ in range(size)])
+               for size in (1, 2, 3, 8, 17) for _ in range(4)]
+    # a zero leading pivot: elimination without row exchanges divides by 0
+    systems.append(([[0.0, 2.0, 1.0], [3.0, 1.0, 0.0], [1.0, 0.0, 4.0]], [1.0, 2.0, 3.0]))
+    for matrix, rhs in systems:
+        exact = fraction_solve(matrix, rhs)
+        got = spectral._lu_solve(spectral._lu_factor([row[:] for row in matrix]), rhs)
+        tol = 1e-9 * float(max(map(abs, exact)))
+        assert all(abs(g - float(e)) <= tol for g, e in zip(got, exact))
+    with pytest.raises(ValueError, match="singular"):
+        spectral._lu_factor([[1.0, 2.0], [2.0, 4.0]])
 
 
 def test_refined_eigenvector_certifies_tighter():
@@ -175,16 +247,29 @@ def test_refined_eigenvector_certifies_tighter():
         refined_eigenvector(h, start=[1.0] * 8 + [0.0], width=Fraction(1, 1 << 128))
 
 
-def test_refinement_step_adds_exactly_step_bits():
+def test_refinement_step_adds_exactly_step_bits(monkeypatch):
     """Entries at denominator 2^B are carried at B bits, so each kept step
-    adds _STEP_BITS and nothing more, on every call."""
+    adds _STEP_BITS and nothing more, on every call.  The working integers
+    are read where the exact kernel receives them, because the returned
+    fractions are reduced and a correction may end in zero bits."""
     h = family_hypergraph(FamilySpec("X", 3))
     pair = principal_eigenpair(h)
     vec, _, lo, hi = refined_eigenvector(h, start=pair.vector, width=Fraction(1, 1 << 128))
+    seen = []
+    kernel = spectral._exact_bracket
+
+    def recording(hypergraph, ints):
+        seen.append(list(ints))
+        return kernel(hypergraph, ints)
+
+    monkeypatch.setattr(spectral, "_exact_bracket", recording)
     more, steps, _, _ = refined_eigenvector(h, start=vec, width=(hi - lo) / 2)
     assert steps == 1
     bits = max(t.denominator.bit_length() - 1 for t in vec)
-    assert max(t.denominator.bit_length() - 1 for t in more) == bits + 50
+    start, kept = seen[:2]
+    assert start == [t * 2 ** bits for t in vec]
+    assert any(a % 2 for a in start)      # no scale below 2^bits holds vec
+    assert kept == [t * 2 ** (bits + spectral._STEP_BITS) for t in more]
 
 
 def test_solver_rejects_disconnected():
@@ -207,23 +292,22 @@ def test_seeded_start_converges_to_same_pair():
     base = principal_eigenpair(h)
     jitter = principal_eigenpair(h, seed=11)
     assert base.value == pytest.approx(jitter.value, abs=1e-11)
-    assert np.allclose(base.vector, jitter.vector, atol=1e-9)
+    assert base.vector == pytest.approx(jitter.vector, abs=1e-9)
 
 
 def test_residual_at():
     h = cycle8()
     pair = principal_eigenpair(h)
     v = pair.vector
-    defect = float(np.max(np.abs(tensor_apply(h, v) - pair.value * v ** 2)))
+    defect = max(abs(s - pair.value * t ** 2) for s, t in zip(tensor_apply(h, v), v))
     assert pair.residual == pytest.approx(defect, abs=1e-15)
-    ones = np.ones(8)
-    at_ones = float(np.max(np.abs(tensor_apply(h, ones) - 3.0 * ones ** 2)))
+    at_ones = max(abs(s - 3.0) for s in tensor_apply(h, [1.0] * 8))
     assert at_ones == pytest.approx(0.0, abs=1e-15)
 
 
 def test_vector_digest_deterministic():
     a = vector_digest([0.5, 0.25])
-    b = vector_digest(np.array([0.5, 0.25]))
+    b = vector_digest((Fraction(1, 2), 0.25))
     assert a == b
     assert len(a) == 64
     assert vector_digest([0.5, 0.2500001]) != a

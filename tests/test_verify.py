@@ -318,6 +318,24 @@ def test_main_theorem_judges_only_the_exact_certificate(monkeypatch):
     assert claim.params["refinement_bits"] > 64
 
 
+def test_main_theorem_factors_once_per_hypergraph(monkeypatch):
+    """One LU factorization per hypergraph, at its float eigenpair, serves
+    every Newton step of every refinement round."""
+    sizes = []
+    factor = spectral._lu_factor
+
+    def counting(matrix):
+        sizes.append(len(matrix))
+        return factor(matrix)
+
+    monkeypatch.setattr(spectral, "_lu_factor", counting)
+    claim = verify_main_theorem(5)
+    assert claim.passed, claim.detail
+    assert claim.params["refinement_iterations"] > 2
+    # X^5 and Y^5 have 33 vertices each, plus one row for lambda
+    assert sizes == [34, 34]
+
+
 def test_main_theorem_checks_the_predicted_gap(monkeypatch):
     """mu - lambda is at least the gap polynomial at the X^n eigenvector, and
     at n = 4 the bracket gap is only 1.09 times that, so a gap predicted
