@@ -9,11 +9,11 @@ stack into pass/fail claims.  `cli` exposes everything as subcommands.
 The package exports the names the README's library example uses; everything
 else is imported from its module, as in `from hypospec.iso import deck`.
 
-numpy is loaded only where a canonical search runs: `Hypergraph.positions`
-imports it when called, and `iso`, which imports it at module level, is
-imported on first use of `hypomorphic` (a module `__getattr__`).  So
-`import hypospec`, the whole claim suite, the float solver and every
-command but `deck` and `hypomorphic` run on the standard library alone.
+numpy is loaded only where a canonical search runs: `iso` imports it at
+module level, and `iso` is imported on first use of `hypomorphic` (a
+module `__getattr__`).  So `import hypospec`, the whole claim suite, the
+float solver and every command but `deck` and `hypomorphic` run on the
+standard library alone.
 """
 
 from .families import FamilySpec, family_hypergraph

@@ -7,12 +7,13 @@ files), verify (the full claim suite).
 
 compare takes --seed (0 starts the float solver from all-ones, as spectrum
 and verify always do); the solver's other settings are fixed, and the
-header line of spectrum and compare records them.
+header line of spectrum and compare records them.  spectrum --restarts N
+also runs the gradient oracle with N restarts; 0, the default, skips it.
 
 Exit codes: 0 success, 1 failed claim or failed comparison, 2 usage error
-(a malformed input file or an n past families.N_CAP is one) or a canonical
-search past iso.SEARCH_NODE_LIMIT nodes or past the depth the recursion
-limit allows.
+(a malformed input file, a negative --restarts or an n past families.N_CAP
+is one) or a canonical search past iso.SEARCH_NODE_LIMIT nodes or past the
+depth the recursion limit allows.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
 
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser("spectrum", help="principal eigenpair of a stored hypergraph")
     spectrum.add_argument("file")
     spectrum.add_argument("--restarts", type=int, default=0,
-                          help="also run the gradient oracle with this many restarts")
+                          help="also run the gradient oracle with this many restarts; 0 skips it")
     spectrum.add_argument("--format", choices=("text", "json"), default="text")
 
     compare = sub.add_parser("compare", help="certify the radius separation of the pair at n")
@@ -119,6 +120,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.restarts < 0:
+        raise ValueError(f"--restarts must be nonnegative, got {args.restarts}")
     hg = _load(args.file)
     started = time.perf_counter()
     pair = principal_eigenpair(hg)

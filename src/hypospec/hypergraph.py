@@ -12,18 +12,18 @@ Two serializations are supported: a plain text format
 
 with one sorted edge per line in lexicographic order, and the equivalent
 JSON object {"rank": m, "vertices": [...], "edges": [[...], ...]}.
+
+A hypergraph caches only its hash; `spectral` and `iso` build their own
+vertex-position tables, so this module runs on the standard library.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .polyalg import SparsePoly, monomial_key, monomial_text
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class NonSquarefreeError(ValueError):
@@ -64,10 +64,10 @@ class UnknownVertexError(KeyError):
 class Hypergraph:
     """Immutable uniform hypergraph with a deterministic edge order."""
 
-    # `_hash` and `_positions` are filled on first use.  Hashing the edge
-    # tuple costs milliseconds at n = 7, and the `lru_cache`s of `spectral`
-    # (`_links`, `is_connected`) look each hypergraph up many times.
-    __slots__ = ("rank", "vertices", "edges", "_hash", "_positions")
+    # `_hash` is filled on first use.  Hashing the edge tuple costs
+    # milliseconds at n = 7, and the `lru_cache`s of `spectral` (`_links`,
+    # `is_connected`) look each hypergraph up many times.
+    __slots__ = ("rank", "vertices", "edges", "_hash")
 
     def __init__(self, rank: int, vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> None:
         _check_rank(rank)
@@ -94,7 +94,6 @@ class Hypergraph:
         self.vertices = verts
         self.edges = ordered
         self._hash = None
-        self._positions = None
 
     @classmethod
     def _adopt(cls, rank: int, vertices: tuple[int, ...],
@@ -105,7 +104,7 @@ class Hypergraph:
         _check_rank(rank)
         hg = object.__new__(cls)
         hg.rank, hg.vertices, hg.edges = rank, vertices, edges
-        hg._hash = hg._positions = None
+        hg._hash = None
         return hg
 
     # -- basic protocol -----------------------------------------------------
@@ -130,24 +129,6 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Each edge's vertices as indices into `vertices`: a read-only int64
-        array of shape (num_edges, rank), one row per edge in edge order.
-        The canonical search of `iso` indexes by it; the spectral kernels
-        build their own table, so they never load numpy."""
-        if self._positions is None:
-            import numpy as np
-
-            # Labels are unbounded ints, so the index map is a dict, not a
-            # search in an int64 array.
-            index = {v: i for i, v in enumerate(self.vertices)}
-            flat = np.fromiter(map(index.__getitem__, chain.from_iterable(self.edges)),
-                               dtype=np.int64, count=len(self.edges) * self.rank)
-            flat.flags.writeable = False
-            self._positions = flat.reshape(len(self.edges), self.rank)
-        return self._positions
 
     def relabel(self, mapping: Mapping[int, int]) -> "Hypergraph":
         """Relabel vertices through an injective map covering every vertex."""

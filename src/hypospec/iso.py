@@ -38,6 +38,7 @@ positions, then the first card of each orbit.  That card's incidence comes
 from the parent's: the edges at the deleted position are masked out and
 the positions above it shift down by one, which gives exactly the arrays
 of the card built as a hypergraph, so the search returns the same bytes.
+The parent's incidence is built twice: in `canonical_form` and for the cards.
 The other cards of the orbit copy its code and |Aut|.  If g maps card v
 to card w, w's witness is u -> witness_v(g^-1(u)), an isomorphism of H - w
 onto the same canonical edges; it can differ from the witness a search on
@@ -63,6 +64,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -127,7 +129,12 @@ class _Incidence(NamedTuple):
 
 
 def _incidence(hypergraph: Hypergraph) -> _Incidence:
-    return _from_columns(np.ascontiguousarray(hypergraph.positions.T), hypergraph.num_vertices)
+    # labels are unbounded ints, so the index map is a dict
+    index = {v: i for i, v in enumerate(hypergraph.vertices)}
+    flat = np.fromiter(map(index.__getitem__, chain.from_iterable(hypergraph.edges)),
+                       dtype=np.int64, count=hypergraph.num_edges * hypergraph.rank)
+    return _from_columns(np.ascontiguousarray(flat.reshape(-1, hypergraph.rank).T),
+                         hypergraph.num_vertices)
 
 
 def _from_columns(columns: np.ndarray, n: int) -> _Incidence:

@@ -395,8 +395,10 @@ def oracle_radius(hypergraph: Hypergraph, *, restarts: int = 8, seed: int = 0) -
     or after 50,000 steps.  The gradient at x is S(x) = `_edge_sums`, as in
     the power iteration, and the objective is m * f(x) = <x, S(x)>.  The
     result is m * f at a unit-norm nonnegative point, so it never exceeds
-    lambda beyond rounding.
+    lambda beyond rounding.  Fewer than one restart is a ValueError.
     """
+    if restarts < 1:
+        raise ValueError(f"oracle_radius needs at least one restart, got {restarts}")
     if not is_connected(hypergraph):
         raise NotConnectedError("oracle_radius needs a connected hypergraph")
     m = hypergraph.rank

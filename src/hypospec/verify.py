@@ -10,7 +10,9 @@ fixed by a set of vertex permutations (the hypotheses "theta(x) = x,
 sigma_i(x) = x" of the statements), and the first nonzero difference is the
 failure's certificate.  Numeric claims carry certified Collatz-Wielandt
 brackets, recomputed in exact rational arithmetic before any verdict is
-drawn from them.
+drawn from them.  No verdict rests on a float tolerance: integer degrees
+and exact brackets decide `regular-cone`, so only `main-theorem` runs the
+float solver, for its start vectors.
 
 The sigma-induction claims restrict before they difference.  With phi the
 orbit map and h = g o phi, the difference (g - g o sigma_r) o phi equals
@@ -52,8 +54,8 @@ from .families import (FamilySpec, base_cycles, e_map, family_hypergraph,
                        q_map, sigma_endo, sigma_index, sigma_perm, theta_perm)
 from .hypergraph import Hypergraph
 from .polyalg import Endomorphism, SparsePoly, x
-from .spectral import (TOLERANCE, codegree, degree, jacobian_factors,
-                       principal_eigenpair, rational_bracket, refined_eigenvector)
+from .spectral import (TOLERANCE, codegree, jacobian_factors, principal_eigenpair,
+                       rational_bracket, refined_eigenvector)
 
 
 @dataclass
@@ -676,9 +678,11 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
 
 def cone_over(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -> Hypergraph:
     """Attach the apex, vertex 0, through the given (rank-1)-element links; the
-    apex must meet every base vertex in the same number of edges."""
+    apex must meet every base vertex in the same number of edges, at least one."""
     if 0 in set(base.vertices):
         raise ValueError("apex 0 already belongs to the base")
+    if not apex_links:
+        raise ValueError("apex 0 has no links, so it would be isolated from the base")
     counts = {v: 0 for v in base.vertices}
     edges = list(base.edges)
     for link in apex_links:
@@ -695,68 +699,68 @@ def cone_over(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -> Hypergra
     return Hypergraph(base.rank, (0,) + base.vertices, edges)
 
 
-def _positive_root(lam_g: float, gamma: int, target: float, m: int) -> float:
-    """Unique u > 0 with lam_g * u^{m-1} + gamma * u^m = target, by bisection."""
-    def fn(u: float) -> float:
-        return lam_g * u ** (m - 1) + gamma * u ** m - target
-    hi = 1.0
-    while fn(hi) < 0:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _root_bracket(d: int, gamma: int, apex_degree: int, m: int) -> tuple[Fraction, Fraction]:
+    """Dyadic u_lo < u_hi, 2^-64 apart, with p(u_lo) < 0 <= p(u_hi) for
+    p(u) = d u^(m-1) + gamma u^m - apex_degree, which increases on u > 0."""
+    def negative(u: Fraction) -> bool:
+        return d * u ** (m - 1) + gamma * u ** m < apex_degree
+    lo, hi = Fraction(0), Fraction(1)
+    while negative(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > Fraction(1, 2 ** 64):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if negative(mid) else (lo, mid)
+    return lo, hi
 
 
 @_timed
 def verify_regular_cone(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -> Claim:
-    """Check the cone equivalences: over a regular base the principal vector
-    is constant on the base and the apex ratio solves the scalar root
-    equation; over a non-regular base both constancy statements fail."""
+    """Decide the cone equivalences exactly: over a regular base the principal
+    vector is constant on the base, with apex entry u the positive root of
+    d u^(m-1) + gamma u^m = D against 1 on the base; over a non-regular base
+    both constancy statements fail.  d_j are the base degrees, gamma >= 1 the
+    apex codegree and D the apex degree.  At (u, 1, ..., 1) over a d-regular
+    base the apex ratio is D / u^(m-1) and every base ratio d + gamma u, so
+    the cone brackets at both ends of a 2^-64 root bracket check the
+    equitable partition and enclose lambda.  A positive eigenvector of a
+    connected nonnegative tensor is the principal one (Friedland, Gaubert &
+    Han, LAA 2013)."""
     cone = cone_over(base, apex_links)
+    m, apex_degree = cone.rank, len(apex_links)
     gamma = codegree(cone, 0, base.vertices[0])
-    degrees = {degree(base, v) for v in base.vertices}
-    regular = len(degrees) == 1
-    pair_base = principal_eigenpair(base)
-    pair_cone = principal_eigenpair(cone)
-    base_entries = [pair_cone.entry(v) for v in base.vertices]
-    spread_cone = max(base_entries) - min(base_entries)
-    spread_base = max(pair_base.vector) - min(pair_base.vector)
-    params = {
-        "base_vertices": base.num_vertices, "base_edges": base.num_edges,
-        "regular_base": regular, "apex_codegree": gamma,
-        "cone_base_spread": spread_cone, "base_vector_spread": spread_base,
-    }
-    problems = []
-    if regular:
-        if spread_cone >= 1e-9:
-            problems.append(f"cone vector not constant on the regular base: spread {spread_cone:.3e}")
-        if spread_base >= 1e-9:
-            problems.append(f"regular base vector not constant: spread {spread_base:.3e}")
-        root = _positive_root(pair_base.value, gamma, degree(cone, 0), cone.rank)
-        ratio = pair_cone.entry(0) / (sum(base_entries) / len(base_entries))
-        params["scalar_root"] = root
-        params["apex_ratio"] = ratio
-        if abs(root - ratio) >= 1e-8:
-            problems.append(f"scalar root {root:.12g} differs from apex ratio {ratio:.12g}")
-    else:
-        if spread_cone <= 1e-6:
-            problems.append(f"cone vector unexpectedly constant on a non-regular base:"
-                            f" spread {spread_cone:.3e}")
-        if spread_base <= 1e-6:
-            problems.append(f"non-regular base vector unexpectedly constant: spread {spread_base:.3e}")
-    for tag, pair in (("base", pair_base), ("cone", pair_cone)):
-        if not pair.converged:
-            problems.append(f"{tag} solver did not converge: {pair.message}")
-    if problems:
-        return Claim("regular-cone", params, "numeric", False, "; ".join(problems))
+    table = _edge_degrees(base)
+    d, d_max = min(table[v] for v in base.vertices), max(table[v] for v in base.vertices)
+    params = {"base_vertices": base.num_vertices, "base_edges": base.num_edges,
+              "regular_base": d == d_max, "apex_codegree": gamma, "apex_degree": apex_degree,
+              "base_degrees": [d, d_max]}
+    ones = [1] * base.num_vertices
+    base_lo, base_hi, _ = rational_bracket(base, ones)
+    if (base_lo, base_hi) != (d, d_max):
+        return Claim("regular-cone", params, "numeric", False,
+                     f"base bracket at all-ones is [{base_lo}, {base_hi}], but the degrees "
+                     f"run from {d} to {d_max}")
+    if d < d_max:
+        return Claim("regular-cone", params, "numeric", True,
+                     f"base degrees run from {d} to {d_max}, so A 1 is not a multiple of 1 "
+                     f"and no eigenvector of the base or the cone is constant on the base")
+    u_lo, u_hi = _root_bracket(d, gamma, apex_degree, m)
+    params.update(u_lo=float(u_lo), u_hi=float(u_hi))
+    # p(u_lo) < 0 <= p(u_hi) orders the base and apex ratios at each end
+    at_lo = (d + gamma * u_lo, apex_degree / u_lo ** (m - 1))
+    at_hi = (apex_degree / u_hi ** (m - 1), d + gamma * u_hi)
+    for u, expected in ((u_lo, at_lo), (u_hi, at_hi)):
+        got = rational_bracket(cone, [u] + ones)[:2]
+        if got != expected:
+            return Claim("regular-cone", params, "numeric", False,
+                         f"cone bracket at (u, 1, ..., 1), u = {float(u)}, is {list(map(float, got))}, "
+                         f"not the quotient's {list(map(float, expected))}")
+    lam_lo, lam_hi = max(at_lo[0], at_hi[0]), min(at_lo[1], at_hi[1])
+    params.update(lambda_lo=float(lam_lo), lambda_hi=float(lam_hi))
     return Claim("regular-cone", params, "numeric", True,
-                 "regular base: constant base entries and matching scalar root" if regular
-                 else "non-regular base: both constancy statements fail as expected")
+                 f"the base is {d}-regular and the apex codegree is {gamma}, so (u, 1, ..., 1) "
+                 f"with {d} u^{m - 1} + {gamma} u^{m} = {apex_degree} is a positive eigenvector, "
+                 f"hence the principal one, with u in [{float(u_lo)}, {float(u_hi)}] and "
+                 f"lambda in [{float(lam_lo)}, {float(lam_hi)}]")
 
 
 def standard_cone_samples() -> list[tuple[Hypergraph, list[tuple[int, ...]]]]:

@@ -25,6 +25,7 @@ from hypospec.spectral import (
     principal_eigenpair,
 )
 from hypospec.verify import (
+    cone_over,
     standard_cone_samples,
     verify_identity_suite,
     verify_main_theorem,
@@ -199,7 +200,9 @@ def test_criterion_7_hypomorphic_but_not_isomorphic():
 def test_criterion_8_cone_structure():
     """Over a regular base the cone vector is constant on the base and the
     apex ratio solves the scalar equation; over the skew base both constancy
-    statements fail."""
+    statements fail.  The claim decides both from integer degrees and exact
+    brackets, and the float solver on the regular cone lands inside its
+    lambda bracket with the apex ratio inside its root bracket."""
     problems = []
     regular_sample, skew_sample = standard_cone_samples()
     regular = verify_regular_cone(*regular_sample)
@@ -207,13 +210,23 @@ def test_criterion_8_cone_structure():
     for tag, claim in (("regular", regular), ("skew", skew)):
         if not claim.passed:
             problems.append(f"{tag}: {claim.detail}")
-    if regular.params["cone_base_spread"] >= 1e-9:
-        problems.append(f"regular cone spread {regular.params['cone_base_spread']:.3e}")
-    if abs(regular.params["scalar_root"] - regular.params["apex_ratio"]) >= 1e-8:
-        problems.append("scalar root does not match the apex ratio")
-    if skew.params["cone_base_spread"] <= 1e-6:
-        problems.append(f"skew cone spread {skew.params['cone_base_spread']:.3e}")
-    report("criterion-8", problems, "cone constancy and scalar root as stated")
+    p = regular.params
+    if (p["base_degrees"], p["apex_codegree"], p["apex_degree"]) != ([3, 3], 2, 8):
+        problems.append(f"regular sample read as degrees {p['base_degrees']}, "
+                        f"codegree {p['apex_codegree']}, apex degree {p['apex_degree']}")
+    pair = principal_eigenpair(cone_over(*regular_sample))
+    entries = [pair.entry(v) for v in regular_sample[0].vertices]
+    ratio = pair.entry(0) / entries[0]
+    if max(entries) - min(entries) >= 1e-9:
+        problems.append(f"float cone vector spread {max(entries) - min(entries):.3e}")
+    if not p["u_lo"] - 1e-8 <= ratio <= p["u_hi"] + 1e-8:
+        problems.append(f"float apex ratio {ratio!r} outside [{p['u_lo']!r}, {p['u_hi']!r}]")
+    if not p["lambda_lo"] - 1e-9 <= pair.value <= p["lambda_hi"] + 1e-9:
+        problems.append(f"float lambda {pair.value!r} outside "
+                        f"[{p['lambda_lo']!r}, {p['lambda_hi']!r}]")
+    if skew.params["base_degrees"] != [7, 8] or "u_lo" in skew.params:
+        problems.append(f"skew sample params {skew.params}")
+    report("criterion-8", problems, "cone constancy and scalar root decided exactly")
 
 
 def random_poly(rng: random.Random, nvars: int = 5) -> SparsePoly:

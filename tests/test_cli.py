@@ -89,6 +89,13 @@ def test_spectrum_json_with_oracle(x3_file, capsys):
     assert record["lambda_lo"] <= record["oracle"] <= record["lambda_hi"] + 1e-8
 
 
+def test_spectrum_rejects_negative_restarts(x3_file, capsys):
+    assert main(["spectrum", x3_file, "--restarts", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --restarts must be nonnegative, got -5\n"
+
+
 def test_spectrum_missing_file(capsys):
     assert main(["spectrum", "/nonexistent/path.hg"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -23,20 +23,6 @@ def test_basic_counts_and_normalization():
     assert hash(h) == hash(small())
 
 
-def test_positions_index_the_vertex_tuple():
-    h = Hypergraph(3, [900, 7, 41, 12, 5000], [(900, 7, 41), (5000, 41, 7), (12, 900, 5000)])
-    index = {v: i for i, v in enumerate(h.vertices)}
-    positions = h.positions
-    assert positions.tolist() == [[index[v] for v in e] for e in h.edges]
-    assert positions.shape == (3, 3)
-    assert h.positions is positions
-    with pytest.raises(ValueError):
-        positions[0, 0] = 1
-    isolated = Hypergraph(3, [3, 8, 20, 61], [(3, 20, 61)])  # 8 is in no edge
-    assert isolated.positions.tolist() == [[0, 2, 3]]
-    assert Hypergraph(3, [4, 9], []).positions.shape == (0, 3)
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         Hypergraph(1, (0, 1), [(0, 1)])

@@ -477,6 +477,19 @@ def test_every_deck_witness_is_an_isomorphism(h):
         assert sorted(tuple(sorted(cf.witness[u] for u in e)) for e in card.edges) == list(cf.edges)
 
 
+def test_incidence_columns_index_the_vertex_tuple():
+    """columns[j, e] is the position in `vertices` of edge e's j-th vertex:
+    scattered labels, an isolated vertex, and no edges."""
+    h = Hypergraph(3, [900, 7, 41, 12, 5000], [(900, 7, 41), (5000, 41, 7), (12, 900, 5000)])
+    index = {v: i for i, v in enumerate(h.vertices)}
+    columns = iso._incidence(h).columns
+    assert columns.T.tolist() == [[index[v] for v in e] for e in h.edges]
+    assert columns.shape == (3, 3)
+    isolated = Hypergraph(3, [3, 8, 20, 61], [(3, 20, 61)])  # 8 is in no edge
+    assert iso._incidence(isolated).columns.tolist() == [[0], [2], [3]]
+    assert iso._incidence(Hypergraph(3, [4, 9], [])).columns.shape == (3, 0)
+
+
 def test_card_incidence_matches_the_deleted_card():
     """The first vertex, the last, and isolated ones: an added last vertex in
     no edge, and on the path the vertex 0 that no edge meets."""

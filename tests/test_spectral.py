@@ -287,6 +287,14 @@ def test_solver_matches_oracle_small():
         assert pair.value == pytest.approx(other, rel=1e-8)
 
 
+def test_oracle_needs_a_restart():
+    """No restart would leave 0.0 as the "radius" of X^3, where lambda is 9.37."""
+    h = family_hypergraph(FamilySpec("X", 3))
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="at least one restart"):
+            oracle_radius(h, restarts=restarts)
+
+
 def test_seeded_start_converges_to_same_pair():
     h = family_hypergraph(FamilySpec("Y", 3))
     base = principal_eigenpair(h)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -382,6 +383,8 @@ def test_cone_over_validation():
         cone_over(base, [(1, 99)])  # link leaves the vertex set
     with pytest.raises(ValueError):
         cone_over(base, [(1, 2)])  # apex codegree not constant
+    with pytest.raises(ValueError, match="apex 0"):
+        cone_over(base, [])  # isolated apex, a disconnected cone
 
 
 def test_regular_cone_claims():
@@ -390,6 +393,68 @@ def test_regular_cone_claims():
     claim_skew = verify_regular_cone(*skew)
     assert claim_regular.passed and claim_regular.params["regular_base"]
     assert claim_skew.passed and not claim_skew.params["regular_base"]
+    p = claim_regular.params
+    assert (p["base_degrees"], p["apex_codegree"], p["apex_degree"]) == ([3, 3], 2, 8)
+    u_lo, u_hi = verify._root_bracket(3, 2, 8, 3)
+    assert (p["u_lo"], p["u_hi"]) == (float(u_lo), float(u_hi))
+    assert p["lambda_lo"] == p["lambda_hi"] == float(3 + 2 * u_lo)
+    assert claim_skew.params["base_degrees"] == [7, 8]
+    assert not {"u_lo", "u_hi", "lambda_lo", "lambda_hi"} & claim_skew.params.keys()
+
+
+@pytest.mark.parametrize("d, gamma, apex_degree, m", [
+    (3, 2, 8, 3), (7, 2, 8, 3), (0, 1, 5, 3), (2, 3, 1, 4), (1, 1, 2, 3),
+])
+def test_root_bracket_straddles_the_root(d, gamma, apex_degree, m):
+    """Dyadic ends 2^-64 apart with p(u_lo) < 0 <= p(u_hi); (1, 1, 2, 3) has
+    the dyadic root u = 1, which lands on u_hi."""
+    u_lo, u_hi = verify._root_bracket(d, gamma, apex_degree, m)
+
+    def p(u):
+        return d * u ** (m - 1) + gamma * u ** m - apex_degree
+
+    assert 0 < u_lo and u_hi - u_lo == Fraction(1, 2 ** 64)
+    assert all(u.denominator & (u.denominator - 1) == 0 for u in (u_lo, u_hi))
+    assert p(u_lo) < 0 <= p(u_hi)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_regular_cone_fails_on_a_root_bracket_that_misses(shift, monkeypatch):
+    """Gamma off by one in p brackets another root, and the cone brackets at
+    its ends no longer order the two quotient ratios as p's signs claim."""
+    bracket = verify._root_bracket
+    monkeypatch.setattr(verify, "_root_bracket",
+                        lambda d, gamma, apex, m: bracket(d, gamma + shift, apex, m))
+    claim = verify_regular_cone(*standard_cone_samples()[0])
+    assert not claim.passed
+    assert claim.detail.startswith("cone bracket at (u, 1, ..., 1)")
+
+
+@pytest.mark.parametrize("sample, planted", [
+    (1, lambda h: Counter(dict.fromkeys(h.vertices, 7))),
+    (0, lambda h: Counter({**dict.fromkeys(h.vertices, 3), h.vertices[0]: 4})),
+], ids=["skew-called-regular", "regular-called-skew"])
+def test_regular_cone_fails_on_a_wrong_degree_table(sample, planted, monkeypatch):
+    """A table that calls the skew base 7-regular, or one that gives the
+    regular base a vertex of degree 4, disagrees with the exact base bracket."""
+    monkeypatch.setattr(verify, "_edge_degrees", planted)
+    claim = verify_regular_cone(*standard_cone_samples()[sample])
+    assert not claim.passed
+    assert claim.detail.startswith("base bracket at all-ones")
+
+
+def test_run_suite_solves_floats_only_for_the_main_theorem(monkeypatch):
+    calls = []
+    solve = verify.principal_eigenpair
+
+    def counting(hypergraph, **kwargs):
+        calls.append(hypergraph.num_vertices)
+        return solve(hypergraph, **kwargs)
+
+    monkeypatch.setattr(verify, "principal_eigenpair", counting)
+    claims = run_suite([3])
+    assert all(c.passed for c in claims)
+    assert calls == [9, 9]
 
 
 def test_run_suite_exact_only():
