@@ -11,9 +11,9 @@ header line of spectrum and compare records them.  spectrum --restarts N
 also runs the gradient oracle with N restarts; 0, the default, skips it.
 
 Exit codes: 0 success, 1 failed claim or failed comparison, 2 usage error
-(a malformed input file, a negative --restarts or an n past families.N_CAP
-is one) or a canonical search past iso.SEARCH_NODE_LIMIT nodes or past the
-depth the recursion limit allows.
+(a malformed input file, a negative --restarts, or an n past families.N_CAP,
+or past NUMERIC_N_CAP for a numeric claim) or a canonical search past
+iso.SEARCH_NODE_LIMIT nodes or past the depth the recursion limit allows.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
 

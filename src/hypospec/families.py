@@ -33,6 +33,11 @@ FAMILY_TAGS = ("C3", "D3", "G", "H", "T", "Gamma", "M0", "M1", "X", "Y")
 # would need about 11 GB.  FamilySpec refuses n past this cap.
 N_CAP = 9
 
+# The certificate of mu > lambda separates X^8 and Y^8 at 3450 bits; n = 9
+# would need about 7,800 (extrapolated from the gaps at n = 3..8), past
+# spectral.MAX_REFINEMENT_BITS = 4096.  The numeric claims refuse n past this.
+NUMERIC_N_CAP = 8
+
 Permutation = dict[int, int]
 
 

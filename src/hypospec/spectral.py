@@ -9,15 +9,15 @@ eigenpair is positive and unique up to scale, and for any positive vector the
 componentwise ratios give certified lower and upper bounds on lambda
 (Collatz-Wielandt).  The solver is a shifted power iteration driven by those
 brackets.  One integer kernel computes every exact bracket: `rational_bracket`
-at any positive vector, and `refined_eigenvector` at each integer dyadic
-vector its Newton steps reach.
+at any positive vector, and `newton_steps` at its start and at each integer
+dyadic vector it keeps.
 
 Every kernel walks one table, `_links`: the edges at a vertex grouped by all
 their other members but the last, so each group costs one product of the
 shared members times the sum of the last ones, not one product per edge.
 `_edge_sums` applies it to ints for the exact brackets and to floats for the
-power iteration; `jacobian_factors` differentiates it once per hypergraph for
-the Newton stage, whose float64 corrections are solved against that one LU
+power iteration; `_jacobian` differentiates it once per Newton run, at its
+start, and every float64 correction of the run is solved against that one LU
 factorization.  `oracle_radius` is a second route: projected gradient ascent
 of the generating polynomial f on the nonnegative unit m-norm sphere.  m * f
 is at most lambda at every such point and equals it at the maximum (Euler
@@ -211,13 +211,10 @@ def rational_bracket(hypergraph: Hypergraph, values
 
 # -- Newton stage ------------------------------------------------------------------
 
-# LU factors of a square float matrix: the rows, with U on and above the
-# diagonal and L's unit-diagonal multipliers below it, and the row order.
-LUFactors = tuple[list[list[float]], list[int]]
-
-
-def _lu_factor(matrix: list[list[float]]) -> LUFactors:
-    """LU factorization with partial pivoting, in place on `matrix`'s rows."""
+def _lu_factor(matrix: list[list[float]]) -> tuple[list[list[float]], list[int]]:
+    """LU factorization with partial pivoting, in place on `matrix`'s rows:
+    the rows, with U on and above the diagonal and L's unit-diagonal
+    multipliers below it, and the row order."""
     size = len(matrix)
     order = list(range(size))
     for k in range(size):
@@ -235,7 +232,8 @@ def _lu_factor(matrix: list[list[float]]) -> LUFactors:
     return matrix, order
 
 
-def _lu_solve(factors: LUFactors, rhs: Sequence[float]) -> list[float]:
+def _lu_solve(factors: tuple[list[list[float]], list[int]], rhs: Sequence[float]
+              ) -> list[float]:
     """x with A x = rhs, from the LU factors of A."""
     rows, order = factors
     y = [rhs[i] for i in order]
@@ -277,36 +275,23 @@ def _jacobian(hypergraph: Hypergraph, vector: Sequence[float], value: float
     return jac
 
 
-def jacobian_factors(hypergraph: Hypergraph, vector: Sequence[float], value: float
-                     ) -> LUFactors:
-    """LU factors of the Newton Jacobian at a float eigenpair estimate, for
-    every step of `refined_eigenvector`; the vector is in vertex order."""
-    return _lu_factor(_jacobian(hypergraph, vector, value))
-
-
 # Each Newton step carries the vector this many more bits; refinement stops
 # before the working precision would pass MAX_REFINEMENT_BITS.
 _STEP_BITS = 50
 MAX_REFINEMENT_BITS = 4096
 
 
-def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction,
-                        factors: LUFactors | None = None
-                        ) -> tuple[list[Fraction], int, Fraction, Fraction]:
+def newton_steps(hypergraph: Hypergraph, start):
     """Newton refinement of a positive vector toward the principal eigenvector.
 
     Mixed-precision iterative refinement: the vector is held as a / 2^B in
-    Python ints, the residual A x^{m-1} - lam x^{[m-1]} of the eigen equation
-    is exact and only then rounded, and the correction is solved in float64
-    against one fixed Jacobian factorization and added back with B grown by
-    _STEP_BITS.  `factors` is that factorization, from `jacobian_factors`
-    near the eigenpair; without it the call factors at its own start.
-    Steps go on until the exact Collatz-Wielandt width is at most `width`; a
-    step that does not narrow the bracket or leaves the positive cone ends
-    the refinement, and so does reaching MAX_REFINEMENT_BITS.  Returns
-    (entries, steps, lo, hi): the exact dyadic entries of the best vector
-    reached, the number of steps kept, and the exact bracket of those
-    entries, equal to rational_bracket's (lo, hi).
+    Python ints, the residual A x^{m-1} - lam x^{[m-1]} is exact and only
+    then rounded, and the correction is solved in float64 against one LU
+    factorization of the Jacobian at the start and added with B grown by
+    _STEP_BITS.  Yields (a, B, lo, hi), with the exact bracket of a, at the
+    start and after each kept step; returns when a step does not narrow the
+    bracket or leaves the positive cone, or before B would pass
+    MAX_REFINEMENT_BITS.
     """
     if not is_connected(hypergraph):
         raise NotConnectedError("principal eigenpair needs a connected hypergraph")
@@ -318,12 +303,11 @@ def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction,
     # Rayleigh quotient <x, A x^{m-1}> / <x, x^{[m-1]}>, at scale 2^bits
     lam = ((sum(s * t for s, t in zip(sums, ints)) << bits)
            // sum(p * t for p, t in zip(powered, ints)))
-    if factors is None:
-        factors = jacobian_factors(hypergraph, [t / (1 << bits) for t in ints],
-                                   lam / (1 << bits))
+    factors = _lu_factor(_jacobian(hypergraph, [t / (1 << bits) for t in ints],
+                                   lam / (1 << bits)))
     lift = float(1 << _STEP_BITS)
-    steps = 0
-    while hi - lo > width and bits + _STEP_BITS <= MAX_REFINEMENT_BITS:
+    yield ints, bits, lo, hi
+    while bits + _STEP_BITS <= MAX_REFINEMENT_BITS:
         # the residual at (a / 2^bits, lam / 2^bits), times 2^bits, so the
         # solve returns the correction times 2^bits
         scale = 1 << (bits * (hypergraph.rank - 1))
@@ -331,14 +315,24 @@ def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction,
         step = _lu_solve(factors, rhs + [0.0])
         trial = [(a << _STEP_BITS) + round(d * lift) for a, d in zip(ints, step)]
         if min(trial) <= 0:
-            break
-        trial_sums, trial_powered, trial_lo, trial_hi = _exact_bracket(hypergraph, trial)
-        if trial_hi - trial_lo >= hi - lo:
-            break
-        ints, sums, powered, lo, hi = trial, trial_sums, trial_powered, trial_lo, trial_hi
+            return
+        bracket = _exact_bracket(hypergraph, trial)
+        if bracket[3] - bracket[2] >= hi - lo:
+            return
+        ints, (sums, powered, lo, hi) = trial, bracket
         lam = (lam << _STEP_BITS) + round(step[-1] * lift)
         bits += _STEP_BITS
-        steps += 1
+        yield ints, bits, lo, hi
+
+
+def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction
+                        ) -> tuple[list[Fraction], int, Fraction, Fraction]:
+    """`newton_steps` from `start` until the exact bracket is at most `width`
+    wide or the steps end.  Returns (entries, steps, lo, hi): the last vector's
+    exact dyadic entries, the steps kept, and rational_bracket's (lo, hi) there."""
+    for steps, (ints, bits, lo, hi) in enumerate(newton_steps(hypergraph, start)):
+        if hi - lo <= width:
+            break
     return [Fraction(t, 1 << bits) for t in ints], steps, lo, hi
 
 

@@ -46,16 +46,16 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from typing import Callable, Iterable, Sequence
 
-from .families import (FamilySpec, base_cycles, e_map, family_hypergraph,
+from .families import (NUMERIC_N_CAP, FamilySpec, base_cycles, e_map, family_hypergraph,
                        family_poly, mod_v, orbit_substitution, p_eps, p_map,
                        q_map, sigma_endo, sigma_index, sigma_perm, theta_perm)
 from .hypergraph import Hypergraph
 from .polyalg import Endomorphism, SparsePoly, x
-from .spectral import (TOLERANCE, codegree, jacobian_factors, principal_eigenpair,
-                       rational_bracket, refined_eigenvector)
+from .spectral import (TOLERANCE, codegree, newton_steps, principal_eigenpair,
+                       rational_bracket)
 
 
 @dataclass
@@ -580,6 +580,11 @@ def verify_identity_suite(n: int) -> list[Claim]:
 # -- numeric claims --------------------------------------------------------------
 
 
+def _check_numeric_n(n: int) -> None:
+    if n > NUMERIC_N_CAP:
+        raise ValueError(f"n = {n} exceeds NUMERIC_N_CAP = {NUMERIC_N_CAP} of the numeric claims")
+
+
 def _pair_gap(x: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
     """E_2(x_1 - x_3) and 3 x_0 (E_2(x_1 - x_3))^2 / sum x_i^3 at x on vertices 0..2^n."""
     e2_diff = sum(x[1::4]) - sum(x[3::4])
@@ -596,12 +601,12 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     (about 1e-8 at n = 3, 2e-25 at n = 4, 2e-68 at n = 5), so both float
     vectors are Newton-refined in exact dyadic arithmetic until the brackets
     separate with each width below 2^-64 of the gap; the printed values then
-    no longer depend on the float start.  Each hypergraph's Newton Jacobian
-    is factored once, at its float eigenpair, and every round reuses it.
-
-    Refinement returns the exact bracket of each vector it keeps, which
-    steers the rounds; then one rational_bracket per hypergraph is the
-    certificate of record, the only source of lo, hi and the residual.
+    no longer depend on the float start.  Each hypergraph has one
+    `newton_steps` run from its float vector, and the loop steps the run
+    whose bracket is wider until they separate that far or that run ends;
+    then one rational_bracket per hypergraph is the certificate of record,
+    the only source of lo, hi and the residual.  An n past NUMERIC_N_CAP is
+    a ValueError before any work.
     Passes iff mu_lo > lambda_hi exactly, both exact residuals are below
     TOLERANCE, and g = 3 x_0 (E_2(x_1 - x_3))^2 / sum x_i^3 at the X^n
     eigenvector x is positive and at most mu_hi - lambda_lo: the variational
@@ -614,30 +619,22 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     holds its 17 significant digits taken from the exact value, and the
     detail prints every exact value the same way.
     """
+    _check_numeric_n(n)
     hx = family_hypergraph(FamilySpec("X", n))
     hy = family_hypergraph(FamilySpec("Y", n))
     pair_x = principal_eigenpair(hx, seed=seed)
     pair_y = principal_eigenpair(hy, seed=seed)
-    vec_x = [Fraction(t) for t in pair_x.vector]
-    vec_y = [Fraction(t) for t in pair_y.vector]
-    x_lo, x_hi, _ = rational_bracket(hx, vec_x)
-    y_lo, y_hi, _ = rational_bracket(hy, vec_y)
-    factors_x = jacobian_factors(hx, pair_x.vector, pair_x.value)
-    factors_y = jacobian_factors(hy, pair_y.vector, pair_y.value)
-    steps = 0
-    # The gap is unknown until the brackets separate, so until then each
-    # round asks for about two Newton steps (100 bits); once they separate,
-    # one more round makes both widths smaller than 2^-65 of the gap.
-    while y_lo - x_hi <= max(x_hi - x_lo, y_hi - y_lo) * 2 ** 64:
-        gap = y_lo - x_hi
-        width = gap / 2 ** 65 if gap > 0 else max(x_hi - x_lo, y_hi - y_lo) / 2 ** 100
-        vec_x, steps_x, x_lo, x_hi = refined_eigenvector(hx, vec_x, width=width,
-                                                         factors=factors_x)
-        vec_y, steps_y, y_lo, y_hi = refined_eigenvector(hy, vec_y, width=width,
-                                                         factors=factors_y)
-        if not steps_x + steps_y:
+    runs = [newton_steps(hx, pair_x.vector), newton_steps(hy, pair_y.vector)]
+    state = [next(run) for run in runs]
+    for steps in count():
+        (_, _, x_lo, x_hi), (_, _, y_lo, y_hi) = state
+        widths = [x_hi - x_lo, y_hi - y_lo]
+        wider = widths.index(max(widths))
+        kept = next(runs[wider], None) if y_lo - x_hi <= widths[wider] * 2 ** 64 else None
+        if kept is None:
             break
-        steps += steps_x + steps_y
+        state[wider] = kept
+    vec_x, vec_y = ([Fraction(a, 1 << bits) for a in ints] for ints, bits, _, _ in state)
     x_lo, x_hi, x_res = rational_bracket(hx, vec_x)
     y_lo, y_hi, y_res = rational_bracket(hy, vec_y)
     e2_diff, predicted = _pair_gap(vec_x)
@@ -775,9 +772,12 @@ def standard_cone_samples() -> list[tuple[Hypergraph, list[tuple[int, ...]]]]:
 
 def run_suite(ns: Sequence[int], *, include_numeric: bool = True) -> list[Claim]:
     """Identity suites for each n, plus the numeric claims.  Every n is
-    validated before any claim runs, so an n past N_CAP costs nothing."""
+    validated before any claim runs, so an n past N_CAP, or past
+    NUMERIC_N_CAP with the numeric claims, costs nothing."""
     for n in ns:
         FamilySpec("X", n)
+        if include_numeric:
+            _check_numeric_n(n)
     claims: list[Claim] = []
     for n in ns:
         claims.extend(verify_identity_suite(n))

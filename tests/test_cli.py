@@ -1,15 +1,16 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hypospec import iso
+from hypospec import iso, verify
 from hypospec.cli import _load, _parse_n_range, main
-from hypospec.families import N_CAP, FamilySpec, family_hypergraph
+from hypospec.families import N_CAP, NUMERIC_N_CAP, FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -199,6 +200,17 @@ def test_verify_past_size_cap_exits_two_before_any_claim(tmp_path, capsys):
     assert not verdict.exists()
 
 
+def test_compare_past_numeric_cap_exits_two_before_any_work(capsys, monkeypatch):
+    def refused(spec):
+        raise AssertionError(f"built {spec} past the numeric cap")
+
+    monkeypatch.setattr(verify, "family_hypergraph", refused)
+    assert main(["compare", "--n", str(NUMERIC_N_CAP + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: n = {NUMERIC_N_CAP + 1} exceeds NUMERIC_N_CAP = 8")
+
+
 def test_deck_past_search_depth_exits_two(tmp_path, capsys):
     path = tmp_path / "edgeless.hg"
     path.write_text(Hypergraph(3, range(1100), []).to_text(), encoding="ascii")
@@ -244,8 +256,13 @@ def test_solver_tuning_flags_are_gone(capsys):
 
 
 def test_module_entry_point():
+    """The child process gets `src` on its path, as the test process does,
+    so the test needs no installed package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "hypospec", "gen",
                            "--family", "X", "--n", "3"],
+                          env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert Hypergraph.from_text(proc.stdout).num_edges == 28

@@ -247,6 +247,20 @@ def test_refined_eigenvector_certifies_tighter():
         refined_eigenvector(h, start=[1.0] * 8 + [0.0], width=Fraction(1, 1 << 128))
 
 
+def test_newton_steps_yield_exact_brackets_up_to_the_bit_ceiling(monkeypatch):
+    """The start and every kept step are yielded with the exact bracket of
+    their vector, each step 50 bits on and strictly narrower, and the run
+    ends before the working precision would pass MAX_REFINEMENT_BITS."""
+    monkeypatch.setattr(spectral, "MAX_REFINEMENT_BITS", 300)
+    h = family_hypergraph(FamilySpec("X", 3))
+    yielded = list(spectral.newton_steps(h, principal_eigenpair(h).vector))
+    assert [bits for _, bits, _, _ in yielded] == [64, 114, 164, 214, 264]
+    for ints, bits, lo, hi in yielded:
+        assert rational_bracket(h, [Fraction(a, 1 << bits) for a in ints])[:2] == (lo, hi)
+    widths = [hi - lo for _, _, lo, hi in yielded]
+    assert all(later < earlier for earlier, later in zip(widths, widths[1:]))
+
+
 def test_refinement_step_adds_exactly_step_bits(monkeypatch):
     """Entries at denominator 2^B are carried at B bits, so each kept step
     adds _STEP_BITS and nothing more, on every call.  The working integers

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from hypospec.families import (N_CAP, FamilySpec, e_map, family_hypergraph, family_poly,
-                               orbit_substitution, p_map, permutation_endo, sigma_endo,
-                               theta_endo, theta_perm)
+from hypospec.families import (N_CAP, NUMERIC_N_CAP, FamilySpec, e_map, family_hypergraph,
+                               family_poly, orbit_substitution, p_map, permutation_endo,
+                               sigma_endo, theta_endo, theta_perm)
 from hypospec.polyalg import Endomorphism, SparsePoly, x
 from hypospec import spectral, verify
 from hypospec.verify import (
@@ -320,8 +320,8 @@ def test_main_theorem_judges_only_the_exact_certificate(monkeypatch):
 
 
 def test_main_theorem_factors_once_per_hypergraph(monkeypatch):
-    """One LU factorization per hypergraph, at its float eigenpair, serves
-    every Newton step of every refinement round."""
+    """One LU factorization per hypergraph, at its float start vector,
+    serves every Newton step of its run."""
     sizes = []
     factor = spectral._lu_factor
 
@@ -335,6 +335,32 @@ def test_main_theorem_factors_once_per_hypergraph(monkeypatch):
     assert claim.params["refinement_iterations"] > 2
     # X^5 and Y^5 have 33 vertices each, plus one row for lambda
     assert sizes == [34, 34]
+
+
+def test_main_theorem_brackets_each_vector_once(monkeypatch):
+    """One exact pass at each float start, one per kept Newton step and one
+    per final certificate: no bracket is computed twice."""
+    calls = []
+    kernel = spectral._exact_bracket
+
+    def counting(hypergraph, ints):
+        calls.append(hypergraph.num_vertices)
+        return kernel(hypergraph, ints)
+
+    monkeypatch.setattr(spectral, "_exact_bracket", counting)
+    claim = verify_main_theorem(5)
+    assert claim.passed, claim.detail
+    assert len(calls) == claim.params["refinement_iterations"] + 4
+
+
+def test_main_theorem_fails_at_the_bit_ceiling(monkeypatch):
+    """n = 5 needs about 311 bits; under a 200-bit ceiling both Newton runs
+    end short of separation, and the claim fails on that, not on a hang."""
+    monkeypatch.setattr(spectral, "MAX_REFINEMENT_BITS", 200)
+    claim = verify_main_theorem(5)
+    assert not claim.passed
+    assert claim.detail.startswith("brackets do not separate")
+    assert claim.params["refinement_bits"] <= 200
 
 
 def test_main_theorem_checks_the_predicted_gap(monkeypatch):
@@ -465,10 +491,21 @@ def test_run_suite_exact_only():
 
 def test_run_suite_validates_every_n_before_any_claim(monkeypatch):
     ran = []
-    monkeypatch.setattr(verify, "verify_identity_suite", ran.append)
+
+    def recording(*args):
+        ran.append(args)
+        return []
+
+    for name in ("verify_identity_suite", "verify_main_theorem", "verify_regular_cone"):
+        monkeypatch.setattr(verify, name, recording)
     with pytest.raises(ValueError, match="exceeds N_CAP"):
         run_suite([3, 4, N_CAP + 1], include_numeric=False)
+    with pytest.raises(ValueError, match="exceeds NUMERIC_N_CAP"):
+        run_suite([3, 4, NUMERIC_N_CAP + 1])
     assert ran == []
+    # the exact suite alone still goes up to N_CAP
+    run_suite([NUMERIC_N_CAP + 1], include_numeric=False)
+    assert ran == [(NUMERIC_N_CAP + 1,)]
 
 
 REC_DEFN_FAULTS = [("G2", FamilySpec("G", 4, 2)), ("G3", FamilySpec("G", 4, 3)),
