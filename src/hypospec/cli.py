@@ -7,12 +7,12 @@ files), verify (the full claim suite).
 
 compare takes --seed (0 starts the float solver from all-ones, as spectrum
 and verify always do); the solver's other settings are fixed, and the
-header line of spectrum and compare records them.  spectrum --restarts N
-also runs the gradient oracle with N restarts; 0, the default, skips it.
+header line of spectrum and compare records them.  spectrum reports the
+exact Collatz-Wielandt bracket at the solver's vector, rounded to floats.
 
 Exit codes: 0 success, 1 failed claim or failed comparison, 2 usage error
-(a malformed input file, a negative --restarts, or an n past families.N_CAP,
-or past NUMERIC_N_CAP for a numeric claim) or a canonical search past
+(a malformed input file, or an n past families.N_CAP, or past
+NUMERIC_N_CAP for a numeric claim) or a canonical search past
 iso.SEARCH_NODE_LIMIT nodes or past the depth the recursion limit allows.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
@@ -32,8 +32,8 @@ from typing import Sequence
 
 from .families import FAMILY_TAGS, FamilySpec, family_hypergraph
 from .hypergraph import Hypergraph
-from .spectral import (MAX_ITERATIONS, SHIFT, TOLERANCE, oracle_radius,
-                       principal_eigenpair, rational_bracket, report_record)
+from .spectral import (MAX_ITERATIONS, SHIFT, TOLERANCE, principal_eigenpair,
+                       rational_bracket, vector_digest)
 from .verify import run_suite, verify_main_theorem, write_verdict
 
 
@@ -58,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     spectrum = sub.add_parser("spectrum", help="principal eigenpair of a stored hypergraph")
     spectrum.add_argument("file")
-    spectrum.add_argument("--restarts", type=int, default=0,
-                          help="also run the gradient oracle with this many restarts; 0 skips it")
     spectrum.add_argument("--format", choices=("text", "json"), default="text")
 
     compare = sub.add_parser("compare", help="certify the radius separation of the pair at n")
@@ -120,18 +118,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.restarts < 0:
-        raise ValueError(f"--restarts must be nonnegative, got {args.restarts}")
     hg = _load(args.file)
     started = time.perf_counter()
     pair = principal_eigenpair(hg)
     lo, hi, _ = rational_bracket(hg, pair.vector)
     print(f"solved in {time.perf_counter() - started:.2f}s", file=sys.stderr)
-    record = report_record(pair, Path(args.file).stem, None)
-    record["lambda_lo"] = float(lo)
-    record["lambda_hi"] = float(hi)
-    if args.restarts > 0:
-        record["oracle"] = oracle_radius(hg, restarts=args.restarts)
+    record = {
+        "family": Path(args.file).stem,
+        "n": None,
+        "lambda_lo": float(lo),
+        "lambda_hi": float(hi),
+        "residual": pair.residual,
+        "iterations": pair.iterations,
+        "vector_digest": vector_digest(pair.vector),
+    }
     if args.format == "json":
         print(json.dumps(record, sort_keys=True, indent=2))
     else:

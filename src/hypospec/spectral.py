@@ -18,11 +18,7 @@ shared members times the sum of the last ones, not one product per edge.
 `_edge_sums` applies it to ints for the exact brackets and to floats for the
 power iteration; `_jacobian` differentiates it once per Newton run, at its
 start, and every float64 correction of the run is solved against that one LU
-factorization.  `oracle_radius` is a second route: projected gradient ascent
-of the generating polynomial f on the nonnegative unit m-norm sphere.  m * f
-is at most lambda at every such point and equals it at the maximum (Euler
-identity), and m * f(x) = sum_i x_i S_i(x), so the same sums give both the
-ascent direction and the objective.
+factorization.
 
 The module runs on the standard library alone.
 """
@@ -381,77 +377,7 @@ def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0) -> EigenPair:
                      message=f"bracket width {hi - lo:.3e} after {iterations} iterations")
 
 
-def oracle_radius(hypergraph: Hypergraph, *, restarts: int = 8, seed: int = 0) -> float:
-    """m * max of the generating polynomial on the unit m-norm sphere.
-
-    Multi-start projected gradient ascent with a backtracking step size; a
-    restart stops once the tangent gradient is below 1e-10 * max(1, m * f),
-    or after 50,000 steps.  The gradient at x is S(x) = `_edge_sums`, as in
-    the power iteration, and the objective is m * f(x) = <x, S(x)>.  The
-    result is m * f at a unit-norm nonnegative point, so it never exceeds
-    lambda beyond rounding.  Fewer than one restart is a ValueError.
-    """
-    if restarts < 1:
-        raise ValueError(f"oracle_radius needs at least one restart, got {restarts}")
-    if not is_connected(hypergraph):
-        raise NotConnectedError("oracle_radius needs a connected hypergraph")
-    m = hypergraph.rank
-    links = _links(hypergraph)
-    rng = random.Random(seed)
-
-    best = 0.0
-    for trial in range(restarts):
-        x = _unit([rng.uniform(0.05, 1.0) if trial else 1.0 for _ in links], m)
-        grad = _edge_sums(links, x)
-        fval = math.fsum(map(mul, x, grad))
-        step = 0.5
-        stall = 0
-        for _ in range(50_000):
-            powered = [t ** (m - 1) for t in x]
-            # ascent direction tangent to the constraint surface; the raw
-            # Euclidean gradient followed by renormalization is not an
-            # ascent direction for m > 2
-            mult = math.fsum(map(mul, grad, powered)) / math.fsum(map(mul, powered, powered))
-            direction = [g - mult * p for g, p in zip(grad, powered)]
-            if max(map(abs, direction)) <= 1e-10 * max(1.0, fval):
-                break
-            while step > 1e-18:
-                cand = [max(a + step * d, 0.0) for a, d in zip(x, direction)]
-                if any(cand):
-                    cand = _unit(cand, m)
-                    cgrad = _edge_sums(links, cand)
-                    cval = math.fsum(map(mul, cand, cgrad))
-                    if cval >= fval:
-                        break
-                step *= 0.5
-            if step <= 1e-18:
-                break
-            if cval - fval <= 1e-15 * max(m, fval):
-                stall += 1
-            else:
-                stall = 0
-            x, grad, fval = cand, cgrad, cval
-            if stall >= 50:
-                break
-            step = min(step * 1.5, 4.0)
-        best = max(best, fval)
-    return best
-
-
 def vector_digest(vector: Sequence[float]) -> str:
     """Hash of the canonical 12-digit decimal rendering of the vector."""
     rendered = ",".join(format(float(t), ".12e") for t in vector)
     return hashlib.sha256(rendered.encode("ascii")).hexdigest()
-
-
-def report_record(pair: EigenPair, family: str, n: int | None) -> dict:
-    """Flat JSON-ready record of a solved eigenpair."""
-    return {
-        "family": family,
-        "n": n,
-        "lambda_lo": pair.value_lo,
-        "lambda_hi": pair.value_hi,
-        "residual": pair.residual,
-        "iterations": pair.iterations,
-        "vector_digest": vector_digest(pair.vector),
-    }

@@ -11,18 +11,19 @@ and fails the build when its criterion does not hold at the stated tolerance.
 import itertools
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 from hypospec.families import FamilySpec, family_hypergraph, mod_v, theta_perm
-from hypospec.hypergraph import Hypergraph
+from hypospec.hypergraph import Hypergraph, lagrangian_of
 from hypospec.iso import are_isomorphic, automorphism_count, canonical_form, delete_vertex, hypomorphic
 from hypospec.polyalg import Endomorphism, SparsePoly, x
 from hypospec.spectral import (
     codegree,
     degree,
     is_connected,
-    oracle_radius,
     principal_eigenpair,
+    rational_bracket,
 )
 from hypospec.verify import (
     cone_over,
@@ -128,10 +129,13 @@ def test_criterion_4_radius_separation():
     report("criterion-4", problems, "; ".join(gaps))
 
 
-def test_criterion_5_solver_against_gradient_oracle():
-    """Fifty random connected instances on at most 6 vertices agree with the
-    gradient-ascent oracle to 1e-8 relative; the single edge is exact."""
+def test_criterion_5_solver_inside_exact_enclosure():
+    """Fifty random connected instances on at most 6 vertices: at the solver's
+    vector x, the variational bound 3 f(x) / sum x_i^3 and the Collatz-Wielandt
+    bound max_i S_i(x) / x_i^2 enclose lambda exactly, lie within 1e-8 relative
+    of each other and hold the solver's value to 1e-8; the single edge is exact."""
     problems = []
+    worst = 0.0
     rng = random.Random(50_2026)
     for trial in range(50):
         while True:
@@ -143,26 +147,41 @@ def test_criterion_5_solver_against_gradient_oracle():
             if is_connected(hg):
                 break
         pair = principal_eigenpair(hg)
-        orc = oracle_radius(hg, restarts=6, seed=trial)
-        rel = abs(pair.value - orc) / max(1.0, abs(pair.value))
-        if rel > 1e-8:
-            problems.append(f"trial {trial}: solver {pair.value:.12g} vs oracle {orc:.12g}"
-                            f" (rel {rel:.2e})")
+        point = [Fraction(t) for t in pair.vector]
+        lo = 3 * lagrangian_of(hg).evaluate_exact(dict(zip(hg.vertices, point))) \
+            / sum(t ** 3 for t in point)
+        hi = rational_bracket(hg, point)[1]
+        scale = max(1.0, pair.value)
+        worst = max(worst, float((hi - lo) / scale))
+        if not lo <= hi:
+            problems.append(f"trial {trial}: lower bound {float(lo):.12g} above upper "
+                            f"bound {float(hi):.12g}")
+        elif (hi - lo) / scale > 1e-8:
+            problems.append(f"trial {trial}: enclosure [{float(lo):.12g}, {float(hi):.12g}]"
+                            f" wider than 1e-8 relative")
+        elif not lo - 1e-8 * scale <= pair.value <= hi + 1e-8 * scale:
+            problems.append(f"trial {trial}: solver {pair.value:.12g} outside "
+                            f"[{float(lo):.12g}, {float(hi):.12g}]")
     single = principal_eigenpair(Hypergraph(3, [1, 2, 3], [(1, 2, 3)]))
     if abs(single.value - 1.0) > 1e-12:
         problems.append(f"single edge radius {single.value!r} is not 1 to 1e-12")
-    report("criterion-5", problems, "50 random instances within 1e-8, single edge exact")
+    report("criterion-5", problems,
+           f"50 random instances inside exact enclosures of relative width <= {worst:.1e}, "
+           f"single edge exact")
 
 
 def test_criterion_6_eigenvector_reversal_symmetry():
-    """Principal vectors of both families are reversal-symmetric to 1e-8,
-    n = 3..5."""
+    """The reversal theta maps the edge set of both families onto itself,
+    exactly, so by uniqueness of the Perron vector the principal vectors are
+    reversal-symmetric; the solver's are, to 1e-8, n = 3..5."""
     problems = []
     worst_overall = 0.0
     for n in (3, 4, 5):
         theta = theta_perm(n)
         for fam in ("X", "Y"):
             hg = family_hypergraph(FamilySpec(fam, n))
+            if hg.relabel(theta) != hg:
+                problems.append(f"{fam} n={n}: theta is not an automorphism")
             pair = principal_eigenpair(hg)
             if not pair.converged:
                 problems.append(f"{fam} n={n}: solver did not converge")
@@ -171,7 +190,8 @@ def test_criterion_6_eigenvector_reversal_symmetry():
             worst_overall = max(worst_overall, worst)
             if worst >= 1e-8:
                 problems.append(f"{fam} n={n}: asymmetry {worst:.3e}")
-    report("criterion-6", problems, f"max asymmetry {worst_overall:.3e} < 1e-8")
+    report("criterion-6", problems,
+           f"theta an automorphism of X^n and Y^n; max asymmetry {worst_overall:.3e} < 1e-8")
 
 
 def test_criterion_7_hypomorphic_but_not_isomorphic():

@@ -82,19 +82,23 @@ def test_spectrum_text_output(tmp_path, capsys):
     assert abs(float(values["lambda_hi"]) - 1.0) < 1e-10
 
 
-def test_spectrum_json_with_oracle(x3_file, capsys):
-    assert main(["spectrum", x3_file, "--format", "json", "--restarts", "3"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert {"lambda_lo", "lambda_hi", "residual", "iterations",
-            "vector_digest", "oracle"} <= record.keys()
-    assert record["lambda_lo"] <= record["oracle"] <= record["lambda_hi"] + 1e-8
+def test_spectrum_json_record(x3_file, tmp_path, capsys):
+    single = tmp_path / "single.hg"
+    single.write_text(Hypergraph(3, [1, 2, 3], [(1, 2, 3)]).to_text(), encoding="ascii")
+    for path, family in ((x3_file, "x3"), (str(single), "single")):
+        assert main(["spectrum", path, "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert set(record) == {"family", "n", "lambda_lo", "lambda_hi", "residual",
+                               "iterations", "vector_digest"}
+        assert record["family"] == family and record["n"] is None
+        assert record["lambda_lo"] <= record["lambda_hi"]
+    assert record["lambda_lo"] <= 1.0 <= record["lambda_hi"]
 
 
-def test_spectrum_rejects_negative_restarts(x3_file, capsys):
-    assert main(["spectrum", x3_file, "--restarts", "-5"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: --restarts must be nonnegative, got -5\n"
+def test_spectrum_rejects_unknown_flag(x3_file, capsys):
+    """The flag of the retired gradient-ascent cross-check is a usage error."""
+    assert main(["spectrum", x3_file, "--restarts", "2"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_spectrum_missing_file(capsys):

@@ -9,10 +9,10 @@ from hypospec import spectral
 from hypospec.families import FamilySpec, family_hypergraph
 from hypospec.hypergraph import Hypergraph, UnknownVertexError, lagrangian_of
 from hypospec.spectral import (DimensionMismatchError, NotConnectedError,
-                               codegree, degree, is_connected, oracle_radius,
+                               codegree, degree, is_connected,
                                principal_eigenpair, rational_bracket,
-                               refined_eigenvector, report_record,
-                               tensor_apply, vector_digest)
+                               refined_eigenvector, tensor_apply,
+                               vector_digest)
 
 
 def single_edge():
@@ -23,14 +23,14 @@ def cycle8():
     return family_hypergraph(FamilySpec("C3", 3))
 
 
-def random_connected(rng, max_vertices=6):
+def random_connected(rng, rank=3, max_vertices=6):
     while True:
-        nv = rng.randint(3, max_vertices)
+        nv = rng.randint(rank, max_vertices)
         verts = tuple(range(nv))
-        pool = [(a, b, c) for a in verts for b in verts for c in verts if a < b < c]
+        pool = list(itertools.combinations(verts, rank))
         count = rng.randint(1, len(pool))
         edges = rng.sample(pool, count)
-        h = Hypergraph(3, verts, edges)
+        h = Hypergraph(rank, verts, edges)
         if is_connected(h):
             return h
 
@@ -291,22 +291,24 @@ def test_solver_rejects_disconnected():
         principal_eigenpair(Hypergraph(3, range(6), [(0, 1, 2), (3, 4, 5)]))
 
 
-def test_solver_matches_oracle_small():
+def test_solver_inside_exact_enclosure():
+    """At the solver's vector x, m f(x) / sum x_i^m <= lambda <= max_i
+    S_i(x) / x_i^{m-1}, both exact (variational and Collatz-Wielandt bounds);
+    the two lie within 1e-8 relative and hold the solver's value, at ranks 2-4."""
     rng = random.Random(424242)
-    for _ in range(8):
-        h = random_connected(rng)
-        pair = principal_eigenpair(h)
-        assert pair.converged
-        other = oracle_radius(h, restarts=6, seed=3)
-        assert pair.value == pytest.approx(other, rel=1e-8)
-
-
-def test_oracle_needs_a_restart():
-    """No restart would leave 0.0 as the "radius" of X^3, where lambda is 9.37."""
-    h = family_hypergraph(FamilySpec("X", 3))
-    for restarts in (0, -1):
-        with pytest.raises(ValueError, match="at least one restart"):
-            oracle_radius(h, restarts=restarts)
+    for rank in (2, 3, 4):
+        for _ in range(8):
+            h = random_connected(rng, rank)
+            pair = principal_eigenpair(h)
+            assert pair.converged
+            point = [Fraction(t) for t in pair.vector]
+            lo = rank * lagrangian_of(h).evaluate_exact(dict(zip(h.vertices, point))) \
+                / sum(t ** rank for t in point)
+            hi = rational_bracket(h, point)[1]
+            slack = 1e-8 * max(1.0, pair.value)
+            assert lo <= hi
+            assert hi - lo <= slack
+            assert lo - slack <= pair.value <= hi + slack
 
 
 def test_seeded_start_converges_to_same_pair():
@@ -333,13 +335,3 @@ def test_vector_digest_deterministic():
     assert a == b
     assert len(a) == 64
     assert vector_digest([0.5, 0.2500001]) != a
-
-
-def test_report_record_shape():
-    h = single_edge()
-    pair = principal_eigenpair(h)
-    rec = report_record(pair, "single", None)
-    assert set(rec) == {"family", "n", "lambda_lo", "lambda_hi", "residual",
-                        "iterations", "vector_digest"}
-    assert rec["family"] == "single"
-    assert rec["lambda_lo"] <= 1.0 <= rec["lambda_hi"]
