@@ -20,6 +20,15 @@ power iteration; `_jacobian` differentiates it once per Newton run, at its
 start, and every float64 correction of the run is solved against that one LU
 factorization.
 
+`principal_eigenpair` and `newton_steps` take an optional partition of the
+vertices into orbits of automorphisms.  The principal eigenvector of a
+connected hypergraph is unique up to scale, so it is constant on orbits,
+and `_quotient` regroups the table over the cells: one row per cell, with
+each member replaced by its cell.  The same three kernels then run on one
+unknown per cell.  Nothing is certified on the quotient: `rational_bracket`
+always works on every vertex, so a partition that is not made of orbits
+gives a vector whose full bracket is wide, not a wrong bracket.
+
 The module runs on the standard library alone.
 """
 
@@ -28,12 +37,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from operator import mul, truediv
-from typing import Sequence
+from itertools import chain, repeat
+from operator import add, itemgetter, mod, mul, truediv
+from typing import NamedTuple, Sequence
 
 from .hypergraph import Hypergraph, UnknownVertexError
 
@@ -86,15 +96,85 @@ _Group = tuple[tuple[int, ...], tuple[int, ...]]
 @lru_cache(maxsize=128)
 def _links(hypergraph: Hypergraph) -> tuple[tuple[_Group, ...], ...]:
     """Per vertex position, the positions of the other members of each edge at
-    it, grouped by all members but the last: (prefix, lasts) pairs."""
+    it, grouped by all members but the last: (prefix, lasts) pairs.
+
+    Each (edge, member) pair is coded as one int, the member and then the
+    other members as digits in base |V|, and sorting the codes gathers each
+    group.  The edges are sorted tuples in lexicographic order, and deleting
+    a shared member keeps that order, so the groups at a vertex and the lasts
+    of a group come out in the order in which the edges meet them; that
+    order fixes the order of every float sum."""
+    nv, m = len(hypergraph.vertices), hypergraph.rank
+    edges = hypergraph.edges
+    position = {v: i for i, v in enumerate(hypergraph.vertices)}.__getitem__
+    codes: list[int] = []
+    for k in range(m):
+        code = map(position, map(itemgetter(k), edges))
+        for j in chain(range(k), range(k + 1, m)):
+            code = map(add, map(mul, code, repeat(nv)), map(position, map(itemgetter(j), edges)))
+        codes.extend(code)
+    codes.sort()
+    table: list[list[_Group]] = [[] for _ in range(nv)]
+    start = 0
+    while start < len(codes):
+        key = codes[start] // nv
+        end = bisect_left(codes, (key + 1) * nv, start)
+        prefix = []
+        for _ in range(m - 2):
+            key, q = divmod(key, nv)
+            prefix.append(q)
+        table[key].append((tuple(prefix[::-1]), tuple(map(mod, codes[start:end], repeat(nv)))))
+        start = end
+    return tuple(map(tuple, table))
+
+
+class _Quotient(NamedTuple):
+    """A grouped table over the cells of a vertex partition: `links` per cell,
+    the position of each cell's first member, the cell of each vertex
+    position, and the cell sizes."""
+
+    links: tuple[tuple[_Group, ...], ...]
+    firsts: Sequence[int]
+    cell_of: Sequence[int]
+    sizes: Sequence[int]
+
+
+@lru_cache(maxsize=128)
+def _quotient(hypergraph: Hypergraph, cells: tuple[tuple[int, ...], ...] | None = None
+              ) -> _Quotient:
+    """The `_links` table of `hypergraph` over `cells`, a partition of its
+    vertices into tuples of labels; None, or the singletons in vertex order,
+    give `_links(hypergraph)` itself.
+
+    Each cell takes the groups of its first member with every position
+    replaced by its cell, and merges the groups whose prefixes then agree.
+    If each cell is an orbit of an automorphism group, the edge sums at a
+    vector constant on cells are constant on cells, and `_edge_sums` over
+    this table gives them once per cell."""
+    links = _links(hypergraph)
+    nv = len(links)
+    if cells is None:
+        cells = tuple((v,) for v in hypergraph.vertices)
     index = {v: i for i, v in enumerate(hypergraph.vertices)}
-    groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in hypergraph.vertices]
-    for edge in hypergraph.edges:
-        row = [index[v] for v in edge]
-        for p in row:
-            others = [q for q in row if q != p]
-            groups[p].setdefault(tuple(others[:-1]), []).append(others[-1])
-    return tuple(tuple((prefix, tuple(lasts)) for prefix, lasts in g.items()) for g in groups)
+    cell_of = [-1] * nv
+    for c, cell in enumerate(cells):
+        for v in cell:
+            if v not in index:
+                raise UnknownVertexError(v)
+            cell_of[index[v]] = c
+    if sum(map(len, cells)) != nv or -1 in cell_of or not all(cells):
+        raise ValueError("cells must partition the vertices")
+    firsts = [index[cell[0]] for cell in cells]
+    if cell_of == list(range(nv)):
+        return _Quotient(links, firsts, cell_of, (1,) * nv)
+    table = []
+    for p in firsts:
+        merged: dict[tuple[int, ...], list[int]] = {}
+        for prefix, lasts in links[p]:
+            merged.setdefault(tuple(map(cell_of.__getitem__, prefix)), []).extend(
+                map(cell_of.__getitem__, lasts))
+        table.append(tuple((prefix, tuple(lasts)) for prefix, lasts in merged.items()))
+    return _Quotient(tuple(table), firsts, cell_of, tuple(map(len, cells)))
 
 
 def _edge_sums(links, values: Sequence) -> list:
@@ -131,9 +211,9 @@ def codegree(hypergraph: Hypergraph, u: int, v: int) -> int:
     return sum(1 for e in hypergraph.edges if u in e and v in e)
 
 
-def _unit(values: list[float], m: int) -> list[float]:
-    """`values` scaled to unit m-norm."""
-    norm = math.fsum(t ** m for t in values) ** (1.0 / m)
+def _unit(values: list[float], m: int, sizes: Sequence[int]) -> list[float]:
+    """`values` scaled to unit m-norm, each entry counted `sizes` times."""
+    norm = math.fsum(s * t ** m for s, t in zip(sizes, values)) ** (1.0 / m)
     return [t / norm for t in values]
 
 
@@ -166,13 +246,12 @@ def is_connected(hypergraph: Hypergraph) -> bool:
     return len(seen) == len(links)
 
 
-def _exact_bracket(hypergraph: Hypergraph, ints: Sequence[int]
+def _exact_bracket(links, m: int, ints: Sequence[int]
                    ) -> tuple[list[int], list[int], Fraction, Fraction]:
     """S_i, P_i = a_i^{m-1} and the exact min and max of S_i / P_i at a positive
-    integer vector a, where S_i are the `_edge_sums`; the extremes are picked
-    by integer cross-multiplication."""
-    m = hypergraph.rank
-    sums = _edge_sums(_links(hypergraph), ints)
+    integer vector a, where S_i are the `_edge_sums` over the rank-m table
+    `links`; the extremes are picked by integer cross-multiplication."""
+    sums = _edge_sums(links, ints)
     powered = [t ** (m - 1) for t in ints]
     lo_i = hi_i = 0
     for i in range(1, len(sums)):
@@ -199,7 +278,7 @@ def rational_bracket(hypergraph: Hypergraph, values
     point = _positive_fractions(hypergraph, values)
     scale = math.lcm(*(t.denominator for t in point))
     ints = [t.numerator * (scale // t.denominator) for t in point]
-    sums, powered, lo, hi = _exact_bracket(hypergraph, ints)
+    sums, powered, lo, hi = _exact_bracket(_links(hypergraph), hypergraph.rank, ints)
     mid = (lo + hi) / 2
     worst = max(abs(s * mid.denominator - mid.numerator * p) for s, p in zip(sums, powered))
     return lo, hi, Fraction(worst, mid.denominator * scale ** (hypergraph.rank - 1))
@@ -240,22 +319,22 @@ def _lu_solve(factors: tuple[list[list[float]], list[int]], rhs: Sequence[float]
     return y
 
 
-def _jacobian(hypergraph: Hypergraph, vector: Sequence[float], value: float
+def _jacobian(links, m: int, vector: Sequence[float], value: float
               ) -> list[list[float]]:
-    """Newton Jacobian of the pair (x, lambda) at a float point, in rows.
+    """Newton Jacobian of the pair (x, lambda) at a float point, in rows, for
+    the `_edge_sums` over the rank-m table `links`.
 
     Row i < nv is the derivative of S_i(x) - lambda x_i^{m-1}: from each
-    `_links` group, every last member gets prod(prefix) and every prefix
+    group, every last member gets prod(prefix) and every prefix
     member the product of the rest of the prefix times sum(lasts); the
     diagonal loses (m-1) lambda x_i^{m-2}, and the column for lambda is
     -x^{[m-1]}.  The last row, x^{[m-1]}, keeps the m-norm fixed to first
     order.
     """
-    m = hypergraph.rank
     x = [float(t) for t in vector]
     nv = len(x)
     jac = [[0.0] * (nv + 1) for _ in range(nv + 1)]
-    for p, link in enumerate(_links(hypergraph)):
+    for p, link in enumerate(links):
         row = jac[p]
         for prefix, lasts in link:
             shared = math.prod(x[q] for q in prefix)
@@ -277,48 +356,58 @@ _STEP_BITS = 50
 MAX_REFINEMENT_BITS = 4096
 
 
-def newton_steps(hypergraph: Hypergraph, start):
+def newton_steps(hypergraph: Hypergraph, start, cells=None):
     """Newton refinement of a positive vector toward the principal eigenvector.
 
     Mixed-precision iterative refinement: the vector is held as a / 2^B in
     Python ints, the residual A x^{m-1} - lam x^{[m-1]} is exact and only
     then rounded, and the correction is solved in float64 against one LU
     factorization of the Jacobian at the start and added with B grown by
-    _STEP_BITS.  Yields (a, B, lo, hi), with the exact bracket of a, at the
-    start and after each kept step; returns when a step does not narrow the
-    bracket or leaves the positive cone, or before B would pass
-    MAX_REFINEMENT_BITS.
+    _STEP_BITS.  Yields (a, B, lo, hi), with a in vertex order and the exact
+    bracket of a, at the start and after each kept step; returns when a step
+    does not narrow the bracket or leaves the positive cone, or before B
+    would pass MAX_REFINEMENT_BITS.
+
+    With `cells`, a partition of the vertices into orbits of automorphisms
+    (see `_quotient`), the run holds one entry per cell, taken from the
+    first member's entry of `start`, and a is that vector lifted to every
+    vertex.  The brackets are then those of the lifted vector only if the
+    cells are orbits; `rational_bracket` of a is the check.
     """
     if not is_connected(hypergraph):
         raise NotConnectedError("principal eigenpair needs a connected hypergraph")
+    links, firsts, cell_of, sizes = _quotient(hypergraph, cells)
+    m = hypergraph.rank
     point = _positive_fractions(hypergraph, start)
+    point = [point[i] for i in firsts]
     # a denominator 2^B has bit length B + 1, and B bits hold it exactly
     bits = max(64, *(t.denominator.bit_length() - 1 for t in point))
     ints = [round(t * (1 << bits)) for t in point]
-    sums, powered, lo, hi = _exact_bracket(hypergraph, ints)
-    # Rayleigh quotient <x, A x^{m-1}> / <x, x^{[m-1]}>, at scale 2^bits
-    lam = ((sum(s * t for s, t in zip(sums, ints)) << bits)
-           // sum(p * t for p, t in zip(powered, ints)))
-    factors = _lu_factor(_jacobian(hypergraph, [t / (1 << bits) for t in ints],
+    sums, powered, lo, hi = _exact_bracket(links, m, ints)
+    # Rayleigh quotient <x, A x^{m-1}> / <x, x^{[m-1]}> over every vertex,
+    # at scale 2^bits
+    lam = ((sum(map(mul, sizes, map(mul, sums, ints))) << bits)
+           // sum(map(mul, sizes, map(mul, powered, ints))))
+    factors = _lu_factor(_jacobian(links, m, [t / (1 << bits) for t in ints],
                                    lam / (1 << bits)))
     lift = float(1 << _STEP_BITS)
-    yield ints, bits, lo, hi
+    yield [ints[c] for c in cell_of], bits, lo, hi
     while bits + _STEP_BITS <= MAX_REFINEMENT_BITS:
         # the residual at (a / 2^bits, lam / 2^bits), times 2^bits, so the
         # solve returns the correction times 2^bits
-        scale = 1 << (bits * (hypergraph.rank - 1))
+        scale = 1 << (bits * (m - 1))
         rhs = [(lam * p - (s << bits)) / scale for s, p in zip(sums, powered)]
         step = _lu_solve(factors, rhs + [0.0])
         trial = [(a << _STEP_BITS) + round(d * lift) for a, d in zip(ints, step)]
         if min(trial) <= 0:
             return
-        bracket = _exact_bracket(hypergraph, trial)
+        bracket = _exact_bracket(links, m, trial)
         if bracket[3] - bracket[2] >= hi - lo:
             return
         ints, (sums, powered, lo, hi) = trial, bracket
         lam = (lam << _STEP_BITS) + round(step[-1] * lift)
         bits += _STEP_BITS
-        yield ints, bits, lo, hi
+        yield [ints[c] for c in cell_of], bits, lo, hi
 
 
 def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction
@@ -335,7 +424,7 @@ def refined_eigenvector(hypergraph: Hypergraph, start, *, width: Fraction
 # -- float stage -------------------------------------------------------------------
 
 
-def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0) -> EigenPair:
+def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0, cells=None) -> EigenPair:
     """Shifted power iteration to the positive principal eigenpair.
 
     Each step applies the tensor, adds SHIFT * x^{m-1}, takes the (m-1)-th
@@ -347,15 +436,20 @@ def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0) -> EigenPair:
     returned with converged=False.  Seed 0 starts from all-ones; any other
     nonnegative seed jitters that start through `random.Random(seed)`, and a
     negative seed is a ValueError.
+
+    With `cells`, a partition of the vertices into orbits of automorphisms
+    (see `_quotient`), the iteration holds one entry per cell: the jitter is
+    drawn per cell, the m-norm weights each cell by its size, and the
+    returned vector is lifted to every vertex.
     """
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if not is_connected(hypergraph):
         raise NotConnectedError("principal eigenpair needs a connected hypergraph")
     m = hypergraph.rank
-    links = _links(hypergraph)
+    links, _, cell_of, sizes = _quotient(hypergraph, cells)
     rng = random.Random(seed)
-    x = _unit([1.0 + rng.uniform(0.0, 0.5) if seed else 1.0 for _ in links], m)
+    x = _unit([1.0 + rng.uniform(0.0, 0.5) if seed else 1.0 for _ in links], m, sizes)
     root = 1.0 / (m - 1)
 
     lo = hi = mid = res = 0.0
@@ -369,10 +463,12 @@ def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0) -> EigenPair:
         res = max(abs(a - mid * p) for a, p in zip(applied, powered))
         floor = max(TOLERANCE, 64 * math.ulp(hi))
         if hi - lo < floor and res < floor:
-            return EigenPair(mid, lo, hi, tuple(x), hypergraph.vertices, res, iterations)
-        x = _unit([(a + SHIFT * p) ** root for a, p in zip(applied, powered)], m)
+            return EigenPair(mid, lo, hi, tuple(x[c] for c in cell_of), hypergraph.vertices,
+                             res, iterations)
+        x = _unit([(a + SHIFT * p) ** root for a, p in zip(applied, powered)], m, sizes)
 
-    return EigenPair(mid, lo, hi, tuple(x), hypergraph.vertices, res, iterations,
+    return EigenPair(mid, lo, hi, tuple(x[c] for c in cell_of), hypergraph.vertices, res,
+                     iterations,
                      converged=False,
                      message=f"bracket width {hi - lo:.3e} after {iterations} iterations")
 

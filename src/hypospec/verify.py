@@ -605,7 +605,12 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     `newton_steps` run from its float vector, and the loop steps the run
     whose bracket is wider until they separate that far or that run ends;
     then one rational_bracket per hypergraph is the certificate of record,
-    the only source of lo, hi and the residual.  An n past NUMERIC_N_CAP is
+    the only source of lo, hi and the residual.  The float solve, the Newton
+    steps and their brackets run on the 2^(n-1) + 1 orbits of the reversal
+    theta, an automorphism of both hypergraphs (criterion 6), on which both
+    principal eigenvectors are constant; the param `cells` counts them.  The
+    certificate of record brackets the lifted vectors on every vertex, so
+    soundness does not rest on the partition.  An n past NUMERIC_N_CAP is
     a ValueError before any work.
     Passes iff mu_lo > lambda_hi exactly, both exact residuals are below
     TOLERANCE, and g = 3 x_0 (E_2(x_1 - x_3))^2 / sum x_i^3 at the X^n
@@ -622,9 +627,11 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     _check_numeric_n(n)
     hx = family_hypergraph(FamilySpec("X", n))
     hy = family_hypergraph(FamilySpec("Y", n))
-    pair_x = principal_eigenpair(hx, seed=seed)
-    pair_y = principal_eigenpair(hy, seed=seed)
-    runs = [newton_steps(hx, pair_x.vector), newton_steps(hy, pair_y.vector)]
+    theta = theta_perm(n)
+    cells = tuple(dict.fromkeys(tuple(sorted({v, theta[v]})) for v in hx.vertices))
+    pair_x = principal_eigenpair(hx, seed=seed, cells=cells)
+    pair_y = principal_eigenpair(hy, seed=seed, cells=cells)
+    runs = [newton_steps(hx, pair_x.vector, cells), newton_steps(hy, pair_y.vector, cells)]
     state = [next(run) for run in runs]
     for steps in count():
         (_, _, x_lo, x_hi), (_, _, y_lo, y_hi) = state
@@ -640,7 +647,7 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     e2_diff, predicted = _pair_gap(vec_x)
     bits = max(t.denominator.bit_length() - 1 for t in vec_x + vec_y)
     params = {
-        "n": n,
+        "n": n, "cells": len(cells),
         "lambda_lo": float(x_lo), "lambda_hi": float(x_hi),
         "mu_lo": float(y_lo), "mu_hi": float(y_hi),
         "residual_x": float(x_res), "residual_y": float(y_res),

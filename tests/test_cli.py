@@ -133,6 +133,23 @@ def test_compare_prints_reference_lines(seed, capsys):
     assert lines == [f"# tol 1e-12 max-iter 1000000 shift 1 seed {seed}"] + COMPARE_4
 
 
+# At n = 6 lambda is about 527, where the float solver's 1e-12 tolerance is a
+# few ulps; the certificate still separates the pair by about 3e-174.
+COMPARE_6 = [
+    "lambda(X^6) in [527.26701380190434, 527.26701380190434]",
+    "mu(Y^6) in [527.26701380190434, 527.26701380190434]",
+    "predicted gap 2.9964089687610421e-174",
+    "mu > lambda: certified",
+]
+
+
+@pytest.mark.parametrize("seed", ["0", "2"])
+def test_compare_n6_prints_reference_lines(seed, capsys):
+    assert main(["compare", "--n", "6", "--seed", seed]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"# tol 1e-12 max-iter 1000000 shift 1 seed {seed}"] + COMPARE_6
+
+
 @pytest.mark.parametrize("seed", ["0", "7"])
 def test_compare_n5_prints_benchmark_reference(seed, capsys):
     """The lines the benchmark's certify workload checks, at two starts."""

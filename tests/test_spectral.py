@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hypospec import spectral
-from hypospec.families import FamilySpec, family_hypergraph
+from hypospec.families import FamilySpec, family_hypergraph, theta_perm
 from hypospec.hypergraph import Hypergraph, UnknownVertexError, lagrangian_of
 from hypospec.spectral import (DimensionMismatchError, NotConnectedError,
                                codegree, degree, is_connected,
@@ -156,7 +156,7 @@ def test_grouped_edge_sums_match_per_edge_products():
     for isolated, h in random_hypergraphs(rng):
         for bits in (1, 2, 64, 700):
             ints = [rng.randint(1, 2 ** bits) for _ in h.vertices]
-            got = spectral._exact_bracket(h, ints)
+            got = spectral._exact_bracket(spectral._links(h), h.rank, ints)
             assert got == per_edge_bracket(h, ints)
             assert got[0][h.vertices.index(isolated)] == 0
             checked += 1
@@ -170,6 +170,94 @@ def test_tensor_apply_matches_per_edge_products():
     for _, h in random_hypergraphs(rng):
         ints = [rng.randint(1, 1 << 10) for _ in h.vertices]
         assert tensor_apply(h, [float(t) for t in ints]) == per_edge_bracket(h, ints)[0]
+
+
+def per_pair_links(h):
+    """The `_links` table built one (edge, member) pair at a time, kept as
+    the oracle of the sorted-code build."""
+    index = {v: i for i, v in enumerate(h.vertices)}
+    groups = [{} for _ in h.vertices]
+    for edge in h.edges:
+        row = [index[v] for v in edge]
+        for p in row:
+            others = [q for q in row if q != p]
+            groups[p].setdefault(tuple(others[:-1]), []).append(others[-1])
+    return tuple(tuple((prefix, tuple(lasts)) for prefix, lasts in g.items()) for g in groups)
+
+
+def test_links_match_per_pair_build():
+    """The same groups in the same order, so every float sum keeps its order:
+    seeded hypergraphs of rank 2, 3 and 4, with and without scattered labels,
+    and X^3..X^6."""
+    rng = random.Random(2026)
+    samples = [h for _, h in random_hypergraphs(rng)]
+    samples += [random_connected(rng, rank, max_vertices=9) for rank in (2, 3, 4) for _ in range(4)]
+    samples += [family_hypergraph(FamilySpec("X", n)) for n in range(3, 7)]
+    for h in samples:
+        assert spectral._links.__wrapped__(h) == per_pair_links(h)
+    assert spectral._links(Hypergraph(3, range(4), [])) == ((),) * 4
+
+
+def theta_cells(n):
+    theta = theta_perm(n)
+    return tuple(dict.fromkeys(tuple(sorted({v, theta[v]})) for v in range(2 ** n + 1)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_quotient_sums_equal_full_sums_on_theta_orbits(n):
+    """At random positive integer vectors constant on the theta-orbits, the
+    edge sums over the quotient table equal the full sums of each cell's
+    members exactly, on X^n and Y^n."""
+    rng = random.Random(n)
+    cells = theta_cells(n)
+    for tag in "XY":
+        h = family_hypergraph(FamilySpec(tag, n))
+        quotient = spectral._quotient(h, cells)
+        assert len(quotient.links) == len(cells) == 2 ** (n - 1) + 1
+        assert quotient.sizes == tuple(map(len, cells))
+        for bits in (3, 80):
+            values = [rng.randint(1, 2 ** bits) for _ in cells]
+            full = spectral._edge_sums(spectral._links(h),
+                                       [values[c] for c in quotient.cell_of])
+            sums = spectral._edge_sums(quotient.links, values)
+            assert full == [sums[c] for c in quotient.cell_of]
+
+
+def test_solver_and_newton_on_theta_orbits_match_the_full_vector():
+    """On the theta-orbits of Y^4 the float solve lands on the full solver's
+    unit vector, seeded or not, and every Newton step yields the exact
+    bracket of its vector lifted to all 17 vertices."""
+    h = family_hypergraph(FamilySpec("Y", 4))
+    cells = theta_cells(4)
+    for seed in (0, 5):
+        full = principal_eigenpair(h, seed=seed)
+        pair = principal_eigenpair(h, seed=seed, cells=cells)
+        assert pair.converged and pair.vertices == h.vertices
+        assert pair.vector == pytest.approx(full.vector, abs=1e-12)
+        assert math.fsum(t ** 3 for t in pair.vector) == pytest.approx(1.0, abs=1e-14)
+    steps = list(itertools.islice(spectral.newton_steps(h, pair.vector, cells), 4))
+    for ints, bits, lo, hi in steps:
+        assert len(ints) == h.num_vertices
+        assert rational_bracket(h, [Fraction(a, 1 << bits) for a in ints])[:2] == (lo, hi)
+    assert steps[-1][3] - steps[-1][2] < Fraction(1, 10 ** 40)
+
+
+def test_singleton_partition_is_the_links_table():
+    h = family_hypergraph(FamilySpec("Y", 4))
+    links = spectral._links(h)
+    assert spectral._quotient(h).links is links
+    assert spectral._quotient(h, tuple((v,) for v in h.vertices)).links is links
+    # singletons in another order relabel the table
+    relabelled = spectral._quotient(h, tuple((v,) for v in reversed(h.vertices))).links
+    values = list(range(1, len(links) + 1))
+    assert spectral._edge_sums(relabelled, values) == \
+        spectral._edge_sums(links, values[::-1])[::-1]
+    for bad in [((0,),), tuple((v,) for v in h.vertices) + ((0,),),
+                tuple((v,) for v in h.vertices) + ((),)]:
+        with pytest.raises(ValueError, match="partition"):
+            spectral._quotient(h, bad)
+    with pytest.raises(UnknownVertexError):
+        spectral._quotient(h, tuple((v,) for v in h.vertices) + ((99,),))
 
 
 def per_edge_jacobian(h, x, value):
@@ -197,7 +285,8 @@ def test_grouped_jacobian_matches_per_edge_oracle():
     for _, h in random_hypergraphs(rng):
         x = [rng.randint(1, 16) / 8 for _ in h.vertices]
         value = rng.randint(1, 64) / 4
-        assert spectral._jacobian(h, x, value) == per_edge_jacobian(h, x, value)
+        got = spectral._jacobian(spectral._links(h), h.rank, x, value)
+        assert got == per_edge_jacobian(h, x, value)
 
 
 def fraction_solve(matrix, rhs):
@@ -272,9 +361,9 @@ def test_refinement_step_adds_exactly_step_bits(monkeypatch):
     seen = []
     kernel = spectral._exact_bracket
 
-    def recording(hypergraph, ints):
+    def recording(links, m, ints):
         seen.append(list(ints))
-        return kernel(hypergraph, ints)
+        return kernel(links, m, ints)
 
     monkeypatch.setattr(spectral, "_exact_bracket", recording)
     more, steps, _, _ = refined_eigenvector(h, start=vec, width=(hi - lo) / 2)

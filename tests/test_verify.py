@@ -333,8 +333,9 @@ def test_main_theorem_factors_once_per_hypergraph(monkeypatch):
     claim = verify_main_theorem(5)
     assert claim.passed, claim.detail
     assert claim.params["refinement_iterations"] > 2
-    # X^5 and Y^5 have 33 vertices each, plus one row for lambda
-    assert sizes == [34, 34]
+    # X^5 and Y^5 have 17 theta-orbits on their 33 vertices, plus one row for lambda
+    assert claim.params["cells"] == 17
+    assert sizes == [18, 18]
 
 
 def test_main_theorem_brackets_each_vector_once(monkeypatch):
@@ -343,14 +344,16 @@ def test_main_theorem_brackets_each_vector_once(monkeypatch):
     calls = []
     kernel = spectral._exact_bracket
 
-    def counting(hypergraph, ints):
-        calls.append(hypergraph.num_vertices)
-        return kernel(hypergraph, ints)
+    def counting(links, m, ints):
+        calls.append(len(links))
+        return kernel(links, m, ints)
 
     monkeypatch.setattr(spectral, "_exact_bracket", counting)
     claim = verify_main_theorem(5)
     assert claim.passed, claim.detail
     assert len(calls) == claim.params["refinement_iterations"] + 4
+    # the Newton runs bracket the 17 cells; the two certificates all 33 vertices
+    assert calls[-2:] == [33, 33] and set(calls[:-2]) == {17}
 
 
 def test_main_theorem_fails_at_the_bit_ceiling(monkeypatch):
@@ -529,3 +532,22 @@ def test_remark_rec_defn_fails_at_the_first_planted_fault(first, monkeypatch):
     assert not claim.passed
     assert claim.detail.startswith(
         f"closed form differs from recursion at {REC_DEFN_FAULTS[first][0]}: ")
+
+
+def test_main_theorem_reports_its_cells():
+    """One cell per theta-orbit: 0 alone and the pairs {j, 2^n + 1 - j}."""
+    assert [verify_main_theorem(n).params["cells"] for n in (3, 4)] == [5, 9]
+
+
+def test_main_theorem_fails_on_a_partition_that_is_not_orbits(monkeypatch):
+    """Cells {2k - 1, 2k} are no orbits of X^4 or Y^4.  The quotient run
+    still refines a vector, but its full exact bracket is the certificate,
+    and it does not separate."""
+    def pairing(n):
+        return {0: 0, **{j: j + 1 if j % 2 else j - 1 for j in range(1, 2 ** n + 1)}}
+
+    monkeypatch.setattr(verify, "theta_perm", pairing)
+    claim = verify_main_theorem(4)
+    assert not claim.passed
+    assert claim.params["cells"] == 9
+    assert "brackets do not separate" in claim.detail
