@@ -468,8 +468,7 @@ def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0, cells=None) ->
         x = _unit([(a + SHIFT * p) ** root for a, p in zip(applied, powered)], m, sizes)
 
     return EigenPair(mid, lo, hi, tuple(x[c] for c in cell_of), hypergraph.vertices, res,
-                     iterations,
-                     converged=False,
+                     iterations, converged=False,
                      message=f"bracket width {hi - lo:.3e} after {iterations} iterations")
 
 
