@@ -9,16 +9,15 @@ stack into pass/fail claims.  `cli` exposes everything as subcommands.
 The package exports the names the README's library example uses; everything
 else is imported from its module, as in `from hypospec.iso import deck`.
 
-numpy is loaded only where a canonical search runs: `iso` imports it at
-module level, and `iso` is imported on first use of `hypomorphic` (a
-module `__getattr__`).  So `import hypospec`, the whole claim suite, the
-float solver and every command but `deck` and `hypomorphic` run on the
-standard library alone.
+Each export is imported from its module on first use (a module
+`__getattr__`), so `import hypospec` loads no submodule, and each command
+loads only what its handler runs.  `deck` and `hypomorphic` load `iso` and
+with it numpy, but not `spectral` or `verify`; `gen`, `compare` and
+`verify` load neither `iso` nor numpy nor OpenSSL's `_hashlib`, which
+`spectral.vector_digest` imports for `spectrum` alone.
 """
 
-from .families import FamilySpec, family_hypergraph
-from .spectral import principal_eigenpair, rational_bracket
-from .verify import verify_main_theorem
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -27,10 +26,21 @@ __all__ = [
     "rational_bracket", "verify_main_theorem", "__version__",
 ]
 
+_HOMES = {
+    "FamilySpec": "families",
+    "family_hypergraph": "families",
+    "hypomorphic": "iso",
+    "principal_eigenpair": "spectral",
+    "rational_bracket": "spectral",
+    "verify_main_theorem": "verify",
+}
+
 
 def __getattr__(name: str):
-    if name == "hypomorphic":
-        from .iso import hypomorphic
-
-        return hypomorphic
+    if name in _HOMES:
+        return getattr(import_module(f".{_HOMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -155,8 +155,9 @@ class Hypergraph:
         if not lines[0].startswith("rank "):
             raise ValueError(f"line 1 must be 'rank m', got {lines[0]!r}")
         try:
-            rank = int(lines[0].split()[1])
-        except (IndexError, ValueError):
+            _, rank_text = lines[0].split()
+            rank = int(rank_text)
+        except ValueError:
             raise ValueError(f"unparseable rank line: {lines[0]!r}") from None
         head = lines[1].split()
         if head[0] != "vertices":

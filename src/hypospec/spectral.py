@@ -34,7 +34,6 @@ The module runs on the standard library alone.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from bisect import bisect_left
@@ -473,6 +472,10 @@ def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0, cells=None) ->
 
 
 def vector_digest(vector: Sequence[float]) -> str:
-    """Hash of the canonical 12-digit decimal rendering of the vector."""
+    """Hash of the canonical 12-digit decimal rendering of the vector.
+
+    hashlib is imported here: it maps OpenSSL, which only `spectrum` needs."""
+    import hashlib
+
     rendered = ",".join(format(float(t), ".12e") for t in vector)
     return hashlib.sha256(rendered.encode("ascii")).hexdigest()

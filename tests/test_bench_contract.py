@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from hypospec import iso, spectral
+from hypospec import iso, spectral, verify
 from hypospec.cli import main
 from hypospec.families import FamilySpec, family_hypergraph
 
@@ -105,3 +105,30 @@ def test_deck_searches_the_parent_and_each_orbit_through_the_module_attributes(m
     assert parents == [h]
     assert searches == len(reps) + 1
     assert nodes == expected_nodes > 0
+
+
+def test_cli_handlers_look_their_entry_points_up_when_called(monkeypatch, tmp_path):
+    """The tracer rebinds the wrapped functions on the modules that define
+    them.  The `cli` handlers import those names when they run, so `compare`,
+    `verify` and `hypomorphic` must reach whatever the module holds then."""
+    reached = []
+
+    def passthrough(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            reached.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    passthrough(verify, "verify_main_theorem")
+    passthrough(verify, "run_suite")
+    passthrough(iso, "hypomorphic")
+    x3, y3 = tmp_path / "x3.hg", tmp_path / "y3.hg"
+    x3.write_text(family_hypergraph(FamilySpec("X", 3)).to_text(), encoding="ascii")
+    y3.write_text(family_hypergraph(FamilySpec("Y", 3)).to_text(), encoding="ascii")
+    assert main(["compare", "--n", "3"]) == 0
+    assert main(["verify", "--n", "3", "--exact-only", "--out", str(tmp_path / "v.json")]) == 0
+    assert main(["hypomorphic", str(x3), str(y3)]) == 0
+    assert reached == ["verify_main_theorem", "run_suite", "hypomorphic"]

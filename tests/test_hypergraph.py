@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hypospec.cli import main
 from hypospec.hypergraph import (BadCoefficientError, Hypergraph,
                                  NonSquarefreeError, UnknownVertexError,
                                  WrongDegreeError, hypergraph_from_lagrangian,
@@ -55,6 +56,17 @@ def test_text_rejects_garbage():
         Hypergraph.from_text("rank x\nvertices 1\n")
     with pytest.raises(ValueError):
         Hypergraph.from_text("vertices 1 2 3\n1 2 3\n")
+
+
+@pytest.mark.parametrize("line", ["rank 3 junk", "rank 3 4"])
+def test_rank_line_is_exactly_rank_and_an_int(line, tmp_path, capsys):
+    text = f"{line}\nvertices 0 1 2\n0 1 2\n"
+    with pytest.raises(ValueError, match="unparseable rank line"):
+        Hypergraph.from_text(text)
+    path = tmp_path / "bad.hg"
+    path.write_text(text, encoding="ascii")
+    assert main(["spectrum", str(path)]) == 2
+    assert "unparseable rank line" in capsys.readouterr().err
 
 
 def test_json_round_trip():
