@@ -18,27 +18,51 @@ Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
 
 Each handler imports what it runs when it is called, so a command loads only
-its own modules.  Every command loads `hypergraph`, `polyalg` and `families`
-(the parser takes its --family choices from FAMILY_TAGS).  deck and
-hypomorphic add `iso` and numpy, and nothing of `spectral` or `verify`.  gen,
-compare and verify load neither `iso`, numpy nor OpenSSL's `_hashlib`; only
-spectrum loads `_hashlib`, for its vector digest.  On X^5/Y^5, `python3
-perfbench/run.py --workload hypomorphism --seconds 20 --trace 0` gave a
-median peak RSS of 36.7 MB when every command loaded every module, and
-32.8 MB with the imports in the handlers (2-vCPU Xeon).
+its own modules.  Every command loads `hypergraph`; the parser reads the
+--family choices of gen from `families.FAMILY_TAGS` only when it checks or
+prints them.  deck and hypomorphic add `iso` and numpy, and nothing of
+`polyalg`, `families`, `spectral`, `verify` or `fractions`.  spectrum adds
+`spectral`, which brings `fractions` for the exact bracket and OpenSSL's
+`_hashlib` for its vector digest.  gen, compare and verify load `polyalg`
+and `families`, and neither `iso`, numpy nor `_hashlib`.  On X^5/Y^5,
+`python3 perfbench/run.py --workload hypomorphism --seconds 20 --trace 0`
+gave a median peak RSS of 36.7 MB when every command loaded every module,
+and 32.8 MB with the imports in the handlers (2-vCPU Xeon).
+
+`main` sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it.  numpy's
+bundled OpenBLAS otherwise starts cpu_count - 1 worker threads when numpy is
+imported, and `iso` never calls BLAS.  On a 2-vCPU Xeon, `python3 -c 'import
+numpy'` took a median 0.235 s with that pool and 0.165 s without it (20
+alternating runs).  Set the variable in the environment to keep a pool.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
 
-from .families import FAMILY_TAGS
 from .hypergraph import Hypergraph
+
+
+class _FamilyTags:
+    """`families.FAMILY_TAGS`, imported when argparse checks or lists the
+    --family choices, not when it builds the parser.  Argparse iterates
+    `choices` at build time only when the argument has no metavar."""
+
+    def __contains__(self, tag: object) -> bool:
+        from .families import FAMILY_TAGS
+
+        return tag in FAMILY_TAGS
+
+    def __iter__(self):
+        from .families import FAMILY_TAGS
+
+        return iter(FAMILY_TAGS)
 
 
 def _header(seed: int) -> str:
@@ -55,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     gen = sub.add_parser("gen", help="construct a family member and write it out")
-    gen.add_argument("--family", required=True, choices=FAMILY_TAGS)
+    gen.add_argument("--family", required=True, choices=_FamilyTags(), metavar="FAMILY",
+                     help="one of %(choices)s")
     gen.add_argument("--n", required=True, type=int)
     gen.add_argument("--k", type=int, default=None, help="layer index, G family only")
     gen.add_argument("--out", default=None,
@@ -241,6 +266,10 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # iso uses only sort, argsort, cumsum, bincount, minimum/maximum and fancy
+    # indexing, none of which calls BLAS, so OpenBLAS's thread pool would only
+    # cost start-up time.  A value the caller set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,16 +14,19 @@ with one sorted edge per line in lexicographic order, and the equivalent
 JSON object {"rank": m, "vertices": [...], "edges": [[...], ...]}.
 
 A hypergraph caches only its hash; `spectral` and `iso` build their own
-vertex-position tables, so this module runs on the standard library.
+vertex-position tables, so this module runs on the standard library.  The
+two polynomial conversions import `polyalg` when they need it, so `deck`,
+`hypomorphic` and `spectrum` never load it.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .polyalg import SparsePoly, monomial_key, monomial_text
+if TYPE_CHECKING:
+    from .polyalg import SparsePoly
 
 
 class NonSquarefreeError(ValueError):
@@ -154,20 +157,20 @@ class Hypergraph:
             raise ValueError("hypergraph text needs a rank line and a vertices line")
         if not lines[0].startswith("rank "):
             raise ValueError(f"line 1 must be 'rank m', got {lines[0]!r}")
-        try:
-            _, rank_text = lines[0].split()
-            rank = int(rank_text)
-        except ValueError:
-            raise ValueError(f"unparseable rank line: {lines[0]!r}") from None
+        rank_line = lines[0].split()
+        if len(rank_line) != 2 or not _ascii_digits(rank_line[1]):
+            raise ValueError(f"unparseable rank line: {lines[0]!r}")
         head = lines[1].split()
         if head[0] != "vertices":
             raise ValueError(f"line 2 must start with 'vertices', got {lines[1]!r}")
-        try:
-            vertices = [int(tok) for tok in head[1:]]
-            edges = [[int(tok) for tok in ln.split()] for ln in lines[2:]]
-        except ValueError:
-            raise ValueError("non-integer token in hypergraph text") from None
-        return cls(rank, vertices, edges)
+        rows = [ln.split() for ln in lines[2:]]
+        # `int` alone would also read '1_0' as 10, '+4' as 4 and other
+        # scripts' digits, none of which `to_text` writes back
+        digits = "".join(head[1:]) + "".join(map("".join, rows))
+        if digits and not _ascii_digits(digits):
+            raise ValueError("non-integer token in hypergraph text")
+        return cls(int(rank_line[1]), list(map(int, head[1:])),
+                   [list(map(int, row)) for row in rows])
 
     # -- JSON format ----------------------------------------------------------
 
@@ -204,6 +207,10 @@ def _check_rank(rank) -> None:
         raise ValueError(f"rank must be an int >= 2, got {rank!r}")
 
 
+def _ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def _int_list(items) -> bool:
     # `type(...) is int` rather than isinstance: JSON true/false load as bool
     return isinstance(items, list) and all(type(v) is int for v in items)
@@ -211,6 +218,8 @@ def _int_list(items) -> bool:
 
 def lagrangian_of(hypergraph: Hypergraph) -> SparsePoly:
     """Sum of the squarefree edge monomials."""
+    from .polyalg import SparsePoly
+
     return SparsePoly(dict.fromkeys(hypergraph.edges, 1))
 
 
@@ -232,6 +241,8 @@ def hypergraph_from_lagrangian(poly: SparsePoly, rank: int) -> Hypergraph:
         else:
             offenders.append(mono)
     if offenders:
+        from .polyalg import monomial_key, monomial_text
+
         mono = min(offenders, key=monomial_key)
         text = monomial_text(mono)
         if len(set(mono)) != len(mono):

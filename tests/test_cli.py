@@ -10,7 +10,8 @@ import pytest
 
 from hypospec import iso, verify
 from hypospec.cli import _load, _parse_n_range, main
-from hypospec.families import N_CAP, NUMERIC_N_CAP, FamilySpec, family_hypergraph
+from hypospec.families import (FAMILY_TAGS, N_CAP, NUMERIC_N_CAP, FamilySpec,
+                               family_hypergraph)
 from hypospec.hypergraph import Hypergraph
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -66,8 +67,14 @@ def test_gen_layer_family_needs_k(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_gen_rejects_unknown_family():
+def test_gen_rejects_unknown_family(capsys):
+    """The parser imports `families` only to check or list the choices, and
+    still names every tag in the error and in the help."""
     assert main(["gen", "--family", "Q", "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert all(repr(tag) in err for tag in FAMILY_TAGS)
+    assert main(["gen", "--help"]) == 0
+    assert ", ".join(FAMILY_TAGS) in " ".join(capsys.readouterr().out.split())
 
 
 def test_spectrum_text_output(tmp_path, capsys):

@@ -58,7 +58,7 @@ def test_text_rejects_garbage():
         Hypergraph.from_text("vertices 1 2 3\n1 2 3\n")
 
 
-@pytest.mark.parametrize("line", ["rank 3 junk", "rank 3 4"])
+@pytest.mark.parametrize("line", ["rank 3 junk", "rank 3 4", "rank +3", "rank 0_3"])
 def test_rank_line_is_exactly_rank_and_an_int(line, tmp_path, capsys):
     text = f"{line}\nvertices 0 1 2\n0 1 2\n"
     with pytest.raises(ValueError, match="unparseable rank line"):
@@ -67,6 +67,22 @@ def test_rank_line_is_exactly_rank_and_an_int(line, tmp_path, capsys):
     path.write_text(text, encoding="ascii")
     assert main(["spectrum", str(path)]) == 2
     assert "unparseable rank line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rank 3\nvertices 1 2 1_0\n", "non-integer token"),
+    ("rank 3\nvertices 0 1 +2\n0 1 2\n", "non-integer token"),
+    ("rank 3\nvertices 0 1 2\n0 1 \u0662\n", "non-integer token"),   # Arabic-Indic 2
+    ("rank \uff13\nvertices 0 1 2\n", "unparseable rank line"),       # fullwidth 3
+], ids=["underscore", "plus", "non-ascii-digit", "non-ascii-rank"])
+def test_text_tokens_are_ascii_digits(text, message, tmp_path, capsys):
+    """`int` would read each of these, but `to_text` could not write it back."""
+    with pytest.raises(ValueError, match=message):
+        Hypergraph.from_text(text)
+    path = tmp_path / "bad.hg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["deck", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_json_round_trip():

@@ -1,18 +1,25 @@
-"""Each command loads only the modules its handler runs, and the package
-exports resolve.
+"""Each command loads only the modules its handler runs, starts no BLAS
+thread pool, and the package exports resolve.
 
 Each check runs in a fresh interpreter, as this test process has loaded
 everything already.  `import hypospec` loads no `hypospec.*` submodule.
-`deck` and `hypomorphic` load `iso` and numpy, but neither `spectral`,
-`verify` nor OpenSSL's `_hashlib`.  `gen`, `compare` and `verify` (with or
-without its numeric claims) load neither `iso`, numpy nor `_hashlib`.
-`spectrum` loads `_hashlib` for its vector digest, and not numpy.
+`deck` and `hypomorphic` load `iso` and numpy, and none of `polyalg`,
+`families`, `fractions`, `spectral`, `verify` or OpenSSL's `_hashlib`.
+`spectrum` loads `spectral`, `fractions` for its exact bracket and
+`_hashlib` for its vector digest, and neither numpy, `polyalg` nor
+`families`.  `gen`, `compare` and `verify` (with or without its numeric
+claims) load `polyalg`, `families` and `fractions`, and neither `iso`,
+numpy nor `_hashlib`.  After `deck` and `hypomorphic` the process has one
+thread, because `cli.main` sets OPENBLAS_NUM_THREADS to 1 before numpy
+loads; a value set by the caller is kept.
 
 What this buys: `python3 perfbench/run.py --workload hypomorphism --seconds 20
 --trace 0` gave a median peak RSS of 36.7 MB for `hypomorphic` on X^5/Y^5
 while `import hypospec` loaded `families`, `spectral` and `verify` and
 `spectral` imported `hashlib` at the top, and 32.8 MB once neither did (10
-alternating runs a side, 2-vCPU Xeon).
+alternating runs a side, 2-vCPU Xeon).  Without OpenBLAS's idle pool of
+cpu_count - 1 threads, `python3 -c 'import numpy'` took a median 0.165 s
+where it took 0.235 s (20 alternating runs, 2-vCPU Xeon).
 """
 
 import json
@@ -24,10 +31,12 @@ from pathlib import Path
 import pytest
 
 import hypospec
+from hypospec.families import FamilySpec, family_hypergraph
 
 SRC = str(Path(hypospec.__file__).resolve().parent.parent)
 
-WATCHED = ("hypospec.iso", "hypospec.spectral", "hypospec.verify", "numpy", "_hashlib")
+WATCHED = ("hypospec.iso", "hypospec.spectral", "hypospec.verify", "hypospec.polyalg",
+           "hypospec.families", "numpy", "fractions", "_hashlib")
 
 PROBE = """
 import json, sys
@@ -49,31 +58,71 @@ def _python(code: str, *args: str, cwd: Path) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-GEN_X3 = ["gen", "--family", "X", "--n", "3", "--out", "x3.hg"]
-GEN_Y3 = ["gen", "--family", "Y", "--n", "3", "--out", "y3.hg"]
-SPECTRAL = {"hypospec.spectral"}
-CLAIMS = {"hypospec.spectral", "hypospec.verify"}
+@pytest.fixture
+def pair_files(tmp_path):
+    """X^3 and Y^3 as text files, written here so that the probes run no `gen`."""
+    for tag in ("X", "Y"):
+        hg = family_hypergraph(FamilySpec(tag, 3))
+        (tmp_path / f"{tag.lower()}3.hg").write_text(hg.to_text(), encoding="ascii")
+    return tmp_path
+
+
+POLY = {"hypospec.polyalg", "hypospec.families", "fractions"}
+CLAIMS = POLY | {"hypospec.spectral", "hypospec.verify"}
 SEARCH = {"hypospec.iso", "numpy"}
 
 
 @pytest.mark.parametrize("argvs, loads", [
     ([], set()),
-    ([["gen", "--family", "X", "--n", "3"]], set()),
+    ([["gen", "--family", "X", "--n", "3"]], POLY),
     ([["verify", "--n", "3", "--exact-only", "--out", "verdict.json"]], CLAIMS),
     ([["verify", "--n", "3", "--out", "verdict.json"]], CLAIMS),
     ([["compare", "--n", "3"]], CLAIMS),
-    ([GEN_X3, ["spectrum", "x3.hg"]], SPECTRAL | {"_hashlib"}),
-    ([GEN_X3, ["deck", "x3.hg"]], SEARCH),
-    ([GEN_X3, GEN_Y3, ["hypomorphic", "x3.hg", "y3.hg"]], SEARCH),
+    ([["spectrum", "x3.hg"]], {"hypospec.spectral", "fractions", "_hashlib"}),
+    ([["deck", "x3.hg"]], SEARCH),
+    ([["hypomorphic", "x3.hg", "y3.hg"]], SEARCH),
 ], ids=["import", "gen", "verify-exact-only", "verify", "compare", "spectrum", "deck",
         "hypomorphic"])
-def test_numpy_is_loaded_only_by_float_and_search_commands(argvs, loads, tmp_path):
+def test_numpy_is_loaded_only_by_float_and_search_commands(argvs, loads, pair_files):
     """The watched modules each command loads, numpy among them: exactly `loads`."""
     after_import, codes, loaded = json.loads(
-        _python(PROBE, json.dumps(argvs), json.dumps(WATCHED), cwd=tmp_path))
+        _python(PROBE, json.dumps(argvs), json.dumps(WATCHED), cwd=pair_files))
     assert after_import == []
     assert codes == [0] * len(argvs)
     assert set(loaded) == loads
+
+
+# The pytest process has run `cli.main` already, which set the variable, so
+# the child clears it before it sets its own value.
+BLAS_PROBE = """
+import io, json, os, sys
+from contextlib import redirect_stdout
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+if sys.argv[1]:
+    os.environ["OPENBLAS_NUM_THREADS"] = sys.argv[1]
+from hypospec import cli
+out = io.StringIO()
+with redirect_stdout(out):
+    codes = [cli.main(["deck", "x3.hg", "--out", sys.argv[2]]),
+             cli.main(["hypomorphic", "x3.hg", "y3.hg"])]
+threads = len(os.listdir("/proc/self/task"))
+print(json.dumps([codes, threads, os.environ.get("OPENBLAS_NUM_THREADS"), out.getvalue()]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+def test_search_commands_start_no_blas_threads(pair_files):
+    """Unset, the variable reads "1" afterwards and the process has one
+    thread; OpenBLAS would start cpu_count - 1 more.  A caller's value is
+    kept, and the output does not depend on it."""
+    codes, threads, value, out = json.loads(_python(BLAS_PROBE, "", "unset.json",
+                                                    cwd=pair_files))
+    assert (codes, threads, value) == ([0, 0], 1, "1")
+    codes, _, preset_value, preset_out = json.loads(_python(BLAS_PROBE, "2", "preset.json",
+                                                            cwd=pair_files))
+    assert (codes, preset_value) == ([0, 0], "2")
+    assert preset_out == out and "hypomorphic: yes" in out
+    assert (pair_files / "preset.json").read_bytes() == (pair_files / "unset.json").read_bytes()
 
 
 def test_package_exports_resolve():
