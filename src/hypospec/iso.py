@@ -114,7 +114,7 @@ class CanonicalForm:
         return tuple(map(tuple, words.tolist()))
 
     def text(self) -> str:
-        return Hypergraph(self.rank, range(1, self.size + 1), self.edges).to_text()
+        return Hypergraph._adopt(self.rank, tuple(range(1, self.size + 1)), self.edges).to_text()
 
 
 class _Incidence(NamedTuple):

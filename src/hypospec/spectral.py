@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import add, itemgetter, mod, mul, truediv
+from itertools import chain, combinations
+from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
 from .hypergraph import Hypergraph, UnknownVertexError
@@ -97,34 +97,18 @@ def _links(hypergraph: Hypergraph) -> tuple[tuple[_Group, ...], ...]:
     """Per vertex position, the positions of the other members of each edge at
     it, grouped by all members but the last: (prefix, lasts) pairs.
 
-    Each (edge, member) pair is coded as one int, the member and then the
-    other members as digits in base |V|, and sorting the codes gathers each
-    group.  The edges are sorted tuples in lexicographic order, and deleting
-    a shared member keeps that order, so the groups at a vertex and the lasts
-    of a group come out in the order in which the edges meet them; that
-    order fixes the order of every float sum."""
-    nv, m = len(hypergraph.vertices), hypergraph.rank
-    edges = hypergraph.edges
+    The edges are sorted tuples in lexicographic order, and deleting a shared
+    member keeps that order, so one pass over the edges meets the groups at a
+    vertex, and the lasts of a group, in sorted order; that order fixes the
+    order of every float sum."""
+    m = hypergraph.rank
     position = {v: i for i, v in enumerate(hypergraph.vertices)}.__getitem__
-    codes: list[int] = []
-    for k in range(m):
-        code = map(position, map(itemgetter(k), edges))
-        for j in chain(range(k), range(k + 1, m)):
-            code = map(add, map(mul, code, repeat(nv)), map(position, map(itemgetter(j), edges)))
-        codes.extend(code)
-    codes.sort()
-    table: list[list[_Group]] = [[] for _ in range(nv)]
-    start = 0
-    while start < len(codes):
-        key = codes[start] // nv
-        end = bisect_left(codes, (key + 1) * nv, start)
-        prefix = []
-        for _ in range(m - 2):
-            key, q = divmod(key, nv)
-            prefix.append(q)
-        table[key].append((tuple(prefix[::-1]), tuple(map(mod, codes[start:end], repeat(nv)))))
-        start = end
-    return tuple(map(tuple, table))
+    groups = [defaultdict(list) for _ in hypergraph.vertices]
+    for edge in hypergraph.edges:
+        row = tuple(map(position, edge))
+        for p, others in zip(reversed(row), combinations(row, m - 1)):
+            groups[p][others[:-1]].append(others[-1])
+    return tuple(tuple((prefix, tuple(lasts)) for prefix, lasts in g.items()) for g in groups)
 
 
 class _Quotient(NamedTuple):

@@ -469,12 +469,14 @@ def test_deck_matches_per_card_deck(h):
 @pytest.mark.parametrize("h", DECK_INPUTS)
 def test_every_deck_witness_is_an_isomorphism(h):
     """Copied witnesses included: each maps the card's edges exactly onto its
-    canonical edges, and its vertices onto 1..n-1."""
+    canonical edges, and its vertices onto 1..n-1.  The canonical text,
+    built without the constructor's checks, is that of the validated card."""
     for v, cf in deck(h):
         card = delete_vertex(h, v)
         assert list(cf.witness) == list(card.vertices)
         assert sorted(cf.witness.values()) == list(range(1, h.num_vertices))
         assert sorted(tuple(sorted(cf.witness[u] for u in e)) for e in card.edges) == list(cf.edges)
+        assert cf.text() == Hypergraph(cf.rank, range(1, cf.size + 1), cf.edges).to_text()
 
 
 def test_incidence_columns_index_the_vertex_tuple():

@@ -173,8 +173,8 @@ def test_tensor_apply_matches_per_edge_products():
 
 
 def per_pair_links(h):
-    """The `_links` table built one (edge, member) pair at a time, kept as
-    the oracle of the sorted-code build."""
+    """The `_links` table built one (edge, member) pair at a time, the
+    oracle of the table's groups and of their order."""
     index = {v: i for i, v in enumerate(h.vertices)}
     groups = [{} for _ in h.vertices]
     for edge in h.edges:
@@ -188,11 +188,11 @@ def per_pair_links(h):
 def test_links_match_per_pair_build():
     """The same groups in the same order, so every float sum keeps its order:
     seeded hypergraphs of rank 2, 3 and 4, with and without scattered labels,
-    and X^3..X^6."""
+    and X^3..X^6 and Y^3..Y^6."""
     rng = random.Random(2026)
     samples = [h for _, h in random_hypergraphs(rng)]
     samples += [random_connected(rng, rank, max_vertices=9) for rank in (2, 3, 4) for _ in range(4)]
-    samples += [family_hypergraph(FamilySpec("X", n)) for n in range(3, 7)]
+    samples += [family_hypergraph(FamilySpec(tag, n)) for tag in "XY" for n in range(3, 7)]
     for h in samples:
         assert spectral._links.__wrapped__(h) == per_pair_links(h)
     assert spectral._links(Hypergraph(3, range(4), [])) == ((),) * 4
@@ -201,6 +201,41 @@ def test_links_match_per_pair_build():
 def theta_cells(n):
     theta = theta_perm(n)
     return tuple(dict.fromkeys(tuple(sorted({v, theta[v]})) for v in range(2 ** n + 1)))
+
+
+def per_pair_quotient(h, cells):
+    """The `_quotient` table built one (edge, member) pair at a time: each
+    pair whose member is the first of its cell adds the other members, mapped
+    to their cells, to the group of its mapped prefix under that cell."""
+    index = {v: i for i, v in enumerate(h.vertices)}
+    cell_of = {index[v]: c for c, cell in enumerate(cells) for v in cell}
+    first_of = {index[cell[0]]: c for c, cell in enumerate(cells)}
+    groups = [{} for _ in cells]
+    for edge in h.edges:
+        row = [index[v] for v in edge]
+        for p in row:
+            if p in first_of:
+                others = [cell_of[q] for q in row if q != p]
+                groups[first_of[p]].setdefault(tuple(others[:-1]), []).append(others[-1])
+    return tuple(tuple((prefix, tuple(lasts)) for prefix, lasts in g.items()) for g in groups)
+
+
+def test_quotient_matches_per_pair_build():
+    """The same merged groups in the same order, so every float sum over the
+    quotient keeps its order: the theta-cells of X^3..X^6 and Y^3..Y^6, and
+    seeded random partitions, with shuffled cells, of hypergraphs of rank 2,
+    3 and 4."""
+    rng = random.Random(23)
+    cases = [(family_hypergraph(FamilySpec(tag, n)), theta_cells(n))
+             for tag in "XY" for n in range(3, 7)]
+    for _, h in random_hypergraphs(rng):
+        labels = list(h.vertices)
+        rng.shuffle(labels)
+        cuts = sorted(rng.sample(range(1, len(labels)), rng.randint(0, len(labels) - 1)))
+        cases.append((h, tuple(tuple(labels[a:b])
+                               for a, b in zip([0] + cuts, cuts + [len(labels)]))))
+    for h, cells in cases:
+        assert spectral._quotient(h, cells).links == per_pair_quotient(h, cells)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
