@@ -11,15 +11,8 @@ else is imported from its module, as in `from hypospec.iso import deck`.
 
 Each export is imported from its module on first use (a module
 `__getattr__`), so `import hypospec` loads no submodule, and each command
-loads only what its handler runs.  `deck` and `hypomorphic` load
-`hypergraph`, `iso` and with it numpy, and none of `polyalg`, `families`,
-`spectral`, `verify` or `fractions`.  `spectrum` loads `spectral`, with
-`fractions` for its exact bracket and OpenSSL's `_hashlib`, which
-`spectral.vector_digest` imports for its digest, but not `polyalg` or
-`families`.  `gen`, `compare` and `verify` load `polyalg` and `families`,
-and neither `iso`, numpy nor `_hashlib`.  `cli.main` sets
-OPENBLAS_NUM_THREADS to 1 unless it is set already, so numpy starts no BLAS
-thread pool that `iso` would never use.
+loads only what its handler runs: the README lists each command's modules,
+and `tests/test_imports.py` checks them.
 """
 
 from importlib import import_module

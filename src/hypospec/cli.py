@@ -18,22 +18,15 @@ Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
 
 Each handler imports what it runs when it is called, so a command loads only
-its own modules.  Every command loads `hypergraph`; the parser reads the
---family choices of gen from `families.FAMILY_TAGS` only when it checks or
-prints them.  deck and hypomorphic add `iso` and numpy, and nothing of
-`polyalg`, `families`, `spectral`, `verify` or `fractions`.  spectrum adds
-`spectral`, which brings `fractions` for the exact bracket and OpenSSL's
-`_hashlib` for its vector digest.  gen, compare and verify load `polyalg`
-and `families`, and neither `iso`, numpy nor `_hashlib`.  On X^5/Y^5,
-`python3 perfbench/run.py --workload hypomorphism --seconds 20 --trace 0`
-gave a median peak RSS of 36.7 MB when every command loaded every module,
-and 32.8 MB with the imports in the handlers (2-vCPU Xeon).
+its own modules, which keeps the start-up time and peak memory of each
+command to what it uses; the README lists each command's modules and
+`tests/test_imports.py` checks them.  The parser reads the --family choices
+of gen from `families.FAMILY_TAGS` only when it checks or prints them.
 
 `main` sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it.  numpy's
 bundled OpenBLAS otherwise starts cpu_count - 1 worker threads when numpy is
-imported, and `iso` never calls BLAS.  On a 2-vCPU Xeon, `python3 -c 'import
-numpy'` took a median 0.235 s with that pool and 0.165 s without it (20
-alternating runs).  Set the variable in the environment to keep a pool.
+imported, which slows the import, and `iso` never calls BLAS.  Set the
+variable in the environment to keep a pool.
 """
 
 from __future__ import annotations

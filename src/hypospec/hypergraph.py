@@ -15,8 +15,9 @@ JSON object {"rank": m, "vertices": [...], "edges": [[...], ...]}.
 
 A hypergraph caches only its hash; `spectral` and `iso` build their own
 vertex-position tables, so this module runs on the standard library.  The
-two polynomial conversions import `polyalg` when they need it, so `deck`,
-`hypomorphic` and `spectrum` never load it.
+two polynomial conversions import `polyalg` when they need it, so the
+commands that never convert never load it (see the README and
+`tests/test_imports.py`).
 """
 
 from __future__ import annotations

@@ -53,15 +53,15 @@ included, counts the nodes it visits (one refinement each) and raises
 silently.  The limit is on the quantity that grows, not on the size: the
 deck of X^6, the parent and 33 cards, takes 38 nodes in all, while one
 random Steiner triple system on 31 vertices takes about 27,000.  The search
-recurses once per individualised vertex, so it also raises
-`SearchLimitError` on a path deeper than the interpreter's recursion limit
-leaves room for, about 950 levels under the default limit of 1,000: the
+recurses once per individualised vertex, so the interpreter's recursion
+limit bounds the depth of a path; a search that reaches it raises
+`SearchLimitError` in place of the `RecursionError`.  Under the default
+limit of 1,000, called from a shallow stack, that is about 990 levels: the
 edgeless hypergraph on 1,100 vertices is one such input.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -73,15 +73,10 @@ from .hypergraph import Hypergraph, UnknownVertexError
 
 SEARCH_NODE_LIMIT = 100_000
 
-# The search recurses once per individualised vertex.  It stops this many
-# frames short of the interpreter's recursion limit, room enough for the
-# calls one node makes.
-_NODE_FRAMES = 50
-
 
 class SearchLimitError(ValueError):
     """The canonical search visited more than SEARCH_NODE_LIMIT nodes, or
-    went deeper than the interpreter's recursion limit leaves room for."""
+    went deeper than the interpreter's recursion limit allows."""
 
 
 @dataclass(frozen=True)
@@ -261,9 +256,6 @@ def _search(rank: int, verts: tuple[int, ...], inc: _Incidence) -> CanonicalForm
     best: tuple | None = None
     generators: list[list[int]] = []
     nodes = 0
-    frame, max_depth = sys._getframe(), sys.getrecursionlimit() - _NODE_FRAMES
-    while frame is not None:
-        frame, max_depth = frame.f_back, max_depth - 1
 
     def visit(cells: tuple[tuple[int, ...], ...], path: tuple[int, ...]) -> int:
         """Search below the node reached by individualising `path`.  Returns the
@@ -273,10 +265,6 @@ def _search(rank: int, verts: tuple[int, ...], inc: _Incidence) -> CanonicalForm
         if nodes > SEARCH_NODE_LIMIT:
             raise SearchLimitError(f"canonical search on {n} vertices visited more "
                                    f"than SEARCH_NODE_LIMIT = {SEARCH_NODE_LIMIT} nodes")
-        if len(path) > max_depth:
-            raise SearchLimitError(f"canonical search on {n} vertices went deeper than "
-                                   f"{max_depth} individualised vertices, as deep as the "
-                                   "interpreter's recursion limit allows")
         cells = _refine(cells, inc)
         target = next((ci for ci, cell in enumerate(cells) if len(cell) > 1), None)
         if target is None:
@@ -313,7 +301,14 @@ def _search(rank: int, verts: tuple[int, ...], inc: _Incidence) -> CanonicalForm
             covered = _orbit(explored, _fixing(generators, path))
         return depth
 
-    visit((tuple(range(n)),), ())
+    try:
+        visit((tuple(range(n)),), ())
+    except RecursionError:
+        raise SearchLimitError(f"canonical search on {n} vertices went deeper than the "
+                               "interpreter's recursion limit allows") from None
+    # visit's closure holds visit itself; breaking that cycle frees the
+    # incidence and the leaves at return, not at the next cyclic collection
+    del visit
     assert first is not None and best is not None
     first_path = first[0]
     count = 1

@@ -40,7 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
@@ -64,23 +64,22 @@ SHIFT = 1.0
 
 @dataclass
 class EigenPair:
-    """Converged (or best-effort) principal eigenpair with certified brackets.
+    """The float solver's principal eigenpair, converged or stopped at its cap.
 
-    `value` is the midpoint of [value_lo, value_hi]; the brackets come from
-    Collatz-Wielandt ratios at `vector` and are valid even before convergence.
-    The vector is a tuple of positive floats normalized in the m-norm,
-    indexed like `vertices`.
+    `vector` is a tuple of positive floats normalized in the m-norm, indexed
+    like `vertices`.  `value` is the midpoint of the float Collatz-Wielandt
+    ratios at `vector`, and `residual` the largest |apply_i - value *
+    x_i^{m-1}| there, both in float arithmetic; `rational_bracket` at
+    `vector` is what certifies.
     """
 
     value: float
-    value_lo: float
-    value_hi: float
     vector: tuple[float, ...]
     vertices: tuple[int, ...]
     residual: float
     iterations: int
-    converged: bool = True
-    message: str = ""
+    converged: bool
+    message: str
 
     def entry(self, vertex: int) -> float:
         try:
@@ -412,11 +411,14 @@ def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0, cells=None) ->
 
     Each step applies the tensor, adds SHIFT * x^{m-1}, takes the (m-1)-th
     root, and renormalizes; the eigenvalue brackets are the min and max
-    Collatz-Wielandt ratios at the current iterate.  Convergence means the
-    bracket width and the residual both drop below TOLERANCE, floored at 64
-    ulps of the upper bracket, which double precision can still resolve once
-    lambda is in the hundreds.  After MAX_ITERATIONS the best iterate is
-    returned with converged=False.  Seed 0 starts from all-ones; any other
+    Collatz-Wielandt ratios at the current iterate.  The one stop rule is
+    the bracket width: below TOLERANCE, floored at 64 ulps of the upper
+    bracket, which double precision can still resolve once lambda is in the
+    hundreds.  The residual needs no test of its own: the iterate has unit
+    m-norm, so each x_i^{m-1} is at most 1 and the residual at the midpoint
+    is at most half the width, up to rounding.  After MAX_ITERATIONS the
+    last iterate is returned, with the midpoint and residual of its own
+    brackets, and converged=False.  Seed 0 starts from all-ones; any other
     nonnegative seed jitters that start through `random.Random(seed)`, and a
     negative seed is a ValueError.
 
@@ -435,24 +437,20 @@ def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0, cells=None) ->
     x = _unit([1.0 + rng.uniform(0.0, 0.5) if seed else 1.0 for _ in links], m, sizes)
     root = 1.0 / (m - 1)
 
-    lo = hi = mid = res = 0.0
-    iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
+    for iterations in count(1):
         applied = _edge_sums(links, x)
         powered = [t ** (m - 1) for t in x]
         ratios = list(map(truediv, applied, powered))
         lo, hi = min(ratios), max(ratios)
-        mid = 0.5 * (lo + hi)
-        res = max(abs(a - mid * p) for a, p in zip(applied, powered))
-        floor = max(TOLERANCE, 64 * math.ulp(hi))
-        if hi - lo < floor and res < floor:
-            return EigenPair(mid, lo, hi, tuple(x[c] for c in cell_of), hypergraph.vertices,
-                             res, iterations)
+        converged = hi - lo < max(TOLERANCE, 64 * math.ulp(hi))
+        if converged or iterations == MAX_ITERATIONS:
+            break
         x = _unit([(a + SHIFT * p) ** root for a, p in zip(applied, powered)], m, sizes)
-
-    return EigenPair(mid, lo, hi, tuple(x[c] for c in cell_of), hypergraph.vertices, res,
-                     iterations, converged=False,
-                     message=f"bracket width {hi - lo:.3e} after {iterations} iterations")
+    mid = 0.5 * (lo + hi)
+    res = max(abs(a - mid * p) for a, p in zip(applied, powered))
+    message = "" if converged else f"bracket width {hi - lo:.3e} after {iterations} iterations"
+    return EigenPair(mid, tuple(x[c] for c in cell_of), hypergraph.vertices, res, iterations,
+                     converged, message)
 
 
 def vector_digest(vector: Sequence[float]) -> str:

@@ -13,13 +13,7 @@ numpy nor `_hashlib`.  After `deck` and `hypomorphic` the process has one
 thread, because `cli.main` sets OPENBLAS_NUM_THREADS to 1 before numpy
 loads; a value set by the caller is kept.
 
-What this buys: `python3 perfbench/run.py --workload hypomorphism --seconds 20
---trace 0` gave a median peak RSS of 36.7 MB for `hypomorphic` on X^5/Y^5
-while `import hypospec` loaded `families`, `spectral` and `verify` and
-`spectral` imported `hashlib` at the top, and 32.8 MB once neither did (10
-alternating runs a side, 2-vCPU Xeon).  Without OpenBLAS's idle pool of
-cpu_count - 1 threads, `python3 -c 'import numpy'` took a median 0.165 s
-where it took 0.235 s (20 alternating runs, 2-vCPU Xeon).
+The README gives the peak memory and import time this saves.
 """
 
 import json

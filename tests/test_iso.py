@@ -1,10 +1,12 @@
 """Canonical forms, decks, and the hypomorphism certificate."""
 
+import gc
 import hashlib
 import itertools
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +423,39 @@ def test_deep_search_raises_before_the_recursion_limit(h):
     for search in (canonical_form, deck):
         with pytest.raises(SearchLimitError, match=f"on {h.num_vertices} vertices went deeper"):
             search(h)
+
+
+def nested(depth, call, *args):
+    """`call(*args)` from `depth` more Python frames."""
+    return call(*args) if depth == 0 else nested(depth - 1, call, *args)
+
+
+def test_deep_search_from_a_deep_caller():
+    """A caller 300 frames deep leaves the search fewer levels before the
+    recursion limit; it still raises SearchLimitError, not RecursionError,
+    and leaves the limit as it was."""
+    h = Hypergraph(3, range(1100), [])
+    limit = sys.getrecursionlimit()
+    for search, args in ((canonical_form, (h,)), (hypomorphic, (h, h))):
+        with pytest.raises(SearchLimitError, match="on 1100 vertices went deeper"):
+            nested(300, search, *args)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_search_leaves_no_reference_cycle():
+    """The recursive search closure is released when the search returns, so
+    its incidence arrays and leaves go then, not at the next cyclic
+    collection."""
+    h = family_hypergraph(FamilySpec("X", 4))
+    deck(h)
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_form(h)
+        deck(h)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def per_card_deck(h: Hypergraph) -> Deck:

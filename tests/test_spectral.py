@@ -277,6 +277,48 @@ def test_solver_and_newton_on_theta_orbits_match_the_full_vector():
     assert steps[-1][3] - steps[-1][2] < Fraction(1, 10 ** 40)
 
 
+# Iterations and vector digest of the float solve from all-ones on X^n and
+# Y^n, the same with and without the theta-cells.  They move only when the
+# solver's arithmetic or stop rule does; update them on purpose.
+FLOAT_SOLVE_PINS = {
+    ("X", 3): (17, "fec337697816fea923df9388ffcd087ee7ec8dab778f8d1226c2e2ded227b5d1"),
+    ("X", 4): (9, "f8982527c8fe92740a21ea950302c38e961fdec852dedc1b7eddf2cdaa4b9b28"),
+    ("X", 5): (9, "0a4f28127e80e0ea601341600a55716f198eb1a3b9e212e21f8e23e2b004ba7c"),
+    ("X", 6): (8, "8c0d36d4a5204e2186a5049a5333e1eef72e4d5d6715ce7c79d515e17a98b1b3"),
+    ("Y", 3): (11, "e5844a59ba168f3fe32324adadc2aa6cf6419edc809580365b9b098f7f8340ed"),
+    ("Y", 4): (9, "baa2b7296b572466b1e8e62fbb40a211e01796c9f8dabfa56b3f85618a876cc7"),
+    ("Y", 5): (9, "0a4f28127e80e0ea601341600a55716f198eb1a3b9e212e21f8e23e2b004ba7c"),
+    ("Y", 6): (8, "8c0d36d4a5204e2186a5049a5333e1eef72e4d5d6715ce7c79d515e17a98b1b3"),
+}
+
+
+@pytest.mark.parametrize("tag,n", sorted(FLOAT_SOLVE_PINS))
+def test_float_solve_is_pinned(tag, n):
+    h = family_hypergraph(FamilySpec(tag, n))
+    for cells in (None, theta_cells(n)):
+        pair = principal_eigenpair(h, cells=cells)
+        assert pair.converged
+        assert (pair.iterations, vector_digest(pair.vector)) == FLOAT_SOLVE_PINS[tag, n]
+
+
+def test_eigenpair_at_the_cap_describes_its_own_vector(monkeypatch):
+    """Stopped at MAX_ITERATIONS, the pair's value and residual are the float
+    Collatz-Wielandt midpoint and residual at the vector it returns."""
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 3)
+    h = family_hypergraph(FamilySpec("X", 4))
+    for cells in (None, theta_cells(4)):
+        pair = principal_eigenpair(h, cells=cells)
+        assert not pair.converged and pair.iterations == 3
+        assert pair.message.endswith("after 3 iterations")
+        powered = [t ** 2 for t in pair.vector]
+        applied = tensor_apply(h, pair.vector)
+        ratios = [a / p for a, p in zip(applied, powered)]
+        mid = 0.5 * (min(ratios) + max(ratios))
+        residual = max(abs(a - mid * p) for a, p in zip(applied, powered))
+        assert pair.value == pytest.approx(mid, rel=1e-9)
+        assert pair.residual == pytest.approx(residual, rel=1e-9)
+
+
 def test_singleton_partition_is_the_links_table():
     h = family_hypergraph(FamilySpec("Y", 4))
     links = spectral._links(h)

@@ -308,6 +308,29 @@ def test_main_theorem_n3():
     assert claim.params["predicted_gap"] > 0
 
 
+# sha256 of the sorted-key JSON of verify_main_theorem(n, seed=s).params,
+# which holds the float iteration counts and the Newton refinement fields
+# that the exact-only verdict digests leave out.  They move only when the
+# float solver or the refinement does; update them on purpose.
+MAIN_THEOREM_PARAMS_PINS = {
+    (3, 0): "c221b30863bd18f270012ed4bc96d27355bd8a6e5fbde1ada0a45395f3ba4eeb",
+    (3, 2): "54967a02f5a69f45308bd160efbb65635afa90b84367e1abfa97ad8c06e70141",
+    (4, 0): "74c368e6bfcd80f9e5aadadb997fad097e88a09454bf6163d6b23046b2083cef",
+    (4, 2): "caf1d4fd9a0eafe89b085bd93d18ad908658b2f296dd3df2863ac04bf7f25421",
+    (5, 0): "e65e8951563beaba670b9081e6bb9373ba2ad26663a07cfc0eb8f5bc5b5fd1fc",
+    (5, 2): "a28ba2a36ac8ff16435c7fd550f595621c5ac0d62a3ae6a283e90be0a9148dc7",
+    (6, 0): "0c8c00bc6cad95e9eb168010cca09991913f24116714322b6ce20ab5c94f1a34",
+    (6, 2): "0b67a7c50746ad5040241baa00db75fdb0310f6781a5f884eff370437af4fd47",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(MAIN_THEOREM_PARAMS_PINS))
+def test_main_theorem_params_are_pinned(n, seed):
+    params = verify_main_theorem(n, seed=seed).params
+    digest = hashlib.sha256(json.dumps(params, sort_keys=True).encode("ascii")).hexdigest()
+    assert digest == MAIN_THEOREM_PARAMS_PINS[n, seed]
+
+
 def test_main_theorem_judges_only_the_exact_certificate(monkeypatch):
     """Three power iterations leave the float brackets about 2e-3 wide; the
     Newton refinement still reaches separated exact brackets."""
