@@ -10,10 +10,12 @@ and verify always do); the solver's other settings are fixed, and the
 header line of spectrum and compare records them.  spectrum reports the
 exact Collatz-Wielandt bracket at the solver's vector, rounded to floats.
 
-Exit codes: 0 success, 1 failed claim or failed comparison, 2 usage error
-(a malformed input file, or an n past families.N_CAP, or past
-NUMERIC_N_CAP for a numeric claim) or a canonical search past
-iso.SEARCH_NODE_LIMIT nodes or past the depth the recursion limit allows.
+Exit codes: 0 success, 1 failed claim, failed comparison, or a spectrum
+whose float stage stopped at spectral.MAX_ITERATIONS (the record is printed
+first, then the bracket width on stderr), 2 usage error (a malformed input
+file, or an n past families.N_CAP, or past NUMERIC_N_CAP for a numeric
+claim) or a canonical search past iso.SEARCH_NODE_LIMIT nodes or past the
+depth the recursion limit allows.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
 

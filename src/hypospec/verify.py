@@ -12,7 +12,10 @@ failure's certificate.  Numeric claims carry certified Collatz-Wielandt
 brackets, recomputed in exact rational arithmetic before any verdict is
 drawn from them.  No verdict rests on a float tolerance: integer degrees
 and exact brackets decide `regular-cone`, so only `main-theorem` runs the
-float solver, for its start vectors.
+float solver, for its start vectors.  `main-theorem` passes on three exact
+conditions alone: the predicted gap is positive, mu_lo > lambda_hi, and
+mu_hi - lambda_lo reaches the predicted gap.  Its exact residuals are
+reported in the params and not judged.
 
 The sigma-induction claims restrict before they difference.  With phi the
 orbit map and h = g o phi, the difference (g - g o sigma_r) o phi equals
@@ -54,8 +57,7 @@ from .families import (NUMERIC_N_CAP, FamilySpec, base_cycles, e_map, family_hyp
                        q_map, sigma_endo, sigma_index, sigma_perm, theta_perm)
 from .hypergraph import Hypergraph
 from .polyalg import Endomorphism, SparsePoly, x
-from .spectral import (TOLERANCE, codegree, newton_steps, principal_eigenpair,
-                       rational_bracket)
+from .spectral import codegree, newton_steps, principal_eigenpair, rational_bracket
 
 
 @dataclass
@@ -612,12 +614,20 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     certificate of record brackets the lifted vectors on every vertex, so
     soundness does not rest on the partition.  An n past NUMERIC_N_CAP is
     a ValueError before any work.
-    Passes iff mu_lo > lambda_hi exactly, both exact residuals are below
-    TOLERANCE, and g = 3 x_0 (E_2(x_1 - x_3))^2 / sum x_i^3 at the X^n
-    eigenvector x is positive and at most mu_hi - lambda_lo: the variational
-    bound mu >= 3 f_Y(x) / sum x_i^3 = lambda + g holds as f_Y - f_X is the
-    pair-gap polynomial on the theta-fixed subspace (lemma-basis-step).
-    Whether the float stage converged does not enter the verdict.
+    Passes iff three exact conditions hold: g = 3 x_0 (E_2(x_1 - x_3))^2 /
+    sum x_i^3 at the X^n eigenvector x is positive, mu_lo > lambda_hi, and
+    mu_hi - lambda_lo >= g.  The last is the variational bound
+    mu >= 3 f_Y(x) / sum x_i^3 = lambda + g, which holds as f_Y - f_X is the
+    pair-gap polynomial on the theta-fixed subspace (lemma-basis-step).  The
+    exact residuals `residual_x` and `residual_y` are reported, not judged:
+    the disjoint brackets alone prove the separation.  Whether the float
+    stage converged does not enter the verdict either.
+
+    `refinement_bits`, the "at N bits" of the detail, is the largest exponent
+    B among the reduced dyadic denominators 2^B of both vectors' entries.
+    Reducing drops common factors of two, so it trails the working
+    precision of the Newton runs: 107 against 114 bits at n = 3, 308
+    against 314 at n = 5, and 1533 against 1564 at n = 7 with seed 2.
 
     The params `predicted_gap` and `bracket_gap` are floats, so from n = 7 on
     they underflow to 0.0.  Where the predicted gap does, `predicted_gap_text`
@@ -659,10 +669,6 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     if _underflows(predicted):
         params["predicted_gap_text"] = format_exact(predicted, ".17g")
     problems = []
-    for tag, res in (("X", x_res), ("Y", y_res)):
-        if float(res) >= TOLERANCE:
-            problems.append(f"{tag}^{n} certified residual {format_exact(res, '.3e')} "
-                            ">= tolerance")
     if not predicted > 0:
         problems.append(f"gap polynomial at the X^{n} eigenvector is "
                         f"{format_exact(predicted, '.3e')}, not positive")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hypospec import iso, verify
+from hypospec import iso, spectral, verify
 from hypospec.cli import _load, _parse_n_range, main
 from hypospec.families import (FAMILY_TAGS, N_CAP, NUMERIC_N_CAP, FamilySpec,
                                family_hypergraph)
@@ -100,6 +100,19 @@ def test_spectrum_json_record(x3_file, tmp_path, capsys):
         assert record["family"] == family and record["n"] is None
         assert record["lambda_lo"] <= record["lambda_hi"]
     assert record["lambda_lo"] <= 1.0 <= record["lambda_hi"]
+
+
+def test_spectrum_exits_one_when_the_float_stage_stops_at_its_cap(x3_file, monkeypatch,
+                                                                  capsys):
+    """Stopped at MAX_ITERATIONS, spectrum still prints its whole record,
+    then reports the bracket width on stderr and exits 1."""
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 3)
+    assert main(["spectrum", x3_file]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert "iterations 3" in lines and lines[-1].startswith("vector_digest ")
+    assert err.rstrip("\n").endswith(
+        "error: solver did not converge: bracket width 3.251e-03 after 3 iterations")
 
 
 def test_spectrum_rejects_unknown_flag(x3_file, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -292,13 +293,39 @@ FLOAT_SOLVE_PINS = {
 }
 
 
+# sha256 of ",".join(map(float.hex, pair.vector)) for the full solve and the
+# theta-cell solve: the vectors bit for bit, where the 12-digit digest above
+# gives X^5 and Y^5 one value, X^6 and Y^6 another, and each full solve the
+# value of its theta-cell solve.
+FLOAT_SOLVE_BITS = {
+    ("X", 3): ("208867d8c2d324d0b13399905d3a162371e109fd0fedcd2b82f6b76590535cbc",
+               "b63ab0cae66e0d2cfaa324f3744b63b7b460226e7eb71438ded3337ddb2fe57a"),
+    ("X", 4): ("266285570b197526bc7eb7f73cb7575a73f3a1cdae05249d022a818a1b6b3856",
+               "819ee3eeb634a329f8f34546989761e5018836df426bc5339c896766a42cb8e5"),
+    ("X", 5): ("c69019009fe19af2e869f11c2eab941743afeb664a73145df1504b0cd484fd02",
+               "bba6f8c326793b4a190e066478d22d8081108485f35a8c3784707fcca6178681"),
+    ("X", 6): ("ea7c57c57f0e94f5fb936843bb9a5582bd397d1c42c086740ecd7ecda8e55c9a",
+               "60f40bfa5955de203f5397f7d1d3159219e42379796859e2f72243104e18c9da"),
+    ("Y", 3): ("f4bfb2960e0559efef619bd5ac5f5b9504bc6708e9d468dbf6de0e231c69467b",
+               "8b401d553b12dc9178ac7e476d1f71c86d7d607ac72934462536be8fff9c6766"),
+    ("Y", 4): ("0d15177df96f3dd73dfad00214541d7fde8968505bbd2a57265b56afbb942261",
+               "10e2cceceee04c8ae7ba904df9ec4343c2353e9c1972d6d7cd5df1776787b5b9"),
+    ("Y", 5): ("562af905341bcc99ff97513b66297c6830d3e8eb8563e99cceea5e7fb8ee1fd4",
+               "bba6f8c326793b4a190e066478d22d8081108485f35a8c3784707fcca6178681"),
+    ("Y", 6): ("9823928a5a552eba54cb4c3e9a07ac5b398a7397668b8dce6deaef6bd060e52d",
+               "60f40bfa5955de203f5397f7d1d3159219e42379796859e2f72243104e18c9da"),
+}
+
+
 @pytest.mark.parametrize("tag,n", sorted(FLOAT_SOLVE_PINS))
 def test_float_solve_is_pinned(tag, n):
     h = family_hypergraph(FamilySpec(tag, n))
-    for cells in (None, theta_cells(n)):
+    for cells, bits in zip((None, theta_cells(n)), FLOAT_SOLVE_BITS[tag, n]):
         pair = principal_eigenpair(h, cells=cells)
         assert pair.converged
         assert (pair.iterations, vector_digest(pair.vector)) == FLOAT_SOLVE_PINS[tag, n]
+        exact = ",".join(map(float.hex, pair.vector))
+        assert hashlib.sha256(exact.encode("ascii")).hexdigest() == bits
 
 
 def test_eigenpair_at_the_cap_describes_its_own_vector(monkeypatch):

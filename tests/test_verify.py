@@ -342,6 +342,25 @@ def test_main_theorem_judges_only_the_exact_certificate(monkeypatch):
     assert claim.params["refinement_bits"] > 64
 
 
+def test_main_theorem_judges_the_brackets_not_the_residual(monkeypatch):
+    """Under a 64-bit refinement ceiling each Newton run yields only its
+    start, so the certificate brackets the float vectors themselves.  After
+    12 power iterations X^3's exact residual is about 1e-10, and the exact
+    brackets separate all the same: the claim passes.  After 9 they do not
+    separate, and the claim fails on that."""
+    monkeypatch.setattr(spectral, "MAX_REFINEMENT_BITS", 64)
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 12)
+    claim = verify_main_theorem(3)
+    assert claim.passed, claim.detail
+    assert claim.params["bracket_gap"] > 0
+    assert claim.params["residual_x"] > 1e-12
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 9)
+    claim = verify_main_theorem(3)
+    assert not claim.passed
+    assert claim.params["bracket_gap"] < 0
+    assert claim.detail.startswith("brackets do not separate")
+
+
 def test_main_theorem_factors_once_per_hypergraph(monkeypatch):
     """One LU factorization per hypergraph, at its float start vector,
     serves every Newton step of its run."""
