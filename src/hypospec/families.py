@@ -288,8 +288,3 @@ def family_poly(spec: FamilySpec) -> SparsePoly:
 def family_hypergraph(spec: FamilySpec) -> Hypergraph:
     """The family member as a rank-3 hypergraph (memoized)."""
     return hypergraph_from_lagrangian(family_poly(spec), 3)
-
-
-def base_cycles() -> tuple[SparsePoly, SparsePoly]:
-    """The two rank-3 cycle sums on V_3 whose union seeds every family."""
-    return _family_poly("C3", 3, None), _family_poly("D3", 3, None)

@@ -319,10 +319,6 @@ def _search(rank: int, verts: tuple[int, ...], inc: _Incidence) -> CanonicalForm
     return CanonicalForm(rank, n, best[2], witness, count, tuple(map(tuple, generators)))
 
 
-def automorphism_count(hypergraph: Hypergraph) -> int:
-    return canonical_form(hypergraph).automorphism_count
-
-
 def are_isomorphic(first: Hypergraph, second: Hypergraph) -> tuple[bool, dict[int, int] | None]:
     """Decide isomorphism; on success also return a vertex bijection witness."""
     if first.rank != second.rank or first.num_vertices != second.num_vertices \

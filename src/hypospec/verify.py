@@ -29,6 +29,13 @@ only r = 0 passes over the full family polynomial.  The orbit maps and the
 restricted polynomials, like the structural maps of `families`, are
 memoised and shared.
 
+Every family polynomial that a claim reads comes through this module's
+`family_poly` binding, directly or through `restricted_family`, which reads
+it there; no claim takes a polynomial as an argument.  That binding is the
+seam where the tests plant a fault, so a planted fault runs the same code as
+`hypospec verify`.  The hypergraph claims read `family_hypergraph`, which
+builds from `families.family_poly` and does not pass that seam.
+
 The closed forms in this module are written against the index arithmetic
 directly, independent of the recursive constructions in `families`, so the
 cross-check claims exercise two genuinely different routes.  One builder,
@@ -52,9 +59,9 @@ from functools import lru_cache
 from itertools import count, product
 from typing import Callable, Iterable, Sequence
 
-from .families import (NUMERIC_N_CAP, FamilySpec, base_cycles, e_map, family_hypergraph,
-                       family_poly, mod_v, orbit_substitution, p_eps, p_map,
-                       q_map, sigma_endo, sigma_index, sigma_perm, theta_perm)
+from .families import (NUMERIC_N_CAP, FamilySpec, e_map, family_hypergraph, family_poly,
+                       mod_v, orbit_substitution, p_eps, p_map, q_map, sigma_endo,
+                       sigma_index, sigma_perm, theta_perm)
 from .hypergraph import Hypergraph
 from .polyalg import Endomorphism, SparsePoly, x
 from .spectral import codegree, newton_steps, principal_eigenpair, rational_bracket
@@ -265,25 +272,22 @@ def explicit_gk(n: int, k: int) -> SparsePoly:
 
 
 @_timed
-def verify_basis_step(n: int, *, y_poly: SparsePoly | None = None) -> Claim:
+def verify_basis_step(n: int) -> Claim:
     """On the theta-fixed subspace, Y^n - X^n equals x_0 * (E_2(x_1-x_3))^2."""
-    xp = family_poly(FamilySpec("X", n))
-    yp = y_poly if y_poly is not None else family_poly(FamilySpec("Y", n))
+    xp, yp = family_poly(FamilySpec("X", n)), family_poly(FamilySpec("Y", n))
     phi = fixed_point_map(n, theta=True)
     diff = (yp - xp - pair_gap_poly(n)).substitute(phi)
     return _exact("lemma-basis-step", {"n": n}, [(_NONZERO, diff)])
 
 
 @_timed
-def verify_induction_cycles(n: int, r: int, k: int, *,
-                            g_poly: SparsePoly | None = None) -> Claim:
+def verify_induction_cycles(n: int, r: int, k: int) -> Claim:
     """G_k^n(x) - G_k^n(sigma_r x) on the subspace fixed by theta and
     sigma_0..sigma_{r-1}: equals f_r^n when k = n - r, else 0."""
     if not (0 <= r <= n - 2 and 2 <= k <= n):
         raise ValueError(f"need 0 <= r <= n-2 and 2 <= k <= n, got r={r}, k={k}, n={n}")
     phi = fixed_point_map(n, theta=True, sigmas=range(r))
-    h = (g_poly.substitute(phi) if g_poly is not None
-         else restricted_family(FamilySpec("G", n, k), r))
+    h = restricted_family(FamilySpec("G", n, k), r)
     expected = f_poly(n, r) if k == n - r else SparsePoly.zero()
     diff = restricted_difference(n, h, sigma_endo(n, r), phi) - expected.substitute(phi)
     branch = "f" if k == n - r else "0"
@@ -292,7 +296,7 @@ def verify_induction_cycles(n: int, r: int, k: int, *,
 
 
 @_timed
-def verify_sigma_general(n: int, r: int, *, x_poly: SparsePoly | None = None) -> Claim:
+def verify_sigma_general(n: int, r: int) -> Claim:
     """Same difference for the full X^n; M0 must be exactly sigma_r-invariant."""
     if not 0 <= r <= n - 2:
         raise ValueError(f"need 0 <= r <= n-2, got r={r}, n={n}")
@@ -300,8 +304,7 @@ def verify_sigma_general(n: int, r: int, *, x_poly: SparsePoly | None = None) ->
         m0 = family_poly(FamilySpec("M0", n))
         yield f"M0 is not sigma_{r}-invariant", m0 - m0.substitute(sigma_endo(n, r))
         phi = fixed_point_map(n, theta=True, sigmas=range(r))
-        h = (x_poly.substitute(phi) if x_poly is not None
-             else restricted_family(FamilySpec("X", n), r))
+        h = restricted_family(FamilySpec("X", n), r)
         yield _NONZERO, (restricted_difference(n, h, sigma_endo(n, r), phi)
                          - f_poly(n, r).substitute(phi))
     return _exact("lemma-sigma-general", {"n": n, "r": r}, checks())
@@ -365,7 +368,7 @@ def _claim_remark_rec_defn(n: int) -> Claim:
 
 @_timed
 def _claim_two_cycles_reindex() -> Claim:
-    _, d3 = base_cycles()
+    d3 = family_poly(FamilySpec("D3", 3))
     return _exact("remark-two-cycles-reindex", {"n": 3}, [(_NONZERO, d3 - _offset_cycle(3))],
                   "tau-substituted cycle equals the +-3 offset sum")
 

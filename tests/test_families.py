@@ -1,7 +1,7 @@
 import pytest
 
-from hypospec.families import (FAMILY_TAGS, N_CAP, FamilySpec, base_cycles,
-                               e_map, family_hypergraph, family_poly, mod_v,
+from hypospec.families import (FAMILY_TAGS, N_CAP, FamilySpec, e_map,
+                               family_hypergraph, family_poly, mod_v,
                                orbit_substitution, p_eps, p_map, q_map,
                                sigma_endo, sigma_index, sigma_perm, tau_endo,
                                tau_perm, theta_endo, theta_perm)
@@ -117,7 +117,7 @@ def test_family_spec_validation():
 
 
 def test_base_cycle_edges():
-    c3, d3 = base_cycles()
+    c3, d3 = (family_poly(FamilySpec(tag, 3)) for tag in ("C3", "D3"))
     assert len(c3) == 8 and len(d3) == 8
     assert c3.terms.get((1, 2, 8)) == 1     # wrap-around edge {8,1,2}
     assert d3.terms.get((1, 4, 7)) == 1     # offset-3 edge {1,4,7}

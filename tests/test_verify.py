@@ -3,6 +3,7 @@
 import hashlib
 import json
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,26 +108,92 @@ def test_suite_covers_every_lemma_id():
             "lemma-induction-neigh", "lemma-neigh-general"} <= ids
 
 
-def test_basis_step_rejects_wrong_pair():
-    """Feeding X in place of Y must surface a nonzero difference."""
-    wrong = verify_basis_step(3, y_poly=family_poly(FamilySpec("X", 3)))
+@pytest.fixture
+def planted_fault(monkeypatch):
+    """`with planted_fault(spec, term):` adds `term` to family_poly(spec) as
+    verify reads it, the seam every claim reads the families through, so the
+    fault runs the same code as `hypospec verify`.  The memo of `families`
+    is left alone; the restriction memo is cleared before the plant and at
+    the end of the block, so no planted entry outlives it."""
+    @contextmanager
+    def plant(spec, term=x(1) * x(2) * x(4)):
+        verify.restricted_family.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "family_poly",
+                              lambda s: family_poly(s) + term if s == spec else family_poly(s))
+                yield
+        finally:
+            verify.restricted_family.cache_clear()
+
+    return plant
+
+
+def test_basis_step_rejects_wrong_pair(planted_fault):
+    """Y planted as X must surface a nonzero difference."""
+    y3 = FamilySpec("Y", 3)
+    with planted_fault(y3, family_poly(FamilySpec("X", 3)) - family_poly(y3)):
+        wrong = verify_basis_step(3)
     assert not wrong.passed
     assert wrong.detail.startswith("nonzero difference: ")
 
 
-def test_induction_cycles_rejects_mutated_family():
+def test_induction_cycles_rejects_mutated_family(planted_fault):
     # an asymmetric extra term breaks the sigma_0 cancellation
-    mutated = family_poly(FamilySpec("G", 3, 3)) + x(1) * x(2) * x(3)
-    claim = verify_induction_cycles(3, 0, 3, g_poly=mutated)
+    with planted_fault(FamilySpec("G", 3, 3), x(1) * x(2) * x(3)):
+        claim = verify_induction_cycles(3, 0, 3)
     assert not claim.passed
     assert claim.detail.startswith("nonzero difference: ")
 
 
-def test_sigma_general_rejects_mutated_family():
-    mutated = family_poly(FamilySpec("X", 3)) + x(1) * x(2) * x(4)
-    claim = verify_sigma_general(3, 0, x_poly=mutated)
+def test_sigma_general_rejects_mutated_family(planted_fault):
+    with planted_fault(FamilySpec("X", 3)):
+        claim = verify_sigma_general(3, 0)
     assert not claim.passed
     assert claim.detail.startswith("nonzero difference: ")
+
+
+# Each family that the n = 3 suite reads through verify's family_poly, and
+# the claims that x_1 x_2 x_4 planted there fails.  C3 and M1 are missing:
+# they reach the claims only inside the recursion of `families`.
+SUITE_FAULTS = [
+    (FamilySpec("G", 3, 3), {"lemma-induction-cycles", "lemma-induction-neigh",
+                             "lemma-rec-defn-g-n", "remark-rec-defn"}),
+    (FamilySpec("G", 3, 2), {"lemma-induction-cycles", "remark-rec-defn"}),
+    (FamilySpec("H", 3), {"lemma-rec-defn-g-n"}),
+    (FamilySpec("T", 3), {"remark-rec-defn"}),
+    (FamilySpec("Gamma", 3), {"remark-rec-defn"}),
+    (FamilySpec("M0", 3), {"lemma-sigma-general"}),
+    (FamilySpec("X", 3), {"degree-link-coherence", "lemma-basis-step", "lemma-sigma-general"}),
+    (FamilySpec("Y", 3), {"lemma-basis-step"}),
+    (FamilySpec("D3", 3), {"remark-two-cycles-reindex"}),
+]
+
+
+@pytest.mark.parametrize("spec, failing", SUITE_FAULTS,
+                         ids=[spec.family + (str(spec.k) if spec.k else "")
+                              for spec, _ in SUITE_FAULTS])
+def test_suite_detects_a_fault_planted_in_each_family_it_reads(spec, failing, planted_fault):
+    with planted_fault(spec):
+        claims = verify_identity_suite(3)
+    assert {c.id for c in claims if not c.passed} == failing
+    assert all(c.passed for c in verify_identity_suite(3))
+
+
+def test_suite_faults_cover_every_family_the_suite_reads(monkeypatch):
+    read = set()
+
+    def recording(spec):
+        read.add(spec)
+        return family_poly(spec)
+
+    verify.restricted_family.cache_clear()
+    monkeypatch.setattr(verify, "family_poly", recording)
+    try:
+        verify_identity_suite(3)
+    finally:
+        verify.restricted_family.cache_clear()
+    assert read == {spec for spec, _ in SUITE_FAULTS}
 
 
 def test_induction_cycles_branch_labels():
@@ -240,15 +307,17 @@ def test_restricted_family_chains_the_orbit_maps(n):
             assert restricted_family(spec, r) == direct, (spec, r)
 
 
-def test_injected_polynomials_bypass_the_restriction_cache():
-    mutated = family_poly(FamilySpec("X", 4)) + x(1) * x(2) * x(5)
-    cached = restricted_family(FamilySpec("X", 4), 1)
-    assert not verify_sigma_general(4, 1, x_poly=mutated).passed
-    assert restricted_family(FamilySpec("X", 4), 1) is cached
-    assert verify_sigma_general(4, 1).passed
-    g = family_poly(FamilySpec("G", 4, 3))
-    assert not verify_induction_cycles(4, 1, 3, g_poly=g + x(1) * x(2) * x(5)).passed
-    assert verify_induction_cycles(4, 1, 3, g_poly=g).passed
+def test_planted_faults_leave_no_restricted_entry_behind(planted_fault):
+    """A fault planted at n = 4 reaches the r = 1 claims through
+    `restricted_family`, and once lifted the memo holds no planted entry."""
+    for spec, claim in [(FamilySpec("X", 4), lambda: verify_sigma_general(4, 1)),
+                        (FamilySpec("G", 4, 3), lambda: verify_induction_cycles(4, 1, 3))]:
+        with planted_fault(spec, x(1) * x(2) * x(5)):
+            assert not claim().passed
+        assert claim().passed
+        for r in range(5):
+            direct = family_poly(spec).substitute(fixed_point_map(4, theta=True, sigmas=range(r)))
+            assert restricted_family(spec, r) == direct, (spec, r)
 
 
 def test_restricted_difference_rejects_incompatible_sigma():
