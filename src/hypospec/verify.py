@@ -33,8 +33,10 @@ Every family polynomial that a claim reads comes through this module's
 `family_poly` binding, directly or through `restricted_family`, which reads
 it there; no claim takes a polynomial as an argument.  That binding is the
 seam where the tests plant a fault, so a planted fault runs the same code as
-`hypospec verify`.  The hypergraph claims read `family_hypergraph`, which
-builds from `families.family_poly` and does not pass that seam.
+`hypospec verify`.  The one exact claim that reads `family_hypergraph`, the
+hypergraph of record built past the seam from `families.family_poly`, is
+`degree-link-coherence`, whose job is to compare it with the seam's X^n.
+The numeric claims import `spectral` when they run, as the `cli` handlers do.
 
 The closed forms in this module are written against the index arithmetic
 directly, independent of the recursive constructions in `families`, so the
@@ -64,7 +66,6 @@ from .families import (NUMERIC_N_CAP, FamilySpec, e_map, family_hypergraph, fami
                        sigma_index, sigma_perm, theta_perm)
 from .hypergraph import Hypergraph
 from .polyalg import Endomorphism, SparsePoly, x
-from .spectral import codegree, newton_steps, principal_eigenpair, rational_bracket
 
 
 @dataclass
@@ -510,9 +511,9 @@ def links_at_ones(poly: SparsePoly) -> Counter:
 
 @_timed
 def _claim_degree_table(n: int) -> Claim:
-    """Vertex degrees of Gamma_n follow the two-value pattern by vertex class."""
-    gamma = family_hypergraph(FamilySpec("Gamma", n))
-    degrees = _edge_degrees(gamma)
+    """Gamma_n's degrees, its links at all-ones, take two values by vertex class."""
+    gamma = family_poly(FamilySpec("Gamma", n))
+    degrees = links_at_ones(gamma)
     low, quarter = 1 << (2 * n - 3), 1 << (n - 2)
     expected = {i: low - 1 if (i <= quarter or i >= 1 + 3 * quarter) else low
                 for i in range(1, (1 << n) + 1)}
@@ -520,7 +521,7 @@ def _claim_degree_table(n: int) -> Claim:
     return _claim("degree-table", {"n": n}, "exact-identity",
                   [f"deg(. , {i}) = {degrees[i]}, expected {expected[i]} ({len(bad)} mismatches)"
                    for i in bad[:1]],
-                  f"|E| = {gamma.num_edges}, degrees are {low - 1} and {low} by class")
+                  f"|E| = {len(gamma)}, degrees are {low - 1} and {low} by class")
 
 
 @_timed
@@ -536,12 +537,12 @@ def _claim_degree_link_coherence(n: int) -> Claim:
 
 @_timed
 def _claim_t_parity(n: int) -> Claim:
-    """Every edge of T_n lives inside one parity class."""
-    t_hg = family_hypergraph(FamilySpec("T", n))
+    """Every term of T_n, taken in sorted edge order, lies in one parity class."""
+    t = family_poly(FamilySpec("T", n))
     return _claim("t-parity", {"n": n}, "exact-identity",
                   (f"mixed-parity edge {list(e)}"
-                   for e in t_hg.edges if len({v % 2 for v in e}) != 1),
-                  f"{t_hg.num_edges} edges, all parity-pure")
+                   for e in sorted(t.terms) if len({v % 2 for v in e}) != 1),
+                  f"{len(t)} edges, all parity-pure")
 
 
 @_timed
@@ -637,6 +638,7 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     holds its 17 significant digits taken from the exact value, and the
     detail prints every exact value the same way.
     """
+    from .spectral import newton_steps, principal_eigenpair, rational_bracket
     _check_numeric_n(n)
     hx = family_hypergraph(FamilySpec("X", n))
     hy = family_hypergraph(FamilySpec("Y", n))
@@ -738,6 +740,7 @@ def verify_regular_cone(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -
     equitable partition and enclose lambda.  A positive eigenvector of a
     connected nonnegative tensor is the principal one (Friedland, Gaubert &
     Han, LAA 2013)."""
+    from .spectral import codegree, rational_bracket
     cone = cone_over(base, apex_links)
     m, apex_degree = cone.rank, len(apex_links)
     gamma = codegree(cone, 0, base.vertices[0])

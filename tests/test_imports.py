@@ -9,9 +9,11 @@ everything already.  `import hypospec` loads no `hypospec.*` submodule.
 `_hashlib` for its vector digest, and neither numpy, `polyalg` nor
 `families`.  `gen`, `compare` and `verify` (with or without its numeric
 claims) load `polyalg`, `families` and `fractions`, and neither `iso`,
-numpy nor `_hashlib`.  After `deck` and `hypomorphic` the process has one
-thread, because `cli.main` sets OPENBLAS_NUM_THREADS to 1 before numpy
-loads; a value set by the caller is kept.
+numpy nor `_hashlib`.  `compare` and `verify` load `verify` and `spectral`;
+`verify --exact-only` loads `verify` and no `spectral`, since the numeric
+claims import it when they run.  After `deck` and `hypomorphic` the process
+has one thread, because `cli.main` sets OPENBLAS_NUM_THREADS to 1 before
+numpy loads; a value set by the caller is kept.
 
 The README gives the peak memory and import time this saves.
 """
@@ -62,14 +64,15 @@ def pair_files(tmp_path):
 
 
 POLY = {"hypospec.polyalg", "hypospec.families", "fractions"}
-CLAIMS = POLY | {"hypospec.spectral", "hypospec.verify"}
+EXACT = POLY | {"hypospec.verify"}
+CLAIMS = EXACT | {"hypospec.spectral"}
 SEARCH = {"hypospec.iso", "numpy"}
 
 
 @pytest.mark.parametrize("argvs, loads", [
     ([], set()),
     ([["gen", "--family", "X", "--n", "3"]], POLY),
-    ([["verify", "--n", "3", "--exact-only", "--out", "verdict.json"]], CLAIMS),
+    ([["verify", "--n", "3", "--exact-only", "--out", "verdict.json"]], EXACT),
     ([["verify", "--n", "3", "--out", "verdict.json"]], CLAIMS),
     ([["compare", "--n", "3"]], CLAIMS),
     ([["spectrum", "x3.hg"]], {"hypospec.spectral", "fractions", "_hashlib"}),

@@ -161,8 +161,8 @@ SUITE_FAULTS = [
                              "lemma-rec-defn-g-n", "remark-rec-defn"}),
     (FamilySpec("G", 3, 2), {"lemma-induction-cycles", "remark-rec-defn"}),
     (FamilySpec("H", 3), {"lemma-rec-defn-g-n"}),
-    (FamilySpec("T", 3), {"remark-rec-defn"}),
-    (FamilySpec("Gamma", 3), {"remark-rec-defn"}),
+    (FamilySpec("T", 3), {"remark-rec-defn", "t-parity"}),
+    (FamilySpec("Gamma", 3), {"degree-table", "remark-rec-defn"}),
     (FamilySpec("M0", 3), {"lemma-sigma-general"}),
     (FamilySpec("X", 3), {"degree-link-coherence", "lemma-basis-step", "lemma-sigma-general"}),
     (FamilySpec("Y", 3), {"lemma-basis-step"}),
@@ -194,6 +194,21 @@ def test_suite_faults_cover_every_family_the_suite_reads(monkeypatch):
     finally:
         verify.restricted_family.cache_clear()
     assert read == {spec for spec, _ in SUITE_FAULTS}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_suite_builds_the_hypergraph_of_x_alone(n, monkeypatch):
+    """Every claim but `degree-link-coherence` reads its family through the
+    seam; that one compares X's hypergraph of record with the seam's X."""
+    built = set()
+
+    def recording(spec):
+        built.add(spec)
+        return family_hypergraph(spec)
+
+    monkeypatch.setattr(verify, "family_hypergraph", recording)
+    assert all(c.passed for c in verify_identity_suite(n))
+    assert built == {FamilySpec("X", n)}
 
 
 def test_induction_cycles_branch_labels():
@@ -585,13 +600,13 @@ def test_regular_cone_fails_on_a_wrong_degree_table(sample, planted, monkeypatch
 
 def test_run_suite_solves_floats_only_for_the_main_theorem(monkeypatch):
     calls = []
-    solve = verify.principal_eigenpair
+    solve = spectral.principal_eigenpair
 
     def counting(hypergraph, **kwargs):
         calls.append(hypergraph.num_vertices)
         return solve(hypergraph, **kwargs)
 
-    monkeypatch.setattr(verify, "principal_eigenpair", counting)
+    monkeypatch.setattr(spectral, "principal_eigenpair", counting)
     claims = run_suite([3])
     assert all(c.passed for c in claims)
     assert calls == [9, 9]
