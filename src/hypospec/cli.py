@@ -3,7 +3,8 @@
 Subcommands: gen (construct a family member), spectrum (principal eigenpair
 of a stored hypergraph), compare (certify the radius separation at a given
 n), deck (vertex-deleted canonical forms), hypomorphic (deck equality of two
-files), verify (the full claim suite).
+files), verify (the full claim suite).  deck is the one writer of the deck
+JSON, a list of {"deleted": v, "canonical": text} in vertex order.
 
 compare takes --seed (0 starts the float solver from all-ones, as spectrum
 and verify always do); the solver's other settings are fixed, and the
@@ -125,20 +126,16 @@ def _load(path: str) -> Hypergraph:
     return Hypergraph.from_text(raw)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="ascii")
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     from .families import FamilySpec, family_hypergraph
 
     spec = FamilySpec(args.family, args.n, args.k)
     hg = family_hypergraph(spec)
     payload = hg.to_json() + "\n" if (args.out or "").endswith(".json") else hg.to_text()
-    _emit(payload, args.out)
+    if args.out is None:
+        sys.stdout.write(payload)
+    else:
+        Path(args.out).write_text(payload, encoding="ascii")
     where = args.out or "stdout"
     print(f"{args.family} n={args.n}: {hg.num_vertices} vertices, "
           f"{hg.num_edges} edges -> {where}", file=sys.stderr)
@@ -209,8 +206,8 @@ def _cmd_deck(args: argparse.Namespace) -> int:
         print(f"deleted {v}: {cf.size} vertices, {len(cf.edges)} edges, "
               f"automorphisms {cf.automorphism_count}")
     out = args.out or str(Path(args.file).with_suffix(".deck.json"))
-    Path(out).write_text(json.dumps(d.to_json_list(), sort_keys=True, indent=2) + "\n",
-                         encoding="ascii")
+    cards = [{"deleted": v, "canonical": cf.text()} for v, cf in d]
+    Path(out).write_text(json.dumps(cards, sort_keys=True, indent=2) + "\n", encoding="ascii")
     print(f"deck JSON -> {out}", file=sys.stderr)
     return 0
 

@@ -41,8 +41,6 @@ N_CAP = 9
 # spectral.MAX_REFINEMENT_BITS = 4096.  The numeric claims refuse n past this.
 NUMERIC_N_CAP = 8
 
-Permutation = dict[int, int]
-
 
 def mod_v(n: int, value: int) -> int:
     """Representative of `value` in {1, ..., 2^n}; multiples of 2^n map to 2^n."""
@@ -54,7 +52,7 @@ def mod_v(n: int, value: int) -> int:
 # -- vertex permutations ------------------------------------------------------
 
 
-def theta_perm(n: int) -> Permutation:
+def theta_perm(n: int) -> dict[int, int]:
     """The reversal x -> 2^n - x + 1 on 1..2^n, fixing 0.  An involution."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -65,7 +63,7 @@ def theta_perm(n: int) -> Permutation:
     return perm
 
 
-def sigma_perm(n: int, i: int) -> Permutation:
+def sigma_perm(n: int, i: int) -> dict[int, int]:
     """Block swap by 2^i inside consecutive blocks of 2^{i+1}; sigma_{-1} = id.
 
     Fixes 0.  Only i <= n-1 yields a permutation of 1..2^n.
@@ -73,14 +71,6 @@ def sigma_perm(n: int, i: int) -> Permutation:
     if not -1 <= i <= n - 1:
         raise ValueError(f"sigma index must satisfy -1 <= i <= n-1, got i={i}, n={n}")
     return {0: 0} | {j: sigma_index(i, j) for j in range(1, (1 << n) + 1)}
-
-
-def tau_perm() -> Permutation:
-    """Multiplication by 3 on 1..8, fixing 0."""
-    perm = {0: 0}
-    for j in range(1, 9):
-        perm[j] = mod_v(3, 3 * j)
-    return perm
 
 
 def sigma_index(i: int, j: int) -> int:
@@ -159,7 +149,8 @@ def theta_endo(n: int) -> Endomorphism:
 
 
 def tau_endo() -> Endomorphism:
-    return permutation_endo(tau_perm())
+    """Multiplication by 3 on 1..8, fixing 0."""
+    return permutation_endo({0: 0} | {j: mod_v(3, 3 * j) for j in range(1, 9)})
 
 
 # -- orbit substitution -------------------------------------------------------

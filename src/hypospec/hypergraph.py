@@ -175,19 +175,14 @@ class Hypergraph:
 
     # -- JSON format ----------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "vertices": list(self.vertices),
-            "edges": [list(e) for e in self.edges],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps({"rank": self.rank, "vertices": list(self.vertices),
+                           "edges": [list(e) for e in self.edges]}, sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Hypergraph":
-        if not isinstance(data, Mapping):
+    def from_json(cls, text: str) -> "Hypergraph":
+        data = json.loads(text)
+        if not isinstance(data, dict):
             raise ValueError(f"hypergraph JSON must be an object, not {type(data).__name__}")
         try:
             rank, vertices, edges = data["rank"], data["vertices"], data["edges"]
@@ -197,10 +192,6 @@ class Hypergraph:
                 and all(map(_int_list, edges))):
             raise ValueError("hypergraph JSON needs an int rank, int vertices and int-list edges")
         return cls(rank, vertices, edges)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Hypergraph":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _check_rank(rank) -> None:

@@ -65,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -341,26 +341,13 @@ def delete_vertex(hypergraph: Hypergraph, vertex: int) -> Hypergraph:
                       (e for e in hypergraph.edges if vertex not in e))
 
 
-@dataclass(frozen=True)
-class Deck:
-    """All vertex-deleted canonical forms, tagged by the deleted vertex."""
-
-    entries: tuple[tuple[int, CanonicalForm], ...]
-
-    def __iter__(self) -> Iterator[tuple[int, CanonicalForm]]:
-        return iter(self.entries)
-
-    def to_json_list(self) -> list[dict]:
-        return [{"deleted": v, "canonical": cf.text()} for v, cf in self.entries]
-
-
-def deck(hypergraph: Hypergraph) -> Deck:
-    """The canonical form of every card, in vertex order.  One search on the
-    parent gives generators of its automorphism group; one search per orbit
-    on the vertices gives the form of the orbit's first card, and the other
-    cards of the orbit copy its code and |Aut| with a composed witness (see
-    the module docstring).  `SearchLimitError` can come from any of these
-    searches, the parent's first."""
+def deck(hypergraph: Hypergraph) -> tuple[tuple[int, CanonicalForm], ...]:
+    """(v, canonical form of H - v) for every vertex v, in vertex order.  One
+    search on the parent gives generators of its automorphism group; one
+    search per orbit on the vertices gives the form of the orbit's first
+    card, and the other cards of the orbit copy its code and |Aut| with a
+    composed witness (see the module docstring).  `SearchLimitError` can
+    come from any of these searches, the parent's first."""
     verts = hypergraph.vertices
     n = len(verts)
     generators = [np.array(g) for g in canonical_form(hypergraph)._generators]
@@ -389,7 +376,7 @@ def deck(hypergraph: Hypergraph) -> Deck:
                                                   np.delete(moved, w).tolist())),
                                          form.automorphism_count)
                 stack.append(w)
-    return Deck(tuple(zip(verts, forms)))
+    return tuple(zip(verts, forms))
 
 
 def hypomorphic(first: Hypergraph, second: Hypergraph) -> tuple[bool, dict[int, int] | None]:

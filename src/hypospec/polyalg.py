@@ -171,14 +171,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degrees = {len(m) for m in self.terms}
-        if not degrees:
-            return True
-        if len(degrees) > 1:
-            return False
-        return degree is None or degrees == {degree}
-
     def variables(self) -> set[int]:
         out: set[int] = set()
         for mono in self.terms:

@@ -18,7 +18,8 @@ shared members times the sum of the last ones, not one product per edge.
 `_edge_sums` applies it to ints for the exact brackets and to floats for the
 power iteration; `_jacobian` differentiates it once per Newton run, at its
 start, and every float64 correction of the run is solved against that one LU
-factorization.
+factorization.  The kernels add left to right with `reduce`, not `sum`, which
+compensates float sums from Python 3.12 on and would change the last bits.
 
 `principal_eigenpair` and `newton_steps` take an optional partition of the
 vertices into orbits of automorphisms.  The principal eigenvector of a
@@ -39,9 +40,9 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations, count
-from operator import mul, truediv
+from operator import add, mul, truediv
 from typing import NamedTuple, Sequence
 
 from .hypergraph import Hypergraph, UnknownVertexError
@@ -163,7 +164,8 @@ def _edge_sums(links, values: Sequence) -> list:
     """S_i = sum over the edges e at i of the product of the other entries of
     e, exact for ints: each group adds prod(prefix) * sum(lasts)."""
     get = values.__getitem__
-    return [sum(math.prod(map(get, prefix)) * sum(map(get, lasts)) for prefix, lasts in link)
+    return [reduce(add, (math.prod(map(get, prefix)) * reduce(add, map(get, lasts), 0)
+                         for prefix, lasts in link), 0)
             for link in links]
 
 
@@ -295,9 +297,9 @@ def _lu_solve(factors: tuple[list[list[float]], list[int]], rhs: Sequence[float]
     rows, order = factors
     y = [rhs[i] for i in order]
     for i in range(1, len(y)):
-        y[i] -= sum(map(mul, rows[i][:i], y[:i]))
+        y[i] -= reduce(add, map(mul, rows[i][:i], y[:i]), 0)
     for i in range(len(y) - 1, -1, -1):
-        y[i] = (y[i] - sum(map(mul, rows[i][i + 1:], y[i + 1:]))) / rows[i][i]
+        y[i] = (y[i] - reduce(add, map(mul, rows[i][i + 1:], y[i + 1:]), 0)) / rows[i][i]
     return y
 
 
@@ -323,7 +325,7 @@ def _jacobian(links, m: int, vector: Sequence[float], value: float
             for r in lasts:
                 row[r] += shared
             if prefix:
-                total = sum(x[r] for r in lasts)
+                total = reduce(add, (x[r] for r in lasts), 0)
                 for k, q in enumerate(prefix):
                     row[q] += math.prod(x[u] for u in prefix[:k] + prefix[k + 1:]) * total
         row[p] -= (m - 1) * value * x[p] ** (m - 2)

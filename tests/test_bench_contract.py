@@ -101,7 +101,7 @@ def test_deck_searches_the_parent_and_each_orbit_through_the_module_attributes(m
 
     monkeypatch.setattr(iso, "canonical_form", counting_canonical)
     monkeypatch.setattr(iso, "_search", counting_search)
-    assert len(iso.deck(h).entries) == h.num_vertices
+    assert len(iso.deck(h)) == h.num_vertices
     assert parents == [h]
     assert searches == len(reps) + 1
     assert nodes == expected_nodes > 0

@@ -190,7 +190,9 @@ def test_deck_writes_default_json(x3_file, tmp_path, capsys):
     out, _ = capsys.readouterr()
     assert out.count("deleted ") == 9
     payload = json.loads((tmp_path / "x3.deck.json").read_text())
-    assert len(payload) == 9
+    assert [card["deleted"] for card in payload] == list(range(9))
+    assert payload[0].keys() == {"deleted", "canonical"}
+    assert payload[0]["canonical"].startswith("rank 3")
 
 
 def test_deck_past_search_node_limit_exits_two(x3_file, monkeypatch, capsys):

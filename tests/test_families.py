@@ -4,7 +4,7 @@ from hypospec.families import (FAMILY_TAGS, N_CAP, FamilySpec, e_map,
                                family_hypergraph, family_poly, mod_v,
                                orbit_substitution, p_eps, p_map, q_map,
                                sigma_endo, sigma_index, sigma_perm, tau_endo,
-                               tau_perm, theta_endo, theta_perm)
+                               theta_endo, theta_perm)
 from hypospec.hypergraph import Hypergraph, hypergraph_from_lagrangian
 from hypospec.polyalg import SparsePoly, x
 from hypospec.spectral import codegree, degree
@@ -40,7 +40,7 @@ def test_theta_table():
 
 
 def test_tau_table():
-    assert [tau_perm()[i] for i in range(1, 9)] == [3, 6, 1, 4, 7, 2, 5, 8]
+    assert [tau_endo().image(i) for i in range(1, 9)] == [x(j) for j in (3, 6, 1, 4, 7, 2, 5, 8)]
 
 
 def test_p_maps():
@@ -121,7 +121,7 @@ def test_base_cycle_edges():
     assert len(c3) == 8 and len(d3) == 8
     assert c3.terms.get((1, 2, 8)) == 1     # wrap-around edge {8,1,2}
     assert d3.terms.get((1, 4, 7)) == 1     # offset-3 edge {1,4,7}
-    assert c3.is_homogeneous(3) and d3.is_homogeneous(3)
+    assert {len(m) for m in c3.terms} == {len(m) for m in d3.terms} == {3}
 
 
 def test_g23_explicit_edges():
@@ -204,7 +204,7 @@ def test_gamma3_degrees_and_codegrees():
 def test_families_are_homogeneous_multilinear():
     for fam in ("C3", "D3", "T", "Gamma", "M0", "M1", "X", "Y"):
         poly = family_poly(FamilySpec(fam, 3))
-        assert poly.is_homogeneous(3)
+        assert {len(m) for m in poly.terms} == {3}
         assert all(coef == 1 for _, coef in poly.monomials())
 
 

@@ -63,14 +63,6 @@ def test_equality_against_ints():
     assert (x(1) - x(1)) == 0
 
 
-def test_degree_and_homogeneity():
-    cubic = x(1) * x(2) * x(3) + x(4) ** 3
-    assert cubic.is_homogeneous()
-    assert cubic.is_homogeneous(3)
-    assert not cubic.is_homogeneous(2)
-    assert not (cubic + x(1)).is_homogeneous()
-
-
 def test_variables_and_single_variable():
     p = x(3) * x(7) + x(3)
     assert p.variables() == {3, 7}

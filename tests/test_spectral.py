@@ -328,6 +328,19 @@ def test_float_solve_is_pinned(tag, n):
         assert hashlib.sha256(exact.encode("ascii")).hexdigest() == bits
 
 
+def test_float_kernels_add_left_to_right():
+    """The float pins above rely on plain left-to-right addition.  From
+    Python 3.12 on `sum` compensates float sums and would give 1.0 here."""
+    values = [1e16, 1.0, -1e16]
+    assert spectral._edge_sums([[((), (0, 1, 2))]], values) == [0.0]
+    assert spectral._edge_sums([[((), (0,)), ((), (1,)), ((), (2,))]], values) == [0.0]
+    jac = spectral._jacobian([[((3,), (0, 1, 2))], [], [], []], 3, values + [1.0], 0.0)
+    assert jac[0][3] == 0.0
+    rows = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+            [1.0, 1.0, 1.0, 1.0]]
+    assert spectral._lu_solve((rows, [0, 1, 2, 3]), values + [0.0])[3] == 0.0
+
+
 def test_eigenpair_at_the_cap_describes_its_own_vector(monkeypatch):
     """Stopped at MAX_ITERATIONS, the pair's value and residual are the float
     Collatz-Wielandt midpoint and residual at the vector it returns."""

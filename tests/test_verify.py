@@ -154,8 +154,7 @@ def test_sigma_general_rejects_mutated_family(planted_fault):
 
 
 # Each family that the n = 3 suite reads through verify's family_poly, and
-# the claims that x_1 x_2 x_4 planted there fails.  C3 and M1 are missing:
-# they reach the claims only inside the recursion of `families`.
+# the claims that x_1 x_2 x_4 planted there fails.
 SUITE_FAULTS = [
     (FamilySpec("G", 3, 3), {"lemma-induction-cycles", "lemma-induction-neigh",
                              "lemma-rec-defn-g-n", "remark-rec-defn"}),
@@ -163,10 +162,12 @@ SUITE_FAULTS = [
     (FamilySpec("H", 3), {"lemma-rec-defn-g-n"}),
     (FamilySpec("T", 3), {"remark-rec-defn", "t-parity"}),
     (FamilySpec("Gamma", 3), {"degree-table", "remark-rec-defn"}),
-    (FamilySpec("M0", 3), {"lemma-sigma-general"}),
+    (FamilySpec("M0", 3), {"lemma-basis-step", "lemma-sigma-general"}),
+    (FamilySpec("M1", 3), {"lemma-basis-step"}),
     (FamilySpec("X", 3), {"degree-link-coherence", "lemma-basis-step", "lemma-sigma-general"}),
     (FamilySpec("Y", 3), {"lemma-basis-step"}),
     (FamilySpec("D3", 3), {"remark-two-cycles-reindex"}),
+    (FamilySpec("C3", 3), {"remark-two-cycles-reindex"}),
 ]
 
 
