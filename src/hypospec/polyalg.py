@@ -22,6 +22,13 @@ Ring endomorphisms substitute a polynomial image for each variable (variables
 without an image are fixed).  They are the workhorse for all symmetry
 arguments downstream: permutations of vertices, the doubling maps, the
 class-sum maps, and orbit-representative substitutions are all instances.
+`substitute` dispatches once per call, on the kind of endomorphism.  A
+renaming (permutations, doubling and orbit maps) relabels each term in one
+pass.  A linear map (the class-sum maps) expands each cubic term by nested
+loops over the image terms.  Every other term, and every term under any
+other map (criterion 9's degree-100 products), is multiplied out by
+`_dict_mul`.  All paths give the same terms in the same order.  Two
+renamings compose on their rename tables.
 """
 
 from __future__ import annotations
@@ -33,10 +40,6 @@ from typing import Iterator, Mapping, Sequence, Union
 Monomial = tuple[int, ...]
 
 ONE: Monomial = ()
-
-# Rename-table entry of a variable whose image is not a bare variable.
-_NOT_A_VARIABLE = -1
-
 
 class MissingVariableError(KeyError):
     """Evaluation point does not bind a variable present in the polynomial."""
@@ -237,12 +240,36 @@ class SparsePoly:
     def substitute(self, endo: "Endomorphism") -> "SparsePoly":
         """Apply a ring endomorphism: replace each variable by its image."""
         acc: dict[Monomial, int] = {}
-        rename = endo.rename.get
-        for mono, coef in self.terms.items():
-            targets = [rename(v, v) for v in mono]
-            if _NOT_A_VARIABLE not in targets:
-                key = tuple(sorted(targets))
+        if endo.is_renaming:
+            get = endo.rename.get
+            for mono, coef in self.terms.items():
+                if len(mono) == 3:
+                    a, b, c = mono
+                    a, b, c = get(a, a), get(b, b), get(c, c)
+                    if a > b:
+                        a, b = b, a
+                    if b > c:
+                        b, c = c, b
+                        if a > b:
+                            a, b = b, a
+                    key = (a, b, c)
+                else:
+                    key = tuple(sorted(map(get, mono, mono)))
                 acc[key] = acc.get(key, 0) + coef
+            return _adopt(acc)
+        images, linear = endo.images, endo.is_linear
+        for mono, coef in self.terms.items():
+            if linear and len(mono) == 3:
+                # The loops meet the products in the order _dict_mul would.
+                iu, iv, iw = (images[v].terms if v in images else {(v,): 1} for v in mono)
+                for (u,), cu in iu.items():
+                    cu *= coef
+                    for (v,), cv in iv.items():
+                        cuv = cu * cv
+                        a, b = (u, v) if u <= v else (v, u)
+                        for (w,), cw in iw.items():
+                            key = (w, a, b) if w < a else (a, w, b) if w < b else (a, b, w)
+                            acc[key] = acc.get(key, 0) + cuv * cw
                 continue
             prod: dict[Monomial, int] = {ONE: coef}
             for v in mono:
@@ -289,19 +316,21 @@ def _coerce(value: Union[SparsePoly, int]) -> SparsePoly:
 class Endomorphism:
     """Ring endomorphism determined by variable images; unmapped variables are fixed.
 
-    `rename` maps each variable with an image to its image variable, or to
-    -1 where the image is not a bare variable; substitution reads it instead
-    of inspecting the images term by term.
+    `rename` maps each variable whose image is a bare variable to that
+    variable.  `is_renaming` holds when every image is a bare variable, and
+    `is_linear` when every image has only degree-1 terms (the zero image
+    has none); substitution and composition dispatch on them once per call.
 
     Composition is sequential application: (f.compose(g))(p) substitutes g
     first, then f, matching (f o g) on variables.
     """
 
-    __slots__ = ("images", "rename")
+    __slots__ = ("images", "rename", "is_renaming", "is_linear")
 
     def __init__(self, images: Mapping[int, SparsePoly]) -> None:
         self.images: dict[int, SparsePoly] = {}
         self.rename: dict[int, int] = {}
+        self.is_renaming = self.is_linear = True
         for v, img in images.items():
             if v < 0:
                 raise ValueError(f"variable index must be >= 0, got {v}")
@@ -311,7 +340,11 @@ class Endomorphism:
             if target == v:
                 continue  # identity images are implicit
             self.images[v] = img
-            self.rename[v] = _NOT_A_VARIABLE if target is None else target
+            if target is not None:
+                self.rename[v] = target
+                continue
+            self.is_renaming = False
+            self.is_linear = self.is_linear and all(len(mono) == 1 for mono in img.terms)
 
     @classmethod
     def identity(cls) -> "Endomorphism":
@@ -323,6 +356,21 @@ class Endomorphism:
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """Return self o other (apply `other` first)."""
+        if self.is_renaming and other.is_renaming:
+            get = self.rename.get
+            rename: dict[int, int] = {}
+            for v, w in other.rename.items():
+                if (t := get(w, w)) != v:
+                    rename[v] = t
+            for v, t in self.rename.items():
+                if v not in other.rename:
+                    rename[v] = t
+            # Every image is a bare variable, so __init__ would learn nothing.
+            endo = object.__new__(Endomorphism)
+            endo.images = {v: x(t) for v, t in rename.items()}
+            endo.rename = rename
+            endo.is_renaming = endo.is_linear = True
+            return endo
         images: dict[int, SparsePoly] = {}
         for v, img in other.images.items():
             images[v] = img.substitute(self)

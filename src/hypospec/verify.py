@@ -161,10 +161,9 @@ def _fixed_point_map(n: int, theta: bool, sigmas: tuple[int, ...]) -> Endomorphi
 
 def _vertex_table(endo: Endomorphism, size: int) -> list[int]:
     """The images of the vertices 0..size-1 under a renaming endomorphism."""
-    table = [endo.rename.get(v, v) for v in range(size)]
-    if min(table) < 0:
+    if not endo.is_renaming:
         raise ValueError("endomorphism does not rename every vertex to a vertex")
-    return table
+    return [endo.rename.get(v, v) for v in range(size)]
 
 
 def restricted_difference(n: int, h: SparsePoly, sigma: Endomorphism,

@@ -1,10 +1,33 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hypospec.polyalg import (Endomorphism, MissingVariableError, SparsePoly,
+from hypospec.families import sigma_endo, theta_endo
+from hypospec.polyalg import (Endomorphism, MissingVariableError, SparsePoly, _dict_mul,
                               monomial_key, monomial_text, x)
+from hypospec.verify import fixed_point_map
+
+
+def reference_substitute(p, endo):
+    """Term by term through `_dict_mul` alone: the terms, in the insertion
+    order, that every path of `substitute` must reproduce."""
+    acc = {}
+    for mono, coef in p.terms.items():
+        prod = {(): coef}
+        for v in mono:
+            prod = _dict_mul(prod, endo.image(v).terms)
+        for m, c in prod.items():
+            acc[m] = acc.get(m, 0) + c
+    return {m: c for m, c in acc.items() if c}
+
+
+def reference_compose(f, g):
+    images = {v: SparsePoly(reference_substitute(img, f)) for v, img in g.images.items()}
+    for v, img in f.images.items():
+        images.setdefault(v, img)
+    return Endomorphism(images)
 
 
 def test_monomial_helpers():
@@ -185,6 +208,96 @@ def test_substitute_agrees_with_evaluation_at_images():
             point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for v in range(7)}
             at_images = {v: endo.image(v).evaluate_exact(point) for v in range(7)}
             assert p.substitute(endo).evaluate_exact(point) == p.evaluate_exact(at_images)
+
+
+def test_every_substitution_path_matches_the_dict_mul_reference():
+    """Renamings, linear images and general images each take their own path;
+    each must give the reference's terms in the reference's order."""
+    rng = random.Random(30301)
+    coefs = [-5, -2, -1, 1, 3, 7]
+
+    def random_poly(cubic_only):
+        total = SparsePoly.zero()
+        for _ in range(rng.randint(1, 12)):
+            degree = 3 if cubic_only else rng.randint(0, 5)
+            term = SparsePoly.constant(rng.choice(coefs))
+            for _ in range(degree):
+                term = term * x(rng.randint(0, 7))
+            total = total + term
+        return total
+
+    def linear():
+        return SparsePoly({(w,): rng.choice(coefs) for w in rng.sample(range(8), rng.randint(1, 3))})
+
+    def renaming():  # merges variables: 8 variables onto at most 5
+        return {v: x(rng.randint(0, 4)) for v in range(8) if rng.random() < 0.7}
+
+    def linear_images():
+        images = renaming()
+        images.update({v: linear() for v in range(8) if rng.random() < 0.4})
+        for v in range(8):
+            if rng.random() < 0.15:
+                images[v] = SparsePoly.zero()
+        return images
+
+    def general_images():
+        images = linear_images()
+        images[rng.randrange(8)] = rng.choice([SparsePoly.constant(rng.choice(coefs)),
+                                               random_poly(False)])
+        return images
+
+    polys = [x(1) * x(2) * x(3), x(1) ** 2 * x(2) - 3 * x(2) ** 3 + x(0) * x(1) * x(2),
+             x(1) * x(2) - x(2) * x(3) + 4, x(5) ** 3 - x(5)]
+    polys += [random_poly(cubic_only) for cubic_only in (True, False) for _ in range(30)]
+    endos = [Endomorphism({1: SparsePoly.zero(), 2: x(4) + x(5)}),
+             Endomorphism({1: x(2), 2: x(1)}), Endomorphism({1: x(2) - x(3), 3: 2 * x(1)}),
+             Endomorphism({1: SparsePoly.constant(-2), 2: x(3)})]
+    endos += [Endomorphism(make()) for make in (renaming, linear_images, general_images)
+              for _ in range(25)]
+    kinds = Counter((e.is_renaming, e.is_linear) for e in endos)
+    assert kinds[True, True] and kinds[False, True] and kinds[False, False]
+    for p in polys:
+        for e in endos:
+            out = p.substitute(e)
+            ref = reference_substitute(p, e)
+            assert out.terms == ref and list(out.terms) == list(ref), (p, e.images)
+    assert (x(1) * x(2) * x(3)).substitute(endos[0]) == 0
+    # sums that cancel to 0 under a merging renaming and under a linear map
+    assert (x(1) * x(2) ** 2 - x(1) ** 2 * x(2)).substitute(Endomorphism({1: x(2)})).is_zero
+    swap_sum = Endomorphism({1: x(2) + x(3), 2: x(3) + x(2)})
+    assert (x(1) * x(2) * x(4) - x(1) ** 2 * x(4)).substitute(swap_sum).is_zero
+
+
+def test_endomorphism_records_its_kind():
+    assert Endomorphism.identity().is_renaming
+    assert Endomorphism({1: x(2), 2: x(2)}).is_renaming
+    zero = Endomorphism({1: SparsePoly.zero(), 2: x(3)})
+    assert (zero.is_renaming, zero.is_linear) == (False, True)
+    assert zero.rename == {2: 3}
+    scaled = Endomorphism({1: 2 * x(1) - x(3)})
+    assert (scaled.is_renaming, scaled.is_linear, scaled.rename) == (False, True, {})
+    for image in (SparsePoly.constant(1), x(1) * x(2), x(1) + 1):
+        assert not Endomorphism({4: x(5), 1: image}).is_linear
+
+
+def test_renamings_compose_on_their_tables():
+    def same(f, g):
+        return (f.images == g.images and list(f.images) == list(g.images)
+                and f.rename == g.rename and list(f.rename) == list(g.rename)
+                and (f.is_renaming, f.is_linear) == (g.is_renaming, g.is_linear))
+
+    for n in range(3, 7):
+        theta = theta_endo(n)
+        assert theta.compose(theta).images == {} and theta.compose(theta).rename == {}
+        assert same(theta.compose(theta), reference_compose(theta, theta))
+        for r in range(n - 1):
+            phi, sigma = fixed_point_map(n, theta=True, sigmas=range(r)), sigma_endo(n, r)
+            assert phi.is_renaming and sigma.is_renaming
+            assert same(phi.compose(sigma), reference_compose(phi, sigma))
+    rename = Endomorphism({1: x(2), 2: x(1), 4: x(1)})
+    lin = Endomorphism({1: x(2) + x(3), 3: SparsePoly.zero(), 5: x(4)})
+    for f, g in ((rename, lin), (lin, rename), (rename, rename)):
+        assert same(f.compose(g), reference_compose(f, g))
 
 
 def test_to_text():

@@ -341,6 +341,22 @@ def test_float_kernels_add_left_to_right():
     assert spectral._lu_solve((rows, [0, 1, 2, 3]), values + [0.0])[3] == 0.0
 
 
+def test_exact_brackets_add_the_same_in_any_order():
+    """The exact brackets add with `sum`; on 1000-bit integers they equal the
+    left-to-right fold of `_edge_sums`, on the full table of X^5 and Y^5 and on
+    their theta-quotients."""
+    rng = random.Random(1000)
+    for tag in "XY":
+        h = family_hypergraph(FamilySpec(tag, 5))
+        for links in (spectral._links(h), spectral._quotient(h, theta_cells(5)).links):
+            ints = [rng.getrandbits(1000) | 1 << 999 for _ in links]
+            sums, powered, lo, hi = spectral._exact_bracket(links, 3, ints)
+            folded = spectral._edge_sums(links, ints)
+            assert sums == folded
+            ratios = [Fraction(s, p) for s, p in zip(folded, powered)]
+            assert (lo, hi) == (min(ratios), max(ratios))
+
+
 def test_eigenpair_at_the_cap_describes_its_own_vector(monkeypatch):
     """Stopped at MAX_ITERATIONS, the pair's value and residual are the float
     Collatz-Wielandt midpoint and residual at the vector it returns."""
