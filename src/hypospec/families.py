@@ -11,9 +11,8 @@ rebuilds used as an independent cross-check live in the verify module.
 
 The structural maps `p_map`, `e_map`, `sigma_endo` and `theta_endo` are
 memoised, as the family polynomials and hypergraphs are: every caller with
-the same arguments gets the same Endomorphism object, so its `images` and
-`rename` dicts are shared and must not be mutated.  Derive new maps with
-`compose`.
+the same arguments gets the same Endomorphism object, so its tables are
+shared and must not be mutated.  Derive new maps with `compose`.
 """
 
 from __future__ import annotations

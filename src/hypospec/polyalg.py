@@ -11,8 +11,9 @@ Nothing is packed into machine words.  The canonical graded-lexicographic
 term order and the text form are defined on the run-length
 `(variable, exponent)` form of a monomial.  A polynomial maps monomials to
 nonzero integer coefficients.  Coefficients are plain Python ints, so every
-computation is exact and an identity holds iff the difference has no terms at
-all.
+computation is exact, and since no polynomial holds a zero coefficient, two
+polynomials are equal iff their term dicts are: an identity is checked
+without forming the difference.
 
 The public constructor validates its terms; ring operations combine
 polynomials that are valid already, so their results are only cleared of
@@ -27,8 +28,9 @@ renaming (permutations, doubling and orbit maps) relabels each term in one
 pass.  A linear map (the class-sum maps) expands each cubic term by nested
 loops over the image terms.  Every other term, and every term under any
 other map (criterion 9's degree-100 products), is multiplied out by
-`_dict_mul`.  All paths give the same terms in the same order.  Two
-renamings compose on their rename tables.
+`_dict_mul`.  All paths give the same terms in the same order.  A
+renaming keeps one table, `rename`, and builds its images only when they are
+asked for; two renamings compose on their tables.
 """
 
 from __future__ import annotations
@@ -79,9 +81,11 @@ def _dict_mul(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, 
 
 def _adopt(terms: dict[Monomial, int]) -> "SparsePoly":
     """Wrap `terms`, built by a ring operation from valid polynomials, as a
-    polynomial.  Only cancelled terms are dropped; nothing is re-validated."""
-    for mono in [m for m, c in terms.items() if not c]:
-        del terms[mono]
+    polynomial.  Only cancelled terms are dropped, and only when there is
+    one; nothing is re-validated."""
+    if 0 in terms.values():
+        for mono in [m for m, c in terms.items() if not c]:
+            del terms[mono]
     poly = object.__new__(SparsePoly)
     poly.terms = terms
     return poly
@@ -320,15 +324,18 @@ class Endomorphism:
     variable.  `is_renaming` holds when every image is a bare variable, and
     `is_linear` when every image has only degree-1 terms (the zero image
     has none); substitution and composition dispatch on them once per call.
+    A renaming keeps `rename` as its one table: `images` and `image(v)`
+    build the bare-variable images from it when they are asked for.  Any
+    other endomorphism keeps every image in `images` as well.
 
     Composition is sequential application: (f.compose(g))(p) substitutes g
     first, then f, matching (f o g) on variables.
     """
 
-    __slots__ = ("images", "rename", "is_renaming", "is_linear")
+    __slots__ = ("_images", "rename", "is_renaming", "is_linear")
 
     def __init__(self, images: Mapping[int, SparsePoly]) -> None:
-        self.images: dict[int, SparsePoly] = {}
+        own: dict[int, SparsePoly] = {}
         self.rename: dict[int, int] = {}
         self.is_renaming = self.is_linear = True
         for v, img in images.items():
@@ -339,19 +346,29 @@ class Endomorphism:
             target = img.single_variable()
             if target == v:
                 continue  # identity images are implicit
-            self.images[v] = img
+            own[v] = img
             if target is not None:
                 self.rename[v] = target
                 continue
             self.is_renaming = False
             self.is_linear = self.is_linear and all(len(mono) == 1 for mono in img.terms)
+        self._images = None if self.is_renaming else own
 
     @classmethod
     def identity(cls) -> "Endomorphism":
         return cls({})
 
+    @property
+    def images(self) -> dict[int, SparsePoly]:
+        """Every image that is not the identity."""
+        if self.is_renaming:
+            return {v: x(t) for v, t in self.rename.items()}
+        return self._images
+
     def image(self, index: int) -> SparsePoly:
-        img = self.images.get(index)
+        if self.is_renaming:
+            return x(self.rename.get(index, index))
+        img = self._images.get(index)
         return img if img is not None else x(index)
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
@@ -367,7 +384,7 @@ class Endomorphism:
                     rename[v] = t
             # Every image is a bare variable, so __init__ would learn nothing.
             endo = object.__new__(Endomorphism)
-            endo.images = {v: x(t) for v, t in rename.items()}
+            endo._images = None
             endo.rename = rename
             endo.is_renaming = endo.is_linear = True
             return endo
@@ -386,4 +403,6 @@ def x(index: int) -> SparsePoly:
     """The variable x_index."""
     if not isinstance(index, int) or index < 0:
         raise ValueError(f"variable index must be an int >= 0, got {index!r}")
-    return _adopt({(index,): 1})
+    poly = object.__new__(SparsePoly)
+    poly.terms = {(index,): 1}
+    return poly

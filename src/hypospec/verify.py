@@ -4,11 +4,14 @@ Every exact or enumerated check builds its Claim record the same way: it
 yields the details of its failures lazily, and `_claim` passes it when the
 stream is empty, or fails it with the first detail, so later checks run only
 while earlier ones pass.  Exact claims go through `_exact`, which takes
-`(label, difference)` pairs: each stated identity becomes a zero-polynomial
-test, usually after an orbit substitution that restricts to the subspace
-fixed by a set of vertex permutations (the hypotheses "theta(x) = x,
-sigma_i(x) = x" of the statements), and the first nonzero difference is the
-failure's certificate.  Numeric claims carry certified Collatz-Wielandt
+`(label, lhs, rhs)` triples: each stated identity becomes a comparison of
+the two sides' terms, usually after an orbit substitution that restricts to
+the subspace fixed by a set of vertex permutations (the hypotheses
+"theta(x) = x, sigma_i(x) = x" of the statements), and lhs - rhs, built for
+the first pair that differs and only for it, is the failure's certificate.
+The orbit map is a ring map, so the stated products of linear factors
+(f_r^n, the link square, the pair gap) are restricted factor by factor and
+only then multiplied.  Numeric claims carry certified Collatz-Wielandt
 brackets, recomputed in exact rational arithmetic before any verdict is
 drawn from them.  No verdict rests on a float tolerance: integer degrees
 and exact brackets decide `regular-cone`, so only `main-theorem` runs the
@@ -127,12 +130,15 @@ def _claim(cid: str, params: dict, kind: str, failures: Iterable[str],
     return Claim(cid, params, kind, False, first)
 
 
-def _exact(cid: str, params: dict, checks: Iterable[tuple[str, SparsePoly]],
+def _exact(cid: str, params: dict, checks: Iterable[tuple[str, SparsePoly, SparsePoly]],
            note: str = "") -> Claim:
-    """Exact-identity claim over `(label, difference)` pairs: the first
-    nonzero difference fails it, with the difference as certificate."""
+    """Exact-identity claim over `(label, lhs, rhs)` triples: the first pair
+    of sides that differ fails it, with lhs - rhs as certificate.  Neither
+    side holds a zero coefficient, so equal terms are exactly a zero
+    difference, and the difference is built only for a failure."""
     return _claim(cid, params, "exact-identity",
-                  (f"{label}: {_certificate(diff)}" for label, diff in checks if not diff.is_zero),
+                  (f"{label}: {_certificate(lhs - rhs)}" for label, lhs, rhs in checks
+                   if lhs.terms != rhs.terms),
                   note)
 
 
@@ -198,8 +204,23 @@ def restricted_family(spec: FamilySpec, r: int) -> SparsePoly:
 # -- difference polynomials ----------------------------------------------------
 
 
-def f_poly(n: int, r: int) -> SparsePoly:
-    """The stated change of the families under sigma_r on the fixed subspace."""
+_IDENTITY = Endomorphism.identity()
+
+
+def _restricted_product(scale: int, factors: Iterable[SparsePoly],
+                        phi: Endomorphism) -> SparsePoly:
+    """scale times the product of `factors`, under phi.  phi is a ring map,
+    so each factor is restricted first, and the product is multiplied out
+    over phi's image alone."""
+    product = SparsePoly.constant(scale)
+    for factor in factors:
+        product = product * factor.substitute(phi)
+    return product
+
+
+def f_poly(n: int, r: int, phi: Endomorphism = _IDENTITY) -> SparsePoly:
+    """The stated change of the families under sigma_r on the fixed subspace,
+    restricted by phi (the identity by default)."""
     if not 0 <= r <= n - 2:
         raise ValueError(f"need 0 <= r <= n-2, got r={r}, n={n}")
     if r <= n - 3:
@@ -207,22 +228,25 @@ def f_poly(n: int, r: int) -> SparsePoly:
         second = (x(1) - x(1 + (1 << (r + 2)))).substitute(e_map(n, r + 3))
         third = (-x(1 + (1 << (r + 1))) + x(1 + (1 << (r + 1)) + (1 << (r + 2)))).substitute(
             e_map(n, r + 3))
-        return (1 << (r + 1)) * first * second * third
+        return _restricted_product(1 << (r + 1), (first, second, third), phi)
     half = 1 << (n - 1)
-    return (1 << (n - 1)) * (x(1) - x(1 + half)) * x(1) * (-x(1 + half))
+    return _restricted_product(half, (x(1) - x(1 + half), x(1), -x(1 + half)), phi)
 
 
-def neigh_square(n: int, r: int) -> SparsePoly:
-    """The stated link difference for k = n - r; defined for r <= n-3 only."""
+def neigh_square(n: int, r: int, phi: Endomorphism = _IDENTITY) -> SparsePoly:
+    """The stated link difference for k = n - r, restricted by phi (the
+    identity by default); defined for r <= n-3 only."""
     if not 0 <= r <= n - 3:
         raise ValueError(f"the link-difference square needs 0 <= r <= n-3, got r={r}, n={n}")
-    return (x(1) - x(1 + (1 << (r + 2)))).substitute(e_map(n, r + 3)) ** 2
+    factor = (x(1) - x(1 + (1 << (r + 2)))).substitute(e_map(n, r + 3))
+    return _restricted_product(1, (factor, factor), phi)
 
 
-def pair_gap_poly(n: int) -> SparsePoly:
+def pair_gap_poly(n: int, phi: Endomorphism = _IDENTITY) -> SparsePoly:
     """x_0 * (E_2(x_1 - x_3))^2, the exact excess of Y^n over X^n on the
-    theta-fixed subspace."""
-    return x(0) * (x(1) - x(3)).substitute(e_map(n, 2)) ** 2
+    theta-fixed subspace, restricted by phi (the identity by default)."""
+    factor = (x(1) - x(3)).substitute(e_map(n, 2))
+    return _restricted_product(1, (x(0), factor, factor), phi)
 
 
 # -- closed-form rebuilds (independent of the recursive constructions) ---------
@@ -270,9 +294,9 @@ def verify_basis_step(n: int) -> Claim:
     and everywhere it equals M1^n - M0^n, so the pair differs at the apex alone."""
     gap = family_poly(FamilySpec("Y", n)) - family_poly(FamilySpec("X", n))
     phi = fixed_point_map(n, theta=True)
-    diff = (gap - pair_gap_poly(n)).substitute(phi)
-    apex = gap - (family_poly(FamilySpec("M1", n)) - family_poly(FamilySpec("M0", n)))
-    return _exact("lemma-basis-step", {"n": n}, [(_NONZERO, diff), (_NONZERO, apex)])
+    apex = family_poly(FamilySpec("M1", n)) - family_poly(FamilySpec("M0", n))
+    return _exact("lemma-basis-step", {"n": n},
+                  [(_NONZERO, gap.substitute(phi), pair_gap_poly(n, phi)), (_NONZERO, gap, apex)])
 
 
 @_timed
@@ -283,11 +307,10 @@ def verify_induction_cycles(n: int, r: int, k: int) -> Claim:
         raise ValueError(f"need 0 <= r <= n-2 and 2 <= k <= n, got r={r}, k={k}, n={n}")
     phi = fixed_point_map(n, theta=True, sigmas=range(r))
     h = restricted_family(FamilySpec("G", n, k), r)
-    expected = f_poly(n, r) if k == n - r else SparsePoly.zero()
-    diff = restricted_difference(n, h, sigma_endo(n, r), phi) - expected.substitute(phi)
+    expected = f_poly(n, r, phi) if k == n - r else SparsePoly.zero()
     branch = "f" if k == n - r else "0"
     return _exact("lemma-induction-cycles", {"n": n, "r": r, "k": k, "expected": branch},
-                  [(_NONZERO, diff)])
+                  [(_NONZERO, restricted_difference(n, h, sigma_endo(n, r), phi), expected)])
 
 
 @_timed
@@ -297,11 +320,10 @@ def verify_sigma_general(n: int, r: int) -> Claim:
         raise ValueError(f"need 0 <= r <= n-2, got r={r}, n={n}")
     def checks():
         m0 = family_poly(FamilySpec("M0", n))
-        yield f"M0 is not sigma_{r}-invariant", m0 - m0.substitute(sigma_endo(n, r))
+        yield f"M0 is not sigma_{r}-invariant", m0, m0.substitute(sigma_endo(n, r))
         phi = fixed_point_map(n, theta=True, sigmas=range(r))
         h = restricted_family(FamilySpec("X", n), r)
-        yield _NONZERO, (restricted_difference(n, h, sigma_endo(n, r), phi)
-                         - f_poly(n, r).substitute(phi))
+        yield _NONZERO, restricted_difference(n, h, sigma_endo(n, r), phi), f_poly(n, r, phi)
     return _exact("lemma-sigma-general", {"n": n, "r": r}, checks())
 
 
@@ -320,11 +342,11 @@ def verify_induction_neigh(n: int, r: int, k: int) -> Claim:
                          "which does not exist; valid square cases have k = n - r >= 3")
     g = family_poly(FamilySpec("G", n, k))
     phi = fixed_point_map(n, theta=True, sigmas=range(r + 1))
-    expected = neigh_square(n, r) if k == n - r else SparsePoly.zero()
-    diff = (g.derivative(1) - g.derivative(1 + (1 << r)) - expected).substitute(phi)
+    expected = neigh_square(n, r, phi) if k == n - r else SparsePoly.zero()
+    link_gap = (g.derivative(1) - g.derivative(1 + (1 << r))).substitute(phi)
     branch = "square" if k == n - r else "0"
     return _exact("lemma-induction-neigh", {"n": n, "r": r, "k": k, "expected": branch},
-                  [(_NONZERO, diff)])
+                  [(_NONZERO, link_gap, expected)])
 
 
 @_timed
@@ -334,15 +356,16 @@ def verify_neigh_general(n: int, r: int) -> Claim:
         raise ValueError(f"need 0 <= r <= n-3, got r={r}, n={n}")
     xp = family_poly(FamilySpec("X", n))
     phi = fixed_point_map(n, theta=True, sigmas=range(r + 1))
-    diff = (xp.derivative(1) - xp.derivative(1 + (1 << r)) - neigh_square(n, r)).substitute(phi)
-    return _exact("lemma-neigh-general", {"n": n, "r": r}, [(_NONZERO, diff)])
+    link_gap = (xp.derivative(1) - xp.derivative(1 + (1 << r))).substitute(phi)
+    return _exact("lemma-neigh-general", {"n": n, "r": r},
+                  [(_NONZERO, link_gap, neigh_square(n, r, phi))])
 
 
 @_timed
 def _claim_rec_defn_g_n(n: int) -> Claim:
     via_e = family_poly(FamilySpec("G", 3, 3)).substitute(e_map(n, 3))
     via_q, g_nn = family_poly(FamilySpec("H", n)), family_poly(FamilySpec("G", n, n))
-    return _exact("lemma-rec-defn-g-n", {"n": n}, [(_NONZERO, via_q - via_e), (_NONZERO, g_nn - via_e)])
+    return _exact("lemma-rec-defn-g-n", {"n": n}, [(_NONZERO, via_q, via_e), (_NONZERO, g_nn, via_e)])
 
 
 @_timed
@@ -352,11 +375,11 @@ def _claim_remark_rec_defn(n: int) -> Claim:
         t = SparsePoly.zero()
         for k in range(2, n + 1):
             g = explicit_gk(n, k)
-            yield f"{at} G{k}", g - family_poly(FamilySpec("G", n, k))
+            yield f"{at} G{k}", g, family_poly(FamilySpec("G", n, k))
             if k < n:
                 t = t + g
-        yield f"{at} T", t - family_poly(FamilySpec("T", n))
-        yield f"{at} Gamma", t + g - family_poly(FamilySpec("Gamma", n))
+        yield f"{at} T", t, family_poly(FamilySpec("T", n))
+        yield f"{at} Gamma", t + g, family_poly(FamilySpec("Gamma", n))
     return _exact("remark-rec-defn", {"n": n}, checks(),
                   f"{n + 1} closed forms match the recursions")
 
@@ -365,7 +388,7 @@ def _claim_remark_rec_defn(n: int) -> Claim:
 def _claim_two_cycles_reindex() -> Claim:
     d3, c3 = family_poly(FamilySpec("D3", 3)), family_poly(FamilySpec("C3", 3))
     return _exact("remark-two-cycles-reindex", {"n": 3},
-                  [(_NONZERO, d3 - _offset_cycle(3)), (_NONZERO, c3 - _offset_cycle(1))],
+                  [(_NONZERO, d3, _offset_cycle(3)), (_NONZERO, c3, _offset_cycle(1))],
                   "tau-substituted cycle equals the +-3 offset sum")
 
 
@@ -383,8 +406,8 @@ def _claim_helper_cycle(n: int, part: int) -> Claim:
     e3 = e_map(n, 3)
     phi = fixed_point_map(n, theta=True, sigmas=sigmas)
     return _exact("lemma-helper-cycle", {"n": n, "part": part},
-                  ((f"E_3(x_{a}) != E_3(x_{b})", (x(a) - x(b)).substitute(e3).substitute(phi))
-                   for a, b in pairs))
+                  ((f"E_3(x_{a}) != E_3(x_{b})", e3.image(a).substitute(phi),
+                    e3.image(b).substitute(phi)) for a, b in pairs))
 
 
 @_timed
@@ -398,7 +421,8 @@ def _claim_odd_even_eight(n: int, r: int) -> Claim:
     doublings = [p_map(n + 1, j) for j in (0, 1)]
     return _exact("lemma-odd-even-eight", {"n": n, "r": r},
                   ((f"failed at j={j}, source {src.to_text()}",
-                    (src.substitute(ern).substitute(pj) - dst.substitute(target)).substitute(phi))
+                    src.substitute(ern).substitute(pj).substitute(phi),
+                    dst.substitute(target).substitute(phi))
                    for j, pj in enumerate(doublings) for src, dst in cases))
 
 
@@ -406,10 +430,9 @@ def _claim_odd_even_eight(n: int, r: int) -> Claim:
 def _claim_even_odd_f(n: int, r: int) -> Claim:
     """(p_0 + p_1) f_r^n = f_{r+1}^{n+1} on the sigma_0-fixed subspace."""
     phi = fixed_point_map(n + 1, sigmas=(0,))
-    fr = f_poly(n, r)
-    pushed = fr.substitute(p_map(n + 1, 0)) + fr.substitute(p_map(n + 1, 1))
-    diff = (pushed - f_poly(n + 1, r + 1)).substitute(phi)
-    return _exact("lemma-even-odd-f", {"n": n, "r": r}, [(_NONZERO, diff)])
+    pushed = f_poly(n, r, phi.compose(p_map(n + 1, 0))) + f_poly(n, r, phi.compose(p_map(n + 1, 1)))
+    return _exact("lemma-even-odd-f", {"n": n, "r": r},
+                  [(_NONZERO, pushed, f_poly(n + 1, r + 1, phi))])
 
 
 @_timed
@@ -439,9 +462,9 @@ def _claim_sigma_threshold(n: int) -> Claim:
                 for i in range(1, (1 << n) + 1):
                     image = ern.image(i)
                     yield (f"E_{r} differs at i={i}, t={t}",
-                           image - ern.image(mod_v(n, i + (1 << t))))
+                           image, ern.image(mod_v(n, i + (1 << t))))
                     yield (f"E_{r} not sigma_{t}-invariant at i={i}",
-                           image - ern.image(sigma_index(t, i)))
+                           image, ern.image(sigma_index(t, i)))
     return _exact("remark-sigma-threshold", {"n": n}, checks())
 
 
@@ -546,7 +569,7 @@ def _claim_q_e3_composition(n: int) -> Claim:
     lifted = q_map(n).compose(e_map(n - 1, 3))
     target = e_map(n, 3)
     return _exact("q-e3-composition", {"n": n},
-                  ((f"images differ at x_{i}", lifted.image(i) - target.image(i))
+                  ((f"images differ at x_{i}", lifted.image(i), target.image(i))
                    for i in range(0, (1 << (n - 1)) + 1)))
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -225,6 +226,16 @@ def test_verify_exact_only(tmp_path, capsys):
     assert "[FAIL]" not in out
     assert "passed 25/25 claims" in out
     assert len(json.loads(verdict.read_text())) == 25
+
+
+@pytest.mark.parametrize("n, code", [("3", 0), ("2", 2)])
+def test_verify_leaves_the_collector_as_it_found_it(n, code, tmp_path, capsys):
+    """verify raises the collector's threshold for the suite alone; it puts
+    it back on return, also when the suite raises."""
+    threshold = gc.get_threshold()
+    assert main(["verify", "--n", n, "--exact-only", "--out", str(tmp_path / "v.json")]) == code
+    assert gc.get_freeze_count() == 0
+    assert gc.get_threshold() == threshold
 
 
 def test_verify_rejects_small_n(tmp_path, capsys):

@@ -352,6 +352,15 @@ def test_hypomorphic_rejects_edge_count_mismatch_before_any_deck(monkeypatch):
     assert hypomorphic(X3, fewer) == (False, None)
 
 
+def test_hypomorphic_rejects_equal_counts_with_different_decks():
+    """X^3 with one edge moved keeps its vertex and edge counts, so only the
+    comparison of the two decks can reject it."""
+    moved = Hypergraph(3, X3.vertices, [e for e in X3.edges if e != (0, 1, 2)] + [(0, 1, 8)])
+    assert (moved.num_vertices, moved.num_edges) == (X3.num_vertices, X3.num_edges)
+    assert hypomorphic(X3, moved) == (False, None)
+    assert hypomorphic(moved, X3) == (False, None)
+
+
 def test_hypomorphic_pairs_repeated_card_classes_in_increasing_order():
     """Fano plane on 0..6 plus K_4^(3) on 7..10: two card classes, seven and
     four cards.  Within each class eta pairs the vertices in increasing order."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypospec.families import sigma_endo, theta_endo
+from hypospec.families import p_eps, p_map, sigma_endo, theta_endo
 from hypospec.polyalg import (Endomorphism, MissingVariableError, SparsePoly, _dict_mul,
                               monomial_key, monomial_text, x)
 from hypospec.verify import fixed_point_map
@@ -298,6 +298,28 @@ def test_renamings_compose_on_their_tables():
     lin = Endomorphism({1: x(2) + x(3), 3: SparsePoly.zero(), 5: x(4)})
     for f, g in ((rename, lin), (lin, rename), (rename, rename)):
         assert same(f.compose(g), reference_compose(f, g))
+
+
+def test_composed_renamings_derive_their_images_from_one_table():
+    """A composed renaming keeps `rename` alone.  The `images` it derives
+    equal, in the same order, the images that the general composition
+    builds, and `image(v)` agrees with it on every variable."""
+    rng = random.Random(15)
+    pairs = []
+    for n in range(3, 7):
+        size = (1 << n) + 1
+        pairs += [(fixed_point_map(n, theta=True, sigmas=range(r)), sigma_endo(n, r), size)
+                  for r in range(n - 1)]
+        pairs += [(p_map(n, 1), p_eps(n, (0, 1, 1)), size), (theta_endo(n), theta_endo(n), size)]
+    for _ in range(20):
+        f, g = (Endomorphism({v: x(rng.randrange(6)) for v in range(6) if rng.random() < 0.6})
+                for _ in range(2))
+        pairs.append((f, g, 8))
+    for f, g, size in pairs:
+        fast, general = f.compose(g), reference_compose(f, g)
+        assert fast.is_renaming and fast._images is None
+        assert list(fast.images.items()) == list(general.images.items())
+        assert all(fast.image(v) == general.image(v) for v in range(size))
 
 
 def test_to_text():

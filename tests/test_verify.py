@@ -153,31 +153,47 @@ def test_sigma_general_rejects_mutated_family(planted_fault):
     assert claim.detail.startswith("nonzero difference: ")
 
 
-# Each family that the n = 3 suite reads through verify's family_poly, and
-# the claims that x_1 x_2 x_4 planted there fails.
+# Each family that the n = 3 suite reads through verify's family_poly, the
+# claims that x_1 x_2 x_4 planted there fails, and the sha256 of
+# claims_to_json of those failed claims.  The digests were taken while every
+# exact claim still built its difference before testing it; they pin each
+# certificate byte for byte.
 SUITE_FAULTS = [
     (FamilySpec("G", 3, 3), {"lemma-induction-cycles", "lemma-induction-neigh",
-                             "lemma-rec-defn-g-n", "remark-rec-defn"}),
-    (FamilySpec("G", 3, 2), {"lemma-induction-cycles", "remark-rec-defn"}),
-    (FamilySpec("H", 3), {"lemma-rec-defn-g-n"}),
-    (FamilySpec("T", 3), {"remark-rec-defn", "t-parity"}),
-    (FamilySpec("Gamma", 3), {"degree-table", "remark-rec-defn"}),
-    (FamilySpec("M0", 3), {"lemma-basis-step", "lemma-sigma-general"}),
-    (FamilySpec("M1", 3), {"lemma-basis-step"}),
-    (FamilySpec("X", 3), {"degree-link-coherence", "lemma-basis-step", "lemma-sigma-general"}),
-    (FamilySpec("Y", 3), {"lemma-basis-step"}),
-    (FamilySpec("D3", 3), {"remark-two-cycles-reindex"}),
-    (FamilySpec("C3", 3), {"remark-two-cycles-reindex"}),
+                             "lemma-rec-defn-g-n", "remark-rec-defn"},
+     "8c650d58d6430d2e60715e81e336f70020060c425cdd49a860f2fb244e6ca5ec"),
+    (FamilySpec("G", 3, 2), {"lemma-induction-cycles", "remark-rec-defn"},
+     "b87582cbe2f3adfa87db7b58590f45cc376bc91e00c33243a77457faf15425d9"),
+    (FamilySpec("H", 3), {"lemma-rec-defn-g-n"},
+     "144f1050395ae1d67069c41ada2d9a89b7a2a1d87bb7949a109ee753f9460103"),
+    (FamilySpec("T", 3), {"remark-rec-defn", "t-parity"},
+     "45a57c1bc8b0b55481049aa76f36b76db5e320cc114a0f38bfb3dc8be9bbe36a"),
+    (FamilySpec("Gamma", 3), {"degree-table", "remark-rec-defn"},
+     "e018875ed02186f3e011d2515469653401a6e1c3557cfc4283b5baee77892f10"),
+    (FamilySpec("M0", 3), {"lemma-basis-step", "lemma-sigma-general"},
+     "0292f56551925d7ebb137a28e929eb12139e78a0a39c2c38747f9a447d9d48ff"),
+    (FamilySpec("M1", 3), {"lemma-basis-step"},
+     "b8c1fdb89c76adbfe1cbbe573a00429c629d9cc3a25fcd3843d8cec7422f6742"),
+    (FamilySpec("X", 3), {"degree-link-coherence", "lemma-basis-step", "lemma-sigma-general"},
+     "e18fe3955a2a72cdc14773434af37c5d7cb3f779c48a99ee0530ca31b0f68aa9"),
+    (FamilySpec("Y", 3), {"lemma-basis-step"},
+     "11c02d365686ec63f1fda25596834ae9ceff2ee43fac813ceda0c9464133298b"),
+    (FamilySpec("D3", 3), {"remark-two-cycles-reindex"},
+     "4c196e865e29fe3fb973eeb970536fac8143b29ad243923362eab1d8ca1e030b"),
+    (FamilySpec("C3", 3), {"remark-two-cycles-reindex"},
+     "4c196e865e29fe3fb973eeb970536fac8143b29ad243923362eab1d8ca1e030b"),
 ]
 
 
-@pytest.mark.parametrize("spec, failing", SUITE_FAULTS,
+@pytest.mark.parametrize("spec, failing, digest", SUITE_FAULTS,
                          ids=[spec.family + (str(spec.k) if spec.k else "")
-                              for spec, _ in SUITE_FAULTS])
-def test_suite_detects_a_fault_planted_in_each_family_it_reads(spec, failing, planted_fault):
+                              for spec, _, _ in SUITE_FAULTS])
+def test_suite_detects_a_fault_planted_in_each_family_it_reads(spec, failing, digest,
+                                                                planted_fault):
     with planted_fault(spec):
-        claims = verify_identity_suite(3)
-    assert {c.id for c in claims if not c.passed} == failing
+        failed = [c for c in verify_identity_suite(3) if not c.passed]
+    assert {c.id for c in failed} == failing
+    assert hashlib.sha256(claims_to_json(failed).encode("ascii")).hexdigest() == digest
     assert all(c.passed for c in verify_identity_suite(3))
 
 
@@ -194,7 +210,7 @@ def test_suite_faults_cover_every_family_the_suite_reads(monkeypatch):
         verify_identity_suite(3)
     finally:
         verify.restricted_family.cache_clear()
-    assert read == {spec for spec, _ in SUITE_FAULTS}
+    assert read == {spec for spec, _, _ in SUITE_FAULTS}
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -507,6 +523,16 @@ def test_main_theorem_checks_the_predicted_gap(monkeypatch):
     claim = verify_main_theorem(4)
     assert not claim.passed
     assert "short of predicted gap" in claim.detail
+    assert claim.params["bracket_gap"] > 0
+
+
+def test_main_theorem_fails_on_a_zero_predicted_gap(monkeypatch):
+    """At a predicted gap of 0, mu_hi - lambda_lo >= 0 holds whenever the
+    brackets separate, so only the positivity check can fail the claim."""
+    monkeypatch.setattr(verify, "_pair_gap", lambda vec: (Fraction(0), Fraction(0)))
+    claim = verify_main_theorem(3)
+    assert not claim.passed
+    assert claim.detail == "gap polynomial at the X^3 eigenvector is 0.000e+00, not positive"
     assert claim.params["bracket_gap"] > 0
 
 
