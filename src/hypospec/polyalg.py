@@ -104,9 +104,8 @@ class SparsePoly:
                     raise TypeError(f"coefficient for {mono!r} is not an int: {coef!r}")
                 if coef == 0:
                     continue
-                if (not isinstance(mono, tuple) or not all(isinstance(v, int) for v in mono)
-                        or (mono and mono[0] < 0)
-                        or any(a > b for a, b in zip(mono, mono[1:]))):
+                if (not isinstance(mono, tuple) or not all(map(int.__instancecheck__, mono))
+                        or (mono and mono[0] < 0) or list(mono) != sorted(mono)):
                     raise ValueError(f"bad monomial {mono!r}: expected a sorted tuple of "
                                      "variable indices >= 0")
                 clean[mono] = coef
@@ -174,10 +173,6 @@ class SparsePoly:
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def variables(self) -> set[int]:
         out: set[int] = set()
         for mono in self.terms:
@@ -210,34 +205,21 @@ class SparsePoly:
             out[new] = out.get(new, 0) + coef * mono.count(index)
         return _adopt(out)
 
-    def _lookup(self, values, index: int):
-        if isinstance(values, Mapping):
-            try:
-                return values[index]
-            except KeyError:
-                raise MissingVariableError(index) from None
-        try:
-            return values[index]
-        except IndexError:
-            raise MissingVariableError(index) from None
-
     def evaluate(self, values: Union[Mapping[int, float], Sequence[float]]) -> float:
-        """Float evaluation; `values` is a dense sequence or a mapping by index."""
-        total = 0.0
-        for mono, coef in self.terms.items():
-            term = float(coef)
-            for v, e in _runs(mono):
-                term *= float(self._lookup(values, v)) ** e
-            total += term
-        return total
+        """`evaluate_exact`, rounded to a float."""
+        return float(self.evaluate_exact(values))
 
     def evaluate_exact(self, values: Union[Mapping[int, object], Sequence[object]]) -> Fraction:
-        """Exact evaluation at rational points (ints, Fractions, or floats taken exactly)."""
+        """Exact evaluation at rational points (ints, Fractions, or floats taken
+        exactly); `values` is a dense sequence or a mapping by index."""
         total = Fraction(0)
         for mono, coef in self.terms.items():
             term = Fraction(coef)
             for v in mono:
-                term *= Fraction(self._lookup(values, v))
+                try:
+                    term *= Fraction(values[v])
+                except (KeyError, IndexError):
+                    raise MissingVariableError(v) from None
             total += term
         return total
 

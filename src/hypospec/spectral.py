@@ -4,7 +4,7 @@ The eigenvalue equation used throughout is the homogeneous one:
 
     sum_{e : j in e} prod_{u in e, u != j} x_u  =  lambda * x_j^{m-1}
 
-whose left side is `tensor_apply`.  For a connected hypergraph the principal
+whose left side is `_edge_sums`.  For a connected hypergraph the principal
 eigenpair is positive and unique up to scale, and for any positive vector the
 componentwise ratios give certified lower and upper bounds on lambda
 (Collatz-Wielandt).  The solver is a shifted power iteration driven by those
@@ -169,16 +169,6 @@ def _edge_sums(links, values: Sequence) -> list:
     return [reduce(add, (math.prod(map(get, prefix)) * reduce(add, map(get, lasts), 0)
                          for prefix, lasts in link), 0)
             for link in links]
-
-
-def tensor_apply(hypergraph: Hypergraph, values: Sequence[float]) -> list[float]:
-    """Left side of the eigenvalue equation at `values`, given and returned in
-    vertex order."""
-    point = [float(t) for t in values]
-    if len(point) != len(hypergraph.vertices):
-        raise DimensionMismatchError(
-            f"expected a vector of length {len(hypergraph.vertices)}, got length {len(point)}")
-    return [float(s) for s in _edge_sums(_links(hypergraph), point)]
 
 
 def degree(hypergraph: Hypergraph, vertex: int) -> int:

@@ -95,17 +95,12 @@ def write_verdict(path: str, claims: Sequence[Claim]) -> None:
         fh.write("\n")
 
 
-def _underflows(q: Fraction) -> bool:
-    """q is nonzero but float(q) is below the smallest normal double, so the
-    float keeps fewer significant digits than asked for, or none."""
-    return q != 0 and abs(float(q)) < sys.float_info.min
-
-
 def format_exact(q: Fraction, spec: str) -> str:
-    """`format(float(q), spec)`, or, where float(q) underflows, the same
-    significant digits computed from q itself through `decimal`."""
-    if not _underflows(q):
-        return format(float(q), spec)
+    """`format(float(q), spec)`, or, where q is nonzero and float(q) is below
+    the smallest normal double, the digits of q itself through `decimal`."""
+    value = float(q)
+    if not q or abs(value) >= sys.float_info.min:
+        return format(value, spec)
     with localcontext() as ctx:
         ctx.prec = 40
         return format(Decimal(q.numerator) / Decimal(q.denominator), spec)
@@ -260,8 +255,10 @@ def _offset_cycle(off: int) -> SparsePoly:
     return total
 
 
-def _p_eps_index(n: int, bits: Sequence[int], i: int) -> int:
-    return mod_v(n, (i << len(bits)) - sum(b << j for j, b in enumerate(bits)))
+def _p_eps_indices(n: int, bits: Sequence[int], indices: Iterable[int]) -> dict[int, int]:
+    """p_eps(i) in closed form for each i of `indices`."""
+    offset = sum(b << j for j, b in enumerate(bits))
+    return {i: mod_v(n, (i << len(bits)) - offset) for i in indices}
 
 
 def explicit_gk(n: int, k: int) -> SparsePoly:
@@ -280,8 +277,8 @@ def explicit_gk(n: int, k: int) -> SparsePoly:
         return level
     total = SparsePoly.zero()
     for bits in product((0, 1), repeat=depth):
-        total = total + level.substitute(
-            Endomorphism({v: x(_p_eps_index(n, bits, v)) for v in level.variables()}))
+        indices = _p_eps_indices(n, bits, level.variables())
+        total = total + level.substitute(Endomorphism({v: x(t) for v, t in indices.items()}))
     return total
 
 
@@ -479,8 +476,8 @@ def _claim_repeated_app(n: int) -> Claim:
         for r in range(1, _MAX_EPS_LENGTH + 1):
             for bits in product((0, 1), repeat=r):
                 endo = p_eps(n, bits)
-                for i in range(1, (1 << n) + 1):
-                    expected = x(_p_eps_index(n, bits, i))
+                for i, t in _p_eps_indices(n, bits, range(1, (1 << n) + 1)).items():
+                    expected = x(t)
                     if endo.image(i) != expected:
                         yield (f"eps={list(bits)}, i={i}: composition gives "
                                f"{endo.image(i).to_text()}, closed form {expected.to_text()}")
@@ -652,9 +649,8 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     against 314 at n = 5, and 1533 against 1564 at n = 7 with seed 2.
 
     The params `predicted_gap` and `bracket_gap` are floats, so from n = 7 on
-    they underflow to 0.0.  Where the predicted gap does, `predicted_gap_text`
-    holds its 17 significant digits taken from the exact value, and the
-    detail prints every exact value the same way.
+    they underflow to 0.0; `predicted_gap_text` and the detail print the
+    exact values through `format_exact`.
     """
     from .spectral import newton_steps, principal_eigenpair, rational_bracket
     _check_numeric_n(n)
@@ -688,9 +684,8 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
         "refinement_bits": bits, "refinement_iterations": steps,
         "e2_diff": float(e2_diff), "predicted_gap": float(predicted),
         "bracket_gap": float(y_lo - x_hi),
+        "predicted_gap_text": format_exact(predicted, ".17g"),
     }
-    if _underflows(predicted):
-        params["predicted_gap_text"] = format_exact(predicted, ".17g")
     problems = []
     if not predicted > 0:
         problems.append(f"gap polynomial at the X^{n} eigenvector is "

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,33 @@ def test_compare_rejects_negative_seed(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+@pytest.fixture
+def zero_gap(monkeypatch):
+    """A predicted gap of 0 planted in `verify`, which fails main-theorem alone."""
+    monkeypatch.setattr(verify, "_pair_gap", lambda vec: (Fraction(0), Fraction(0)))
+
+
+def test_compare_exits_one_when_not_certified(zero_gap, capsys):
+    assert main(["compare", "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith("predicted gap 0\nmu > lambda: NOT certified\n")
+    assert ("error: main-theorem n=3: gap polynomial at the X^3 eigenvector is "
+            "0.000e+00, not positive\n") in err
+
+
+def test_verify_reports_a_failed_claim_and_writes_the_verdict(zero_gap, tmp_path, capsys):
+    verdict = tmp_path / "verdict.json"
+    assert main(["verify", "--n", "3", "--out", str(verdict)]) == 1
+    out, err = capsys.readouterr()
+    claims = json.loads(verdict.read_text())
+    failed = [c for c in claims if not c["passed"]]
+    assert [c["id"] for c in failed] == ["main-theorem"]
+    params = json.dumps(failed[0]["params"], sort_keys=True)
+    assert f"[FAIL] main-theorem {params}\n" in out
+    assert f"error: main-theorem {params}: {failed[0]['detail']}\n" in err
+    assert out.endswith(f"passed {len(claims) - 1}/{len(claims)} claims\n")
 
 
 def test_deck_writes_default_json(x3_file, tmp_path, capsys):

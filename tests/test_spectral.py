@@ -12,8 +12,7 @@ from hypospec.hypergraph import Hypergraph, UnknownVertexError, lagrangian_of
 from hypospec.spectral import (DimensionMismatchError, NotConnectedError,
                                codegree, degree, is_connected,
                                principal_eigenpair, rational_bracket,
-                               refined_eigenvector, tensor_apply,
-                               vector_digest)
+                               refined_eigenvector, vector_digest)
 
 
 def single_edge():
@@ -38,16 +37,16 @@ def random_connected(rng, rank=3, max_vertices=6):
 
 def test_tensor_apply_ones_gives_degrees():
     h = cycle8()
-    out = tensor_apply(h, [1.0] * 8)
+    out = spectral._edge_sums(spectral._links(h), [1.0] * 8)
     assert out == [3.0] * 8             # every vertex lies in 3 edges
     assert degree(h, 1) == 3
 
 
 def test_tensor_apply_shapes_and_errors():
     h = single_edge()
-    assert tensor_apply(h, [2.0, 3.0, 4.0]) == [12.0, 8.0, 6.0]
+    assert spectral._edge_sums(spectral._links(h), [2.0, 3.0, 4.0]) == [12.0, 8.0, 6.0]
     with pytest.raises(DimensionMismatchError):
-        tensor_apply(h, [1.0, 2.0])
+        rational_bracket(h, [1, 2])
 
 
 def test_euler_identity_numeric():
@@ -55,7 +54,7 @@ def test_euler_identity_numeric():
     rng = random.Random(7)
     for _ in range(10):
         v = [rng.uniform(0.2, 1.5) for _ in range(8)]
-        lhs = math.fsum(map(math.prod, zip(tensor_apply(h, v), v)))
+        lhs = math.fsum(map(math.prod, zip(spectral._edge_sums(spectral._links(h), v), v)))
         rhs = lagrangian_of(h).evaluate(dict(zip(h.vertices, v)))
         assert lhs == pytest.approx(3.0 * rhs, rel=1e-12)
 
@@ -170,7 +169,8 @@ def test_tensor_apply_matches_per_edge_products():
     rng = random.Random(7)
     for _, h in random_hypergraphs(rng):
         ints = [rng.randint(1, 1 << 10) for _ in h.vertices]
-        assert tensor_apply(h, [float(t) for t in ints]) == per_edge_bracket(h, ints)[0]
+        floats = [float(t) for t in ints]
+        assert spectral._edge_sums(spectral._links(h), floats) == per_edge_bracket(h, ints)[0]
 
 
 def per_pair_links(h):
@@ -367,7 +367,7 @@ def test_eigenpair_at_the_cap_describes_its_own_vector(monkeypatch):
         assert not pair.converged and pair.iterations == 3
         assert pair.message.endswith("after 3 iterations")
         powered = [t ** 2 for t in pair.vector]
-        applied = tensor_apply(h, pair.vector)
+        applied = spectral._edge_sums(spectral._links(h), pair.vector)
         ratios = [a / p for a, p in zip(applied, powered)]
         mid = 0.5 * (min(ratios) + max(ratios))
         residual = max(abs(a - mid * p) for a, p in zip(applied, powered))
@@ -508,6 +508,36 @@ def test_refinement_step_adds_exactly_step_bits(monkeypatch):
     assert kept == [t * 2 ** (bits + spectral._STEP_BITS) for t in more]
 
 
+def test_newton_steps_reject_a_disconnected_hypergraph():
+    run = spectral.newton_steps(Hypergraph(3, range(6), [(0, 1, 2), (3, 4, 5)]), [1] * 6)
+    with pytest.raises(NotConnectedError):
+        next(run)
+
+
+@pytest.mark.parametrize("correction, brackets", [
+    (lambda step: [0.0] * len(step), 2),       # a scaled copy: an equal bracket
+    (lambda step: [-1e30] + step[1:], 1),      # entry 0 leaves the cone, unbracketed
+], ids=["no-narrowing", "leaves-the-cone"])
+def test_newton_steps_end_at_a_step_they_cannot_keep(correction, brackets, monkeypatch):
+    """A step that does not narrow the bracket, or that drives an entry to
+    <= 0, ends the run, which has then yielded its start alone."""
+    solve, kernel = spectral._lu_solve, spectral._exact_bracket
+    seen = []
+
+    def recording(links, m, ints):
+        seen.append(list(ints))
+        return kernel(links, m, ints)
+
+    monkeypatch.setattr(spectral, "_lu_solve", lambda lu, rhs: correction(solve(lu, rhs)))
+    monkeypatch.setattr(spectral, "_exact_bracket", recording)
+    h = family_hypergraph(FamilySpec("X", 3))
+    start = principal_eigenpair(h).vector
+    (ints, bits, lo, hi), = spectral.newton_steps(h, start)
+    assert len(seen) == brackets
+    assert [Fraction(a, 1 << bits) for a in ints] == [Fraction(t) for t in start]
+    assert rational_bracket(h, start)[:2] == (lo, hi)
+
+
 def test_solver_rejects_disconnected():
     with pytest.raises(NotConnectedError):
         principal_eigenpair(Hypergraph(3, range(6), [(0, 1, 2), (3, 4, 5)]))
@@ -545,9 +575,10 @@ def test_residual_at():
     h = cycle8()
     pair = principal_eigenpair(h)
     v = pair.vector
-    defect = max(abs(s - pair.value * t ** 2) for s, t in zip(tensor_apply(h, v), v))
+    applied = spectral._edge_sums(spectral._links(h), v)
+    defect = max(abs(s - pair.value * t ** 2) for s, t in zip(applied, v))
     assert pair.residual == pytest.approx(defect, abs=1e-15)
-    at_ones = max(abs(s - 3.0) for s in tensor_apply(h, [1.0] * 8))
+    at_ones = max(abs(s - 3.0) for s in spectral._edge_sums(spectral._links(h), [1.0] * 8))
     assert at_ones == pytest.approx(0.0, abs=1e-15)
 
 

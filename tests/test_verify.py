@@ -407,6 +407,7 @@ def test_main_theorem_n3():
     assert claim.params["residual_x"] < 1e-12
     assert claim.params["residual_y"] < 1e-12
     assert claim.params["predicted_gap"] > 0
+    assert claim.params["predicted_gap_text"] == format(claim.params["predicted_gap"], ".17g")
 
 
 # sha256 of the sorted-key JSON of verify_main_theorem(n, seed=s).params,
@@ -414,14 +415,14 @@ def test_main_theorem_n3():
 # that the exact-only verdict digests leave out.  They move only when the
 # float solver or the refinement does; update them on purpose.
 MAIN_THEOREM_PARAMS_PINS = {
-    (3, 0): "c221b30863bd18f270012ed4bc96d27355bd8a6e5fbde1ada0a45395f3ba4eeb",
-    (3, 2): "54967a02f5a69f45308bd160efbb65635afa90b84367e1abfa97ad8c06e70141",
-    (4, 0): "74c368e6bfcd80f9e5aadadb997fad097e88a09454bf6163d6b23046b2083cef",
-    (4, 2): "caf1d4fd9a0eafe89b085bd93d18ad908658b2f296dd3df2863ac04bf7f25421",
-    (5, 0): "e65e8951563beaba670b9081e6bb9373ba2ad26663a07cfc0eb8f5bc5b5fd1fc",
-    (5, 2): "a28ba2a36ac8ff16435c7fd550f595621c5ac0d62a3ae6a283e90be0a9148dc7",
-    (6, 0): "0c8c00bc6cad95e9eb168010cca09991913f24116714322b6ce20ab5c94f1a34",
-    (6, 2): "0b67a7c50746ad5040241baa00db75fdb0310f6781a5f884eff370437af4fd47",
+    (3, 0): "736f701eb84c3fac7013fdd7eda3ecd12986028d916668b9c16e8ec02a814e87",
+    (3, 2): "0df0f8c93e3299c348ecfb17457ca671ef4ff7060c35d99b18701f5feac41e6b",
+    (4, 0): "231d629e301a6cb3352ee3c3ec52286204e560a6c4d4667229f95c8dc2f66ccd",
+    (4, 2): "a503b959239ddc085588a3c06ad6a49bc0d0bf0c28db2005d9174aad46061921",
+    (5, 0): "0102ad9e550d9d279c2e860b1a7695a253cf07ba3fee3b82578153c22e44f349",
+    (5, 2): "5dcf490aafc60d9b16d8dfd7dff6a34d894c63df8fd792c7b8e9160ad148dfff",
+    (6, 0): "4de2e01820734d87cde8511130c409d443ad1ea7a251061cc1b46d7c31a86510",
+    (6, 2): "cd00064f2d266bbc3a1d60bef9ebf4aa9be9dd3f4b9db12e2e4a181d15cf1ef7",
 }
 
 
