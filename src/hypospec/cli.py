@@ -274,7 +274,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         return _DISPATCH[args.verb](args)
     except (OSError, ValueError, KeyError) as exc:

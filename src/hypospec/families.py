@@ -107,11 +107,10 @@ def p_map(n: int, bit: int) -> Endomorphism:
 
 
 def p_eps(n: int, bits: Sequence[int]) -> Endomorphism:
-    """Composite doubling map p_{bits[0]} o ... o p_{bits[-1]} into V_n."""
-    if not bits:
-        return Endomorphism.identity()
-    endo = p_map(n, bits[-1])
-    for b in reversed(bits[:-1]):
+    """Composite doubling map p_{bits[0]} o ... o p_{bits[-1]} into V_n; the
+    empty word gives the identity."""
+    endo = Endomorphism.identity()
+    for b in reversed(bits):
         endo = p_map(n, b).compose(endo)
     return endo
 
@@ -168,7 +167,7 @@ def orbit_substitution(n: int, generators: Iterable[Mapping[int, int]]) -> Endom
     perms = []
     for gen in generators:
         table = [gen.get(v, -1) for v in domain]
-        if len(table) != size or sorted(table) != domain:
+        if sorted(table) != domain:
             raise ValueError(f"generator is not a permutation of 0..{size - 1}")
         perms.append(table)
 
@@ -264,9 +263,8 @@ def _family_poly(family: str, n: int, k: int | None) -> SparsePoly:
         return x(0) * seed.substitute(e_map(n, 2))
     if family == "X":
         return _family_poly("Gamma", n, None) + _family_poly("M0", n, None)
-    if family == "Y":
-        return _family_poly("Gamma", n, None) + _family_poly("M1", n, None)
-    raise ValueError(f"unknown family {family!r}")
+    # family == "Y": FamilySpec admits no other tag
+    return _family_poly("Gamma", n, None) + _family_poly("M1", n, None)
 
 
 def family_poly(spec: FamilySpec) -> SparsePoly:

@@ -205,10 +205,6 @@ class SparsePoly:
             out[new] = out.get(new, 0) + coef * mono.count(index)
         return _adopt(out)
 
-    def evaluate(self, values: Union[Mapping[int, float], Sequence[float]]) -> float:
-        """`evaluate_exact`, rounded to a float."""
-        return float(self.evaluate_exact(values))
-
     def evaluate_exact(self, values: Union[Mapping[int, object], Sequence[object]]) -> Fraction:
         """Exact evaluation at rational points (ints, Fractions, or floats taken
         exactly); `values` is a dense sequence or a mapping by index."""

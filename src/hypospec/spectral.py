@@ -69,26 +69,19 @@ SHIFT = 1.0
 class EigenPair:
     """The float solver's principal eigenpair, converged or stopped at its cap.
 
-    `vector` is a tuple of positive floats normalized in the m-norm, indexed
-    like `vertices`.  `value` is the midpoint of the float Collatz-Wielandt
-    ratios at `vector`, and `residual` the largest |apply_i - value *
-    x_i^{m-1}| there, both in float arithmetic; `rational_bracket` at
-    `vector` is what certifies.
+    `vector` is a tuple of positive floats normalized in the m-norm, in the
+    hypergraph's vertex order.  `value` is the midpoint of the float
+    Collatz-Wielandt ratios at `vector`, and `residual` the largest
+    |apply_i - value * x_i^{m-1}| there, both in float arithmetic;
+    `rational_bracket` at `vector` is what certifies.
     """
 
     value: float
     vector: tuple[float, ...]
-    vertices: tuple[int, ...]
     residual: float
     iterations: int
     converged: bool
     message: str
-
-    def entry(self, vertex: int) -> float:
-        try:
-            return self.vector[self.vertices.index(vertex)]
-        except ValueError:
-            raise UnknownVertexError(vertex) from None
 
 
 _Group = tuple[tuple[int, ...], tuple[int, ...]]
@@ -446,8 +439,7 @@ def principal_eigenpair(hypergraph: Hypergraph, *, seed: int = 0, cells=None) ->
     mid = 0.5 * (lo + hi)
     res = max(abs(a - mid * p) for a, p in zip(applied, powered))
     message = "" if converged else f"bracket width {hi - lo:.3e} after {iterations} iterations"
-    return EigenPair(mid, tuple(x[c] for c in cell_of), hypergraph.vertices, res, iterations,
-                     converged, message)
+    return EigenPair(mid, tuple(x[c] for c in cell_of), res, iterations, converged, message)
 
 
 def vector_digest(vector: Sequence[float]) -> str:

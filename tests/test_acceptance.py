@@ -186,7 +186,8 @@ def test_criterion_6_eigenvector_reversal_symmetry():
             if not pair.converged:
                 problems.append(f"{fam} n={n}: solver did not converge")
                 continue
-            worst = max(abs(pair.entry(v) - pair.entry(theta[v])) for v in hg.vertices)
+            entry = dict(zip(hg.vertices, pair.vector))
+            worst = max(abs(entry[v] - entry[theta[v]]) for v in hg.vertices)
             worst_overall = max(worst_overall, worst)
             if worst >= 1e-8:
                 problems.append(f"{fam} n={n}: asymmetry {worst:.3e}")
@@ -235,9 +236,11 @@ def test_criterion_8_cone_structure():
     if (p["base_degrees"], p["apex_codegree"], p["apex_degree"]) != ([3, 3], 2, 8):
         problems.append(f"regular sample read as degrees {p['base_degrees']}, "
                         f"codegree {p['apex_codegree']}, apex degree {p['apex_degree']}")
-    pair = principal_eigenpair(cone_over(*regular_sample))
-    entries = [pair.entry(v) for v in regular_sample[0].vertices]
-    ratio = pair.entry(0) / entries[0]
+    cone = cone_over(*regular_sample)
+    pair = principal_eigenpair(cone)
+    entry = dict(zip(cone.vertices, pair.vector))
+    entries = [entry[v] for v in regular_sample[0].vertices]
+    ratio = entry[0] / entries[0]
     if max(entries) - min(entries) >= 1e-9:
         problems.append(f"float cone vector spread {max(entries) - min(entries):.3e}")
     if not p["u_lo"] - 1e-8 <= ratio <= p["u_hi"] + 1e-8:
@@ -291,10 +294,10 @@ def test_criterion_9_foundations():
             continue
         point = {v: rng.uniform(0.5, 1.5) for v in p.variables()}
         for v in p.variables():
-            analytic = p.derivative(v).evaluate(point)
+            analytic = float(p.derivative(v).evaluate_exact(point))
             up = {**point, v: point[v] + step}
             down = {**point, v: point[v] - step}
-            numeric = (p.evaluate(up) - p.evaluate(down)) / (2 * step)
+            numeric = (float(p.evaluate_exact(up)) - float(p.evaluate_exact(down))) / (2 * step)
             if abs(analytic - numeric) > 1e-6 * max(1.0, abs(analytic)):
                 problems.append(f"derivative mismatch at trial {trial}, variable {v}")
 

@@ -128,6 +128,13 @@ def test_spectrum_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_spectrum_rejects_an_edge_on_an_undeclared_vertex(tmp_path, capsys):
+    path = tmp_path / "bad.hg"
+    path.write_text("rank 3\nvertices 1 2 3\n1 2 9\n", encoding="ascii")
+    assert main(["spectrum", str(path)]) == 2
+    assert capsys.readouterr().err == "error: vertex 9 is not in the hypergraph\n"
+
+
 def test_compare_certifies_and_is_deterministic(capsys):
     assert main(["compare", "--n", "3"]) == 0
     first = capsys.readouterr().out

@@ -2,8 +2,8 @@ import pytest
 
 from hypospec.families import (FAMILY_TAGS, N_CAP, FamilySpec, e_map,
                                family_hypergraph, family_poly, mod_v,
-                               orbit_substitution, p_eps, p_map, q_map,
-                               sigma_endo, sigma_index, sigma_perm, tau_endo,
+                               orbit_substitution, p_eps, p_map, permutation_endo,
+                               q_map, sigma_endo, sigma_index, sigma_perm, tau_endo,
                                theta_endo, theta_perm)
 from hypospec.hypergraph import Hypergraph, hypergraph_from_lagrangian
 from hypospec.polyalg import SparsePoly, x
@@ -221,3 +221,17 @@ def test_sigma_endo_matches_perm():
     assert sigma_endo(3, 0).image(1) == x(2)
     assert theta_endo(3).image(2) == x(7)
     assert tau_endo().image(1) == x(3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mod_v(-1, 3), "n must be >= 0, got -1"),
+    (lambda: theta_perm(0), "n must be >= 1, got 0"),
+    (lambda: sigma_index(0, 0), "sigma acts on positive integers, got 0"),
+    (lambda: permutation_endo({1: 2, 2: 2}), "not a permutation of its domain"),
+    (lambda: p_map(3, 2), "bit must be 0 or 1, got 2"),
+    (lambda: p_map(0, 0), "n must be >= 1, got 0"),
+    (lambda: q_map(2), "n must be >= 3, got 2"),
+])
+def test_maps_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

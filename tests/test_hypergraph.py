@@ -166,3 +166,17 @@ def test_from_lagrangian_reports_first_offender_in_canonical_order():
     with pytest.raises(NonSquarefreeError) as err3:
         hypergraph_from_lagrangian(x(6) ** 2 * x(7) + x(5) ** 2 * x(6), 3)
     assert str(err3.value) == "monomial x_5^2*x_6 is not squarefree"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rank 3\n", "needs a rank line and a vertices line"),
+    ("rank 3\nverts 1 2 3\n", "line 2 must start with 'vertices', got 'verts 1 2 3'"),
+], ids=["one-line", "no-vertices-line"])
+def test_text_needs_rank_and_vertices_lines(text, message):
+    with pytest.raises(ValueError, match=message):
+        Hypergraph.from_text(text)
+
+
+def test_protocol_against_other_types():
+    assert (small() == "small") is False
+    assert repr(small()) == "Hypergraph(rank=3, vertices=4, edges=2)"

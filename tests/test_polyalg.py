@@ -110,8 +110,8 @@ def test_derivative():
 
 def test_evaluate_sequence_and_mapping():
     p = x(0) * x(1) + x(2) ** 2
-    assert p.evaluate([2.0, 3.0, 4.0]) == pytest.approx(22.0)
-    assert p.evaluate({0: 2.0, 1: 3.0, 2: 4.0}) == pytest.approx(22.0)
+    assert p.evaluate_exact([2.0, 3.0, 4.0]) == 22
+    assert p.evaluate_exact({0: 2, 1: 3, 2: 4}) == 22
     assert p.evaluate_exact({0: Fraction(1, 2), 1: Fraction(2, 3), 2: Fraction(1, 5)}) \
         == Fraction(1, 3) + Fraction(1, 25)
 
@@ -119,8 +119,9 @@ def test_evaluate_sequence_and_mapping():
 def test_evaluate_missing_variable():
     p = x(0) + x(5)
     with pytest.raises(MissingVariableError) as err:
-        p.evaluate([1.0, 2.0])
+        p.evaluate_exact([1.0, 2.0])
     assert err.value.index == 5
+    assert str(err.value) == "no value bound for variable x_5"
     with pytest.raises(MissingVariableError):
         p.evaluate_exact({0: 1})
 
@@ -336,3 +337,28 @@ def test_len_counts_terms():
 def test_unhashable():
     with pytest.raises(TypeError):
         hash(x(1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: x(1) + "a", TypeError, "cannot coerce 'a' to SparsePoly"),
+    (lambda: Endomorphism({-1: x(0)}), ValueError, "variable index must be >= 0, got -1"),
+    (lambda: Endomorphism({1: 2}), TypeError, "image of x_1 is not a SparsePoly: 2"),
+    (lambda: x(-1), ValueError, "variable index must be an int >= 0, got -1"),
+])
+def test_bad_operands_are_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_protocol_against_other_types():
+    assert (x(1) == "x_1") is False
+    with pytest.raises(TypeError):
+        x(1) * "a"
+
+
+def test_reprs():
+    assert repr(x(1) * x(2) - 3) == "SparsePoly(-3 + 1*x_1*x_2)"
+    long = sum((x(v) for v in range(40)), SparsePoly.zero())
+    assert len(long.to_text()) > 120
+    assert repr(long) == f"SparsePoly({long.to_text()[:117]}...)"
+    assert repr(p_map(3, 0)) == "Endomorphism<7 images>"

@@ -705,3 +705,36 @@ def test_main_theorem_fails_on_a_partition_that_is_not_orbits(monkeypatch):
     assert not claim.passed
     assert claim.params["cells"] == 9
     assert "brackets do not separate" in claim.detail
+
+
+@pytest.mark.parametrize("claim, n, name, fault, start", [
+    ("_claim_interaction_sigma_p", 4, "sigma_index",
+     lambda real: lambda i, j: j if i >= 1 else real(i, j),
+     "first mismatch at r=1, j=0, i=1: p sigma = 4, sigma p = 2 (16 mismatches)"),
+    ("_claim_repeated_app", 4, "p_eps",
+     lambda real: lambda n, bits: real(n, bits[::-1]),
+     "eps=[0, 1], i=1: composition gives 1*x_3, closed form 1*x_2"),
+    ("_claim_helper_parity", 5, "mod_v",
+     lambda real: lambda n, v: real(n, v + 1),
+     "value-2 characterization fails at i=1, r=1, eps=[0]"),
+], ids=["interaction-sigma-p", "repeated-app", "helper-parity"])
+def test_enumeration_claims_report_their_first_failure(claim, n, name, fault, start,
+                                                        monkeypatch):
+    """A wrong index map makes each brute-force claim fail with the first
+    case it meets: sigma_i the identity for i >= 1, the doubling word
+    composed reversed, and mod_v off by one."""
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    result = getattr(verify, claim)(n)
+    assert not result.passed
+    assert result.detail.startswith(start)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify.explicit_gk(4, 5), "need 2 <= k <= n, got k=5, n=4"),
+    (lambda: verify_sigma_general(4, 3), "need 0 <= r <= n-2, got r=3, n=4"),
+    (lambda: verify_induction_neigh(4, 3, 2), "got r=3, k=2, n=4"),
+    (lambda: verify_induction_neigh(4, 0, 5), "got r=0, k=5, n=4"),
+])
+def test_claims_reject_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
