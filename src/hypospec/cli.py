@@ -16,7 +16,8 @@ whose float stage stopped at spectral.MAX_ITERATIONS (the record is printed
 first, then the bracket width on stderr), 2 usage error (a malformed input
 file, or an n past families.N_CAP, or past NUMERIC_N_CAP for a numeric
 claim) or a canonical search past iso.SEARCH_NODE_LIMIT nodes or past the
-depth the recursion limit allows.
+depth the recursion limit allows.  A fault in the program is not an input
+error: it raises with its traceback.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
 
@@ -277,7 +278,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code
     try:
         return _DISPATCH[args.verb](args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

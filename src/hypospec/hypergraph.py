@@ -30,39 +30,9 @@ if TYPE_CHECKING:
     from .polyalg import SparsePoly
 
 
-class NonSquarefreeError(ValueError):
-    """A monomial with a repeated variable cannot describe an edge."""
-
-    def __init__(self, monomial_str: str) -> None:
-        super().__init__(f"monomial {monomial_str} is not squarefree")
-        self.monomial = monomial_str
-
-
-class BadCoefficientError(ValueError):
-    """Edge monomials must carry coefficient exactly 1."""
-
-    def __init__(self, monomial_str: str, coefficient: int) -> None:
-        super().__init__(f"monomial {monomial_str} has coefficient {coefficient}, expected 1")
-        self.monomial = monomial_str
-        self.coefficient = coefficient
-
-
-class WrongDegreeError(ValueError):
-    """Edge monomials must have total degree equal to the rank."""
-
-    def __init__(self, monomial_str: str, degree: int, rank: int) -> None:
-        super().__init__(f"monomial {monomial_str} has degree {degree}, expected {rank}")
-        self.monomial = monomial_str
-        self.degree = degree
-
-
-class UnknownVertexError(KeyError):
+class UnknownVertexError(ValueError):
     def __init__(self, vertex: int) -> None:
-        super().__init__(vertex)
-        self.vertex = vertex
-
-    def __str__(self) -> str:
-        return f"vertex {self.vertex} is not in the hypergraph"
+        super().__init__(f"vertex {vertex} is not in the hypergraph")
 
 
 class Hypergraph:
@@ -218,8 +188,8 @@ def lagrangian_of(hypergraph: Hypergraph) -> SparsePoly:
 def hypergraph_from_lagrangian(poly: SparsePoly, rank: int) -> Hypergraph:
     """Read a hypergraph off a multilinear 0/1 generating polynomial.
 
-    The vertex list is the union of edge supports.  Raises a named error
-    identifying the first offending monomial in canonical order when the
+    The vertex list is the union of edge supports.  Raises a ValueError
+    naming the first offending monomial in canonical order when the
     polynomial is not a sum of distinct squarefree degree-`rank` monomials
     with coefficient 1.  A monomial that passes is a sorted tuple of `rank`
     distinct nonnegative indices, and the terms are distinct, so the edges
@@ -238,10 +208,10 @@ def hypergraph_from_lagrangian(poly: SparsePoly, rank: int) -> Hypergraph:
         mono = min(offenders, key=monomial_key)
         text = monomial_text(mono)
         if len(set(mono)) != len(mono):
-            raise NonSquarefreeError(text)
+            raise ValueError(f"monomial {text} is not squarefree")
         if len(mono) != rank:
-            raise WrongDegreeError(text, len(mono), rank)
-        raise BadCoefficientError(text, poly.terms[mono])
+            raise ValueError(f"monomial {text} has degree {len(mono)}, expected {rank}")
+        raise ValueError(f"monomial {text} has coefficient {poly.terms[mono]}, expected 1")
     edges.sort()
     vertices = tuple(sorted(set(chain.from_iterable(edges))))
     return Hypergraph._adopt(rank, vertices, tuple(edges))

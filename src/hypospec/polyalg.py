@@ -43,16 +43,6 @@ Monomial = tuple[int, ...]
 
 ONE: Monomial = ()
 
-class MissingVariableError(KeyError):
-    """Evaluation point does not bind a variable present in the polynomial."""
-
-    def __init__(self, index: int) -> None:
-        super().__init__(index)
-        self.index = index
-
-    def __str__(self) -> str:
-        return f"no value bound for variable x_{self.index}"
-
 
 def _runs(mono: Monomial) -> tuple[tuple[int, int], ...]:
     """Run-length form: ((variable, exponent), ...) in increasing variable order."""
@@ -215,7 +205,7 @@ class SparsePoly:
                 try:
                     term *= Fraction(values[v])
                 except (KeyError, IndexError):
-                    raise MissingVariableError(v) from None
+                    raise ValueError(f"no value bound for variable x_{v}") from None
             total += term
         return total
 

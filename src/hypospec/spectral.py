@@ -54,10 +54,6 @@ class NotConnectedError(ValueError):
     """The hypergraph is not connected (or leaves some vertex uncovered)."""
 
 
-class DimensionMismatchError(ValueError):
-    pass
-
-
 # The float iteration only supplies the start vector of the exact certificate,
 # so its settings are fixed; principal_eigenpair reads them when called.
 TOLERANCE = 1e-12
@@ -189,7 +185,7 @@ def _unit(values: list[float], m: int, sizes: Sequence[int]) -> list[float]:
 def _positive_fractions(hypergraph: Hypergraph, values) -> list[Fraction]:
     point = [Fraction(t) for t in values]
     if len(point) != len(hypergraph.vertices):
-        raise DimensionMismatchError(
+        raise ValueError(
             f"vector of length {len(point)} against {len(hypergraph.vertices)} vertices")
     if any(t <= 0 for t in point):
         raise ValueError("Collatz-Wielandt brackets need a strictly positive vector")

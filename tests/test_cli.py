@@ -239,6 +239,17 @@ def test_deck_past_search_node_limit_exits_two(x3_file, monkeypatch, capsys):
     assert err.startswith("error: canonical search on 9 vertices")
 
 
+def test_a_fault_in_the_program_raises_with_its_traceback(x3_file, monkeypatch):
+    """Only OSError and ValueError are input errors; a KeyError from a bug
+    leaves main instead of exiting 2 as a usage error."""
+    def broken(hypergraph):
+        raise KeyError("fault")
+
+    monkeypatch.setattr(iso, "deck", broken)
+    with pytest.raises(KeyError, match="fault"):
+        main(["deck", x3_file])
+
+
 def test_hypomorphic_pair(x3_file, y3_file, capsys):
     assert main(["hypomorphic", x3_file, y3_file]) == 0
     out, _ = capsys.readouterr()

@@ -361,6 +361,21 @@ def test_hypomorphic_rejects_equal_counts_with_different_decks():
     assert hypomorphic(moved, X3) == (False, None)
 
 
+def test_hypomorphic_compares_the_smallest_cards(monkeypatch):
+    """Decks that differ in their smallest card alone are not equal.  No small
+    pair of 3-graphs is known to have such decks, so both decks are planted."""
+    copy = X3.relabel({v: v + 100 for v in X3.vertices})
+    codes = {X3: range(9, 18), copy: [8, *range(10, 18)]}
+
+    def planted(hypergraph):
+        return tuple((v, iso.CanonicalForm(3, 8, bytes([c]), {}, 1))
+                     for v, c in zip(hypergraph.vertices, codes[hypergraph]))
+
+    monkeypatch.setattr(iso, "deck", planted)
+    assert hypomorphic(X3, copy) == (False, None)
+    assert hypomorphic(copy, X3) == (False, None)
+
+
 def test_hypomorphic_pairs_repeated_card_classes_in_increasing_order():
     """Fano plane on 0..6 plus K_4^(3) on 7..10: two card classes, seven and
     four cards.  Within each class eta pairs the vertices in increasing order."""
