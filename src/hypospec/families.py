@@ -17,9 +17,8 @@ shared and must not be mutated.  Derive new maps with `compose`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .hypergraph import Hypergraph, hypergraph_from_lagrangian
 from .polyalg import Endomorphism, SparsePoly, x
@@ -192,30 +191,35 @@ def orbit_substitution(n: int, generators: Iterable[Mapping[int, int]]) -> Endom
 # -- family constructions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Tagged family selector; k is required exactly for the G family."""
-
+class _FamilyFields(NamedTuple):
     family: str
     n: int
     k: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILY_TAGS:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILY_TAGS}")
-        if self.family in ("C3", "D3") and self.n != 3:
-            raise ValueError(f"{self.family} exists only at n = 3")
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
-        if self.n > N_CAP:
-            raise ValueError(f"n = {self.n} exceeds N_CAP = {N_CAP}")
-        if self.family == "G":
-            if self.k is None:
+
+class FamilySpec(_FamilyFields):
+    """Tagged family selector; k is required exactly for the G family.  A
+    NamedTuple, so it hashes as a memo key and loads no `dataclasses`."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, n: int, k: int | None = None) -> "FamilySpec":
+        if family not in FAMILY_TAGS:
+            raise ValueError(f"unknown family {family!r}, expected one of {FAMILY_TAGS}")
+        if family in ("C3", "D3") and n != 3:
+            raise ValueError(f"{family} exists only at n = 3")
+        if n < 3:
+            raise ValueError(f"n must be >= 3, got {n}")
+        if n > N_CAP:
+            raise ValueError(f"n = {n} exceeds N_CAP = {N_CAP}")
+        if family == "G":
+            if k is None:
                 raise ValueError("family G needs k")
-            if not 2 <= self.k <= self.n:
-                raise ValueError(f"need 2 <= k <= n, got k={self.k}, n={self.n}")
-        elif self.k is not None:
-            raise ValueError(f"family {self.family} takes no k")
+            if not 2 <= k <= n:
+                raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+        elif k is not None:
+            raise ValueError(f"family {family} takes no k")
+        return super().__new__(cls, family, n, k)
 
 
 def _cycle_sum(offsets: Sequence[int], indices: Iterable[int]) -> SparsePoly:

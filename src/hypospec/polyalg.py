@@ -4,9 +4,11 @@ Variables are indexed by nonnegative integers: x_0, x_1, x_2, ...  A monomial
 is the sorted multiset of its variable indices, so x_1^2*x_3 is `(1, 1, 3)`
 and the constant monomial is `()`.  The product of two monomials is the
 sorted concatenation and the degree is the length.  Two kinds of traffic
-were measured: squarefree cubics under variable renamings in the identity
-suite, and substitutions of degree up to about 100, seven of them with
-50k-160k terms, in the ring-homomorphism trials of acceptance criterion 9.
+were measured: squarefree cubics under variable renamings and linear maps
+in the identity suite, and substitutions of degree up to about 100, seven
+of them with 50k-160k terms, in the ring-homomorphism trials of acceptance
+criterion 9.  The suite's products of three linear forms L_0 L_1 L_2 are
+multiplied out on the linear path too, as x_0 x_1 x_2 under x_i -> L_i.
 Nothing is packed into machine words.  The canonical graded-lexicographic
 term order and the text form are defined on the run-length
 `(variable, exponent)` form of a monomial.  A polynomial maps monomials to

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations, count
@@ -61,8 +60,7 @@ MAX_ITERATIONS = 1_000_000
 SHIFT = 1.0
 
 
-@dataclass
-class EigenPair:
+class EigenPair(NamedTuple):
     """The float solver's principal eigenpair, converged or stopped at its cap.
 
     `vector` is a tuple of positive floats normalized in the m-norm, in the

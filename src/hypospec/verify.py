@@ -11,14 +11,15 @@ the subspace fixed by a set of vertex permutations (the hypotheses
 the first pair that differs and only for it, is the failure's certificate.
 The orbit map is a ring map, so the stated products of linear factors
 (f_r^n, the link square, the pair gap) are restricted factor by factor and
-only then multiplied.  Numeric claims carry certified Collatz-Wielandt
-brackets, recomputed in exact rational arithmetic before any verdict is
-drawn from them.  No verdict rests on a float tolerance: integer degrees
-and exact brackets decide `regular-cone`, so only `main-theorem` runs the
-float solver, for its start vectors.  `main-theorem` passes on three exact
-conditions alone: the predicted gap is positive, mu_lo > lambda_hi, and
-mu_hi - lambda_lo reaches the predicted gap.  Its exact residuals are
-reported in the params and not judged.
+only then multiplied, in one substitution (`_restricted_product`).
+Numeric claims carry certified Collatz-Wielandt brackets, recomputed in
+exact rational arithmetic before any verdict is drawn from them.  No
+verdict rests on a float tolerance: integer degrees and exact brackets
+decide `regular-cone`, so only `main-theorem` runs the float solver, for
+its start vectors.  `main-theorem` passes on three exact conditions alone:
+the predicted gap is positive, mu_lo > lambda_hi, and mu_hi - lambda_lo
+reaches the predicted gap.  Its exact residuals are reported in the params
+and not judged.
 
 The sigma-induction claims restrict before they difference.  With phi the
 orbit map and h = g o phi, the difference (g - g o sigma_r) o phi equals
@@ -30,14 +31,18 @@ on the vertex tables before each use, raising ValueError where it fails.
 `restricted_family` builds h for phi_r from its entry for phi_{r-1}, so
 only r = 0 passes over the full family polynomial.  The orbit maps and the
 restricted polynomials, like the structural maps of `families`, are
-memoised and shared.
+memoised and shared, and so are f_r^n under phi_r and the link square
+under phi_{r+1}, on (n, r): two claims compare with each of them.
 
 Every family polynomial that a claim reads comes through this module's
 `family_poly` binding, directly or through `restricted_family`, which reads
 it there; no claim takes a polynomial as an argument.  That binding is the
 seam where the tests plant a fault, so a planted fault runs the same code as
-`hypospec verify`.  The one exact claim that reads `family_hypergraph`, the
-hypergraph of record built past the seam from `families.family_poly`, is
+`hypospec verify`.  No memo but `restricted_family` holds a polynomial
+read there, and the tests clear that one around each planted fault; the
+memoised stated products are built from `e_map` and the orbit maps alone.
+The one exact claim that reads `family_hypergraph`, the hypergraph of
+record built past the seam from `families.family_poly`, is
 `degree-link-coherence`, whose job is to compare it with the seam's X^n.
 The numeric claims import `spectral` when they run, as the `cli` handlers do.
 
@@ -57,11 +62,10 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, product
+from itertools import chain, count, product
 from typing import Callable, Iterable, Sequence
 
 from .families import (NUMERIC_N_CAP, FamilySpec, e_map, family_hypergraph, family_poly,
@@ -71,16 +75,16 @@ from .hypergraph import Hypergraph
 from .polyalg import Endomorphism, SparsePoly, x
 
 
-@dataclass
 class Claim:
-    """Outcome of one verification check."""
+    """Outcome of one verification check; `kind` is exact-identity,
+    brute-force-enumeration or numeric, and `_timed` sets `elapsed`."""
 
-    id: str
-    params: dict
-    kind: str  # exact-identity | brute-force-enumeration | numeric
-    passed: bool
-    detail: str = ""
-    elapsed: float = 0.0
+    __slots__ = ("id", "params", "kind", "passed", "detail", "elapsed")
+
+    def __init__(self, id: str, params: dict, kind: str, passed: bool, detail: str = "",
+                 elapsed: float = 0.0) -> None:
+        self.id, self.params, self.kind, self.passed = id, params, kind, passed
+        self.detail, self.elapsed = detail, elapsed
 
 
 def claims_to_json(claims: Sequence[Claim]) -> str:
@@ -202,15 +206,15 @@ def restricted_family(spec: FamilySpec, r: int) -> SparsePoly:
 _IDENTITY = Endomorphism.identity()
 
 
-def _restricted_product(scale: int, factors: Iterable[SparsePoly],
+def _restricted_product(scale: int, factors: Sequence[SparsePoly],
                         phi: Endomorphism) -> SparsePoly:
-    """scale times the product of `factors`, under phi.  phi is a ring map,
-    so each factor is restricted first, and the product is multiplied out
-    over phi's image alone."""
-    product = SparsePoly.constant(scale)
-    for factor in factors:
-        product = product * factor.substitute(phi)
-    return product
+    """scale times the product of the linear `factors`, under phi.  phi is a
+    ring map, so each factor is restricted first, to L_i over phi's image.
+    The product is the monomial scale * x_0 x_1 ... under the linear map
+    x_i -> L_i, so one `substitute` multiplies it out: three factors take
+    its one-pass linear-cubic path, two its `_dict_mul` path."""
+    restricted = Endomorphism({i: factor.substitute(phi) for i, factor in enumerate(factors)})
+    return SparsePoly({tuple(range(len(factors))): scale}).substitute(restricted)
 
 
 def f_poly(n: int, r: int, phi: Endomorphism = _IDENTITY) -> SparsePoly:
@@ -235,6 +239,21 @@ def neigh_square(n: int, r: int, phi: Endomorphism = _IDENTITY) -> SparsePoly:
         raise ValueError(f"the link-difference square needs 0 <= r <= n-3, got r={r}, n={n}")
     factor = (x(1) - x(1 + (1 << (r + 2)))).substitute(e_map(n, r + 3))
     return _restricted_product(1, (factor, factor), phi)
+
+
+@lru_cache(maxsize=None)
+def _suite_f(n: int, r: int) -> SparsePoly:
+    """f_r^n under phi_r = fixed_point_map(n, theta=True, sigmas=range(r)),
+    memoised: `lemma-induction-cycles` at k = n - r and `lemma-sigma-general`
+    both compare with it.  It is built from `e_map` and the orbit map alone."""
+    return f_poly(n, r, fixed_point_map(n, theta=True, sigmas=range(r)))
+
+
+@lru_cache(maxsize=None)
+def _suite_square(n: int, r: int) -> SparsePoly:
+    """The link square under phi_{r+1}, memoised like `_suite_f` for
+    `lemma-induction-neigh` at k = n - r and `lemma-neigh-general`."""
+    return neigh_square(n, r, fixed_point_map(n, theta=True, sigmas=range(r + 1)))
 
 
 def pair_gap_poly(n: int, phi: Endomorphism = _IDENTITY) -> SparsePoly:
@@ -304,7 +323,7 @@ def verify_induction_cycles(n: int, r: int, k: int) -> Claim:
         raise ValueError(f"need 0 <= r <= n-2 and 2 <= k <= n, got r={r}, k={k}, n={n}")
     phi = fixed_point_map(n, theta=True, sigmas=range(r))
     h = restricted_family(FamilySpec("G", n, k), r)
-    expected = f_poly(n, r, phi) if k == n - r else SparsePoly.zero()
+    expected = _suite_f(n, r) if k == n - r else SparsePoly.zero()
     branch = "f" if k == n - r else "0"
     return _exact("lemma-induction-cycles", {"n": n, "r": r, "k": k, "expected": branch},
                   [(_NONZERO, restricted_difference(n, h, sigma_endo(n, r), phi), expected)])
@@ -320,7 +339,7 @@ def verify_sigma_general(n: int, r: int) -> Claim:
         yield f"M0 is not sigma_{r}-invariant", m0, m0.substitute(sigma_endo(n, r))
         phi = fixed_point_map(n, theta=True, sigmas=range(r))
         h = restricted_family(FamilySpec("X", n), r)
-        yield _NONZERO, restricted_difference(n, h, sigma_endo(n, r), phi), f_poly(n, r, phi)
+        yield _NONZERO, restricted_difference(n, h, sigma_endo(n, r), phi), _suite_f(n, r)
     return _exact("lemma-sigma-general", {"n": n, "r": r}, checks())
 
 
@@ -339,7 +358,7 @@ def verify_induction_neigh(n: int, r: int, k: int) -> Claim:
                          "which does not exist; valid square cases have k = n - r >= 3")
     g = family_poly(FamilySpec("G", n, k))
     phi = fixed_point_map(n, theta=True, sigmas=range(r + 1))
-    expected = neigh_square(n, r, phi) if k == n - r else SparsePoly.zero()
+    expected = _suite_square(n, r) if k == n - r else SparsePoly.zero()
     link_gap = (g.derivative(1) - g.derivative(1 + (1 << r))).substitute(phi)
     branch = "square" if k == n - r else "0"
     return _exact("lemma-induction-neigh", {"n": n, "r": r, "k": k, "expected": branch},
@@ -355,7 +374,7 @@ def verify_neigh_general(n: int, r: int) -> Claim:
     phi = fixed_point_map(n, theta=True, sigmas=range(r + 1))
     link_gap = (xp.derivative(1) - xp.derivative(1 + (1 << r))).substitute(phi)
     return _exact("lemma-neigh-general", {"n": n, "r": r},
-                  [(_NONZERO, link_gap, neigh_square(n, r, phi))])
+                  [(_NONZERO, link_gap, _suite_square(n, r))])
 
 
 @_timed
@@ -425,9 +444,15 @@ def _claim_odd_even_eight(n: int, r: int) -> Claim:
 
 @_timed
 def _claim_even_odd_f(n: int, r: int) -> Claim:
-    """(p_0 + p_1) f_r^n = f_{r+1}^{n+1} on the sigma_0-fixed subspace."""
+    """(p_0 + p_1) f_r^n = f_{r+1}^{n+1} on the sigma_0-fixed subspace.
+    phi o p_0 and phi o p_1 are one renaming, as sigma_0 swaps 2i - 1 and
+    2i, so the sum is one product doubled; maps that differ get both."""
     phi = fixed_point_map(n + 1, sigmas=(0,))
-    pushed = f_poly(n, r, phi.compose(p_map(n + 1, 0))) + f_poly(n, r, phi.compose(p_map(n + 1, 1)))
+    c0, c1 = (phi.compose(p_map(n + 1, j)) for j in (0, 1))
+    if c0.is_renaming and c1.is_renaming and c0.rename == c1.rename:
+        pushed = f_poly(n, r, c0) * 2
+    else:
+        pushed = f_poly(n, r, c0) + f_poly(n, r, c1)
     return _exact("lemma-even-odd-f", {"n": n, "r": r},
                   [(_NONZERO, pushed, f_poly(n + 1, r + 1, phi))])
 
@@ -471,16 +496,18 @@ _MAX_EPS_LENGTH = 4
 
 @_timed
 def _claim_repeated_app(n: int) -> Claim:
-    """Composite doubling maps match the closed-form index map."""
+    """Composite doubling maps match the closed-form index map, compared on
+    their vertex tables."""
+    size = (1 << n) + 1
+
     def failures():
         for r in range(1, _MAX_EPS_LENGTH + 1):
             for bits in product((0, 1), repeat=r):
-                endo = p_eps(n, bits)
-                for i, t in _p_eps_indices(n, bits, range(1, (1 << n) + 1)).items():
-                    expected = x(t)
-                    if endo.image(i) != expected:
+                table = _vertex_table(p_eps(n, bits), size)
+                for i, t in _p_eps_indices(n, bits, range(1, size)).items():
+                    if table[i] != t:
                         yield (f"eps={list(bits)}, i={i}: composition gives "
-                               f"{endo.image(i).to_text()}, closed form {expected.to_text()}")
+                               f"{x(table[i]).to_text()}, closed form {x(t).to_text()}")
     return _claim("remark-repeated-app", {"n": n}, "brute-force-enumeration", failures(),
                   f"all eps up to length {_MAX_EPS_LENGTH} agree with the closed form")
 
@@ -515,12 +542,15 @@ def _edge_degrees(hypergraph: Hypergraph) -> Counter:
 
 
 def links_at_ones(poly: SparsePoly) -> Counter:
-    """dp/dx_v at the all-ones point for every variable v, in one pass over
-    the terms: the sum of coef * (multiplicity of v) over the terms."""
-    out: Counter = Counter()
+    """dp/dx_v at the all-ones point for every variable v: the sum of
+    coef * (multiplicity of v) over the terms.  The terms of coefficient 1,
+    every term of a hypergraph's polynomial, are counted in one
+    `Counter.update`; the others are added vertex by vertex."""
+    out = Counter(chain.from_iterable(mono for mono, coef in poly.terms.items() if coef == 1))
     for mono, coef in poly.terms.items():
-        for v in mono:
-            out[v] += coef
+        if coef != 1:
+            for v in mono:
+                out[v] += coef
     return out
 
 

@@ -3,15 +3,17 @@ thread pool, and the package re-exports nothing.
 
 Each check runs in a fresh interpreter, as this test process has loaded
 everything already.  `import hypospec` loads no `hypospec.*` submodule.
-`deck` and `hypomorphic` load `iso` and numpy, and none of `polyalg`,
-`families`, `fractions`, `spectral`, `verify` or OpenSSL's `_hashlib`.
-`spectrum` loads `spectral`, `fractions` for its exact bracket and
-`_hashlib` for its vector digest, and neither numpy, `polyalg` nor
-`families`.  `gen`, `compare` and `verify` (with or without its numeric
-claims) load `polyalg`, `families` and `fractions`, and neither `iso`,
-numpy nor `_hashlib`.  `compare` and `verify` load `verify` and `spectral`;
-`verify --exact-only` loads `verify` and no `spectral`, since the numeric
-claims import it when they run.  After `deck` and `hypomorphic` the process
+`deck` and `hypomorphic` load `iso` and numpy, which loads `inspect`, and
+none of `polyalg`, `families`, `fractions`, `spectral`, `verify` or
+OpenSSL's `_hashlib`.  `spectrum` loads `spectral`, `fractions` for its
+exact bracket and `_hashlib` for its vector digest, and neither numpy,
+`inspect`, `polyalg` nor `families`.  `gen`, `compare` and `verify` (with
+or without its numeric claims) load `polyalg`, `families` and `fractions`,
+and neither `iso`, numpy, `inspect` nor `_hashlib`: none of the modules
+they load defines a dataclass, and `dataclasses` loads `inspect`.
+`compare` and `verify` load `verify` and `spectral`; `verify --exact-only`
+loads `verify` and no `spectral`, since the numeric claims import it when
+they run.  After `deck` and `hypomorphic` the process
 has one thread, because `cli.main` sets OPENBLAS_NUM_THREADS to 1 before
 numpy loads; a value set by the caller is kept.
 
@@ -32,7 +34,7 @@ from hypospec.families import FamilySpec, family_hypergraph
 SRC = str(Path(hypospec.__file__).resolve().parent.parent)
 
 WATCHED = ("hypospec.iso", "hypospec.spectral", "hypospec.verify", "hypospec.polyalg",
-           "hypospec.families", "numpy", "fractions", "_hashlib")
+           "hypospec.families", "numpy", "fractions", "_hashlib", "inspect")
 
 PROBE = """
 import json, sys
@@ -66,7 +68,8 @@ def pair_files(tmp_path):
 POLY = {"hypospec.polyalg", "hypospec.families", "fractions"}
 EXACT = POLY | {"hypospec.verify"}
 CLAIMS = EXACT | {"hypospec.spectral"}
-SEARCH = {"hypospec.iso", "numpy"}
+# numpy and `iso`'s dataclass load `inspect`
+SEARCH = {"hypospec.iso", "numpy", "inspect"}
 
 
 @pytest.mark.parametrize("argvs, loads", [

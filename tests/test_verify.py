@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hypospec.families import (N_CAP, NUMERIC_N_CAP, FamilySpec, e_map, family_hypergraph,
-                               family_poly, orbit_substitution, p_map, permutation_endo,
+                               family_poly, mod_v, orbit_substitution, p_map, permutation_endo,
                                sigma_endo, theta_endo, theta_perm)
 from hypospec.polyalg import Endomorphism, SparsePoly, x
 from hypospec import spectral, verify
@@ -65,6 +65,10 @@ def test_identity_suite_verdict_frozen():
     verdict = claims_to_json(verify_identity_suite(5))
     digest = hashlib.sha256(verdict.encode("ascii")).hexdigest()
     assert digest == "7a3fe4a03de975e19c62eab65270e79954d255436f418a4d6133217f6c9c7969"
+    # taken before the stated products were memoised and built in one pass
+    verdict = claims_to_json(verify_identity_suite(6))
+    digest = hashlib.sha256(verdict.encode("ascii")).hexdigest()
+    assert digest == "f50c6f5854a962574db951dc04d2f4e23abfc4f9783f4ab75d0d33d3566936ea"
 
 
 def test_identity_suite_matches_benchmark_reference():
@@ -190,6 +194,9 @@ SUITE_FAULTS = [
                               for spec, _, _ in SUITE_FAULTS])
 def test_suite_detects_a_fault_planted_in_each_family_it_reads(spec, failing, digest,
                                                                 planted_fault):
+    # a clean run first fills every memo, so one that held a family
+    # polynomial read through the seam would hide the fault from the digest
+    assert all(c.passed for c in verify_identity_suite(3))
     with planted_fault(spec):
         failed = [c for c in verify_identity_suite(3) if not c.passed]
     assert {c.id for c in failed} == failing
@@ -257,6 +264,74 @@ def test_print_order_frozen():
     for p in polys:
         digest.update(p.to_text().encode("ascii") + b"\n")
     assert digest.hexdigest() == "e61c392f8a8ad9b67cb49afabd4b32567275d3db2c948abced679caabe85524e"
+
+
+def _left_to_right(scale, factors, phi):
+    """scale times the factors restricted by phi, multiplied with `*` in turn."""
+    product = SparsePoly.constant(scale)
+    for factor in factors:
+        product = product * factor.substitute(phi)
+    return product
+
+
+def _stated_f_factors(n, r):
+    """The scale and the three linear factors of f_r^n, as stated."""
+    if r <= n - 3:
+        return 1 << (r + 1), [(x(1) - x(1 + (1 << (r + 1)))).substitute(e_map(n, r + 2)),
+                              (x(1) - x(1 + (1 << (r + 2)))).substitute(e_map(n, r + 3)),
+                              (x(1 + (1 << (r + 1)) + (1 << (r + 2)))
+                               - x(1 + (1 << (r + 1)))).substitute(e_map(n, r + 3))]
+    half = 1 << (n - 1)
+    return half, [x(1) - x(1 + half), x(1), -x(1 + half)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_stated_products_equal_their_left_to_right_products(n):
+    """f_poly (both branches), neigh_square and pair_gap_poly under the
+    identity, the suite's orbit maps and the maps phi o p_j of
+    `lemma-even-odd-f` equal the products multiplied out factor by factor."""
+    identity = Endomorphism.identity()
+    even_odd = fixed_point_map(n + 1, sigmas=(0,))
+    for r in range(n - 1):
+        scale, factors = _stated_f_factors(n, r)
+        maps = [identity, fixed_point_map(n, theta=True, sigmas=range(r)),
+                fixed_point_map(n, sigmas=(0,))]
+        maps += [even_odd.compose(p_map(n + 1, j)) for j in (0, 1)]
+        for phi in maps:
+            assert f_poly(n, r, phi) == _left_to_right(scale, factors, phi), (r, phi)
+        assert verify._suite_f(n, r) == _left_to_right(scale, factors, maps[1])
+        if r <= n - 3:
+            square = (x(1) - x(1 + (1 << (r + 2)))).substitute(e_map(n, r + 3))
+            suite_phi = fixed_point_map(n, theta=True, sigmas=range(r + 1))
+            for phi in (identity, suite_phi):
+                assert neigh_square(n, r, phi) == _left_to_right(1, [square, square], phi)
+            assert verify._suite_square(n, r) == _left_to_right(1, [square, square], suite_phi)
+    gap = (x(1) - x(3)).substitute(e_map(n, 2))
+    for phi in (identity, fixed_point_map(n, theta=True)):
+        assert pair_gap_poly(n, phi) == _left_to_right(1, [x(0), gap, gap], phi)
+
+
+def test_even_odd_f_multiplies_both_products_for_unlike_maps(monkeypatch):
+    """phi o p_0 and phi o p_1 rename alike, so the claim builds one product
+    and doubles it.  A planted p_1, x_i -> x_{2i + 1}, gives another
+    composite: the claim then builds both products, and fails."""
+    calls = []
+    real_f, real_p = verify.f_poly, verify.p_map
+
+    def counting(n, r, phi=Endomorphism.identity()):
+        calls.append((n, r))
+        return real_f(n, r, phi)
+
+    monkeypatch.setattr(verify, "f_poly", counting)
+    assert verify._claim_even_odd_f(3, 0).passed
+    assert calls == [(3, 0), (4, 1)]
+    calls.clear()
+    monkeypatch.setattr(verify, "p_map", lambda n, bit: real_p(n, bit) if bit == 0 else
+                        Endomorphism({i: x(mod_v(n, 2 * i + 1)) for i in range(1, (1 << n) + 1)}))
+    claim = verify._claim_even_odd_f(3, 0)
+    assert calls == [(3, 0), (3, 0), (4, 1)]
+    assert not claim.passed
+    assert claim.detail.startswith("nonzero difference: ")
 
 
 def test_links_at_ones_matches_derivative():
