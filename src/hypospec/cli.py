@@ -39,6 +39,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -112,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        first, _, last = text.partition("..")
-        lo, hi = int(first), int(last)
-        if lo > hi:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
+    if match is None:
+        raise ValueError(f"--n takes N or A..B in ASCII digits, got {text!r}")
+    lo, hi = int(match[1]), int(match[2] or match[1])
+    if lo > hi:
+        raise ValueError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _load(path: str) -> Hypergraph:
@@ -267,9 +268,6 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # iso uses only sort, argsort, cumsum, bincount, minimum/maximum and fancy
-    # indexing, none of which calls BLAS, so OpenBLAS's thread pool would only
-    # cost start-up time.  A value the caller set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:

@@ -1,8 +1,7 @@
 """Uniform hypergraphs, their generating polynomials, and file formats.
 
 A rank-m hypergraph is a sorted vertex list plus a set of m-element edges.
-Its generating polynomial is the sum of the squarefree edge monomials, so
-hypergraphs and multilinear 0/1 polynomials convert back and forth exactly.
+Its generating polynomial is the sum of the squarefree edge monomials.
 
 Two serializations are supported: a plain text format
 
@@ -14,17 +13,15 @@ with one sorted edge per line in lexicographic order, and the equivalent
 JSON object {"rank": m, "vertices": [...], "edges": [[...], ...]}.
 
 A hypergraph caches only its hash; `spectral` and `iso` build their own
-vertex-position tables, so this module runs on the standard library.  The
-two polynomial conversions import `polyalg` when they need it, so the
-commands that never convert never load it (see the README and
-`tests/test_imports.py`).
+vertex-position tables, so this module runs on the standard library.
+`hypergraph_from_lagrangian` imports `polyalg` only to name a bad monomial.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .polyalg import SparsePoly
@@ -104,16 +101,6 @@ class Hypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def relabel(self, mapping: Mapping[int, int]) -> "Hypergraph":
-        """Relabel vertices through an injective map covering every vertex."""
-        missing = [v for v in self.vertices if v not in mapping]
-        if missing:
-            raise UnknownVertexError(missing[0])
-        imgs = [mapping[v] for v in self.vertices]
-        if len(set(imgs)) != len(imgs):
-            raise ValueError("relabeling is not injective")
-        return Hypergraph(self.rank, imgs, [tuple(mapping[v] for v in e) for e in self.edges])
-
     # -- text format ----------------------------------------------------------
 
     def to_text(self) -> str:
@@ -176,13 +163,6 @@ def _ascii_digits(text: str) -> bool:
 def _int_list(items) -> bool:
     # `type(...) is int` rather than isinstance: JSON true/false load as bool
     return isinstance(items, list) and all(type(v) is int for v in items)
-
-
-def lagrangian_of(hypergraph: Hypergraph) -> SparsePoly:
-    """Sum of the squarefree edge monomials."""
-    from .polyalg import SparsePoly
-
-    return SparsePoly(dict.fromkeys(hypergraph.edges, 1))
 
 
 def hypergraph_from_lagrangian(poly: SparsePoly, rank: int) -> Hypergraph:

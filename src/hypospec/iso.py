@@ -1,4 +1,4 @@
-"""Canonical labeling, isomorphism, decks, and hypomorphism for hypergraphs.
+"""Canonical labeling, decks, and hypomorphism for hypergraphs.
 
 The canonical form is computed by iterated partition refinement on vertex
 invariants followed by individualization and backtracking; the
@@ -28,8 +28,8 @@ is built the same way and compared as bytes.
 
 A canonical form is keyed by the bytes of its best leaf: the big-endian
 64-bit words of the sorted relabelled edge list.  They compare as the tuple
-of edge tuples does, so decks, isomorphism and hypomorphism compare bytes,
-and the edge tuples are decoded from them only when read.
+of edge tuples does, so decks and hypomorphism compare bytes, and the edge
+tuples are decoded from them only when read.
 
 A deck needs one search per orbit of Aut(H) on the vertices, since g maps
 the card H - v onto H - g(v) for every automorphism g.  `deck` searches the
@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hypergraph import Hypergraph, UnknownVertexError
+from .hypergraph import Hypergraph
 
 SEARCH_NODE_LIMIT = 100_000
 
@@ -142,7 +142,7 @@ def _from_columns(columns: np.ndarray, n: int) -> _Incidence:
 def _card_incidence(inc: _Incidence, i: int) -> _Incidence:
     """The incidence of the card that deletes the vertex at position i: the
     parent's edges with no entry i, in their order, with the entries above i
-    shifted down by one.  It equals `_incidence(delete_vertex(h, v))`."""
+    shifted down by one."""
     columns = inc.columns
     kept = np.ascontiguousarray(columns[:, (columns != i).all(axis=0)])
     kept -= kept > i
@@ -317,28 +317,6 @@ def _search(rank: int, verts: tuple[int, ...], inc: _Incidence) -> CanonicalForm
     position = {p: li + 1 for li, p in enumerate(best[1])}
     witness = {v: position[p] for p, v in enumerate(verts)}
     return CanonicalForm(rank, n, best[2], witness, count, tuple(map(tuple, generators)))
-
-
-def are_isomorphic(first: Hypergraph, second: Hypergraph) -> tuple[bool, dict[int, int] | None]:
-    """Decide isomorphism; on success also return a vertex bijection witness."""
-    if first.rank != second.rank or first.num_vertices != second.num_vertices \
-            or first.num_edges != second.num_edges:
-        return False, None
-    cf = canonical_form(first)
-    cg = canonical_form(second)
-    if cf.key() != cg.key():
-        return False, None
-    inverse = {label: v for v, label in cg.witness.items()}
-    witness = {v: inverse[cf.witness[v]] for v in first.vertices}
-    return True, witness
-
-
-def delete_vertex(hypergraph: Hypergraph, vertex: int) -> Hypergraph:
-    """Remove a vertex and every edge through it (vertex-deleted subhypergraph)."""
-    if vertex not in hypergraph.vertices:
-        raise UnknownVertexError(vertex)
-    return Hypergraph(hypergraph.rank, (v for v in hypergraph.vertices if v != vertex),
-                      (e for e in hypergraph.edges if vertex not in e))
 
 
 def deck(hypergraph: Hypergraph) -> tuple[tuple[int, CanonicalForm], ...]:

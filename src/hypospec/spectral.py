@@ -164,16 +164,6 @@ def degree(hypergraph: Hypergraph, vertex: int) -> int:
     return sum(1 for e in hypergraph.edges if vertex in e)
 
 
-def codegree(hypergraph: Hypergraph, u: int, v: int) -> int:
-    vset = set(hypergraph.vertices)
-    for w in (u, v):
-        if w not in vset:
-            raise UnknownVertexError(w)
-    if u == v:
-        raise ValueError("codegree needs two distinct vertices")
-    return sum(1 for e in hypergraph.edges if u in e and v in e)
-
-
 def _unit(values: list[float], m: int, sizes: Sequence[int]) -> list[float]:
     """`values` scaled to unit m-norm, each entry counted `sizes` times."""
     norm = math.fsum(s * t ** m for s, t in zip(sizes, values)) ** (1.0 / m)

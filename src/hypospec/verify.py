@@ -783,10 +783,10 @@ def verify_regular_cone(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -
     equitable partition and enclose lambda.  A positive eigenvector of a
     connected nonnegative tensor is the principal one (Friedland, Gaubert &
     Han, LAA 2013)."""
-    from .spectral import codegree, rational_bracket
+    from .spectral import rational_bracket
     cone = cone_over(base, apex_links)
     m, apex_degree = cone.rank, len(apex_links)
-    gamma = codegree(cone, 0, base.vertices[0])
+    gamma = apex_degree * (m - 1) // base.num_vertices
     table = _edge_degrees(base)
     d, d_max = min(table[v] for v in base.vertices), max(table[v] for v in base.vertices)
     params = {"base_vertices": base.num_vertices, "base_edges": base.num_edges,

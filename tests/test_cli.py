@@ -33,11 +33,16 @@ def y3_file(tmp_path):
     return str(path)
 
 
-def test_parse_n_range():
+def test_parse_n_range(capsys):
     assert _parse_n_range("4") == [4]
     assert _parse_n_range("3..5") == [3, 4, 5]
     with pytest.raises(ValueError):
         _parse_n_range("5..3")
+    for text in ("3..", "..4", "3..4..5", "x", "\u0663"):
+        with pytest.raises(ValueError, match="^--n takes N or A[.][.]B in ASCII digits, got "):
+            _parse_n_range(text)
+        assert main(["verify", "--n", text, "--out", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: --n takes N or A..B")
 
 
 def test_gen_text_stdout(capsys):

@@ -7,7 +7,8 @@ from hypospec.families import (FAMILY_TAGS, N_CAP, FamilySpec, e_map,
                                theta_endo, theta_perm)
 from hypospec.hypergraph import Hypergraph, hypergraph_from_lagrangian
 from hypospec.polyalg import SparsePoly, x
-from hypospec.spectral import codegree, degree
+from hypospec.spectral import degree
+from oracles import codegree
 
 
 def test_mod_v():

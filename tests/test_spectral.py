@@ -8,10 +8,10 @@ import pytest
 
 from hypospec import spectral
 from hypospec.families import FamilySpec, family_hypergraph, theta_perm
-from hypospec.hypergraph import Hypergraph, UnknownVertexError, lagrangian_of
-from hypospec.spectral import (NotConnectedError, codegree, degree, is_connected,
-                               principal_eigenpair, rational_bracket,
-                               refined_eigenvector, vector_digest)
+from hypospec.hypergraph import Hypergraph, UnknownVertexError
+from hypospec.spectral import (NotConnectedError, degree, is_connected, principal_eigenpair,
+                               rational_bracket, refined_eigenvector, vector_digest)
+from oracles import codegree, lagrangian_of
 
 
 def single_edge():

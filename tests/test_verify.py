@@ -39,6 +39,7 @@ from hypospec.verify import (
     verify_sigma_general,
     write_verdict,
 )
+from oracles import codegree
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -658,6 +659,16 @@ def test_regular_cone_claims():
     assert p["lambda_lo"] == p["lambda_hi"] == float(3 + 2 * u_lo)
     assert claim_skew.params["base_degrees"] == [7, 8]
     assert not {"u_lo", "u_hi", "lambda_lo", "lambda_hi"} & claim_skew.params.keys()
+
+
+@pytest.mark.parametrize("sample", [0, 1], ids=["regular", "skew"])
+def test_regular_cone_apex_codegree_is_the_counted_one(sample):
+    """The claim reads gamma off the apex degree; it equals the count of
+    edges through the apex and each base vertex."""
+    base, links = standard_cone_samples()[sample]
+    cone = cone_over(base, links)
+    gamma = verify_regular_cone(base, links).params["apex_codegree"]
+    assert [codegree(cone, 0, v) for v in base.vertices] == [gamma] * base.num_vertices
 
 
 @pytest.mark.parametrize("d, gamma, apex_degree, m", [
