@@ -24,8 +24,8 @@ stderr.
 Each handler imports what it runs when it is called, so a command loads only
 its own modules, which keeps the start-up time and peak memory of each
 command to what it uses; the README lists each command's modules and
-`tests/test_imports.py` checks them.  The parser reads the --family choices
-of gen from `families.FAMILY_TAGS` only when it checks or prints them.
+`tests/test_imports.py` checks them.  The parser leaves --family to
+`families.FamilySpec`, which names every tag when it rejects one.
 
 `main` sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it.  numpy's
 bundled OpenBLAS otherwise starts cpu_count - 1 worker threads when numpy is
@@ -48,22 +48,6 @@ from typing import Sequence
 from .hypergraph import Hypergraph
 
 
-class _FamilyTags:
-    """`families.FAMILY_TAGS`, imported when argparse checks or lists the
-    --family choices, not when it builds the parser.  Argparse iterates
-    `choices` at build time only when the argument has no metavar."""
-
-    def __contains__(self, tag: object) -> bool:
-        from .families import FAMILY_TAGS
-
-        return tag in FAMILY_TAGS
-
-    def __iter__(self):
-        from .families import FAMILY_TAGS
-
-        return iter(FAMILY_TAGS)
-
-
 def _header(seed: int) -> str:
     from .spectral import MAX_ITERATIONS, SHIFT, TOLERANCE
 
@@ -78,38 +62,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     gen = sub.add_parser("gen", help="construct a family member and write it out")
-    gen.add_argument("--family", required=True, choices=_FamilyTags(), metavar="FAMILY",
-                     help="one of %(choices)s")
-    gen.add_argument("--n", required=True, type=int)
-    gen.add_argument("--k", type=int, default=None, help="layer index, G family only")
+    gen.set_defaults(run=_cmd_gen)
+    gen.add_argument("--family", required=True,
+                     help="one of C3, D3, G, H, T, Gamma, M0, M1, X, Y")
+    gen.add_argument("--n", required=True, type=_digits)
+    gen.add_argument("--k", type=_digits, default=None, help="layer index, G family only")
     gen.add_argument("--out", default=None,
                      help="output path, JSON if it ends in .json, else text; text to "
                           "stdout when omitted")
 
     spectrum = sub.add_parser("spectrum", help="principal eigenpair of a stored hypergraph")
+    spectrum.set_defaults(run=_cmd_spectrum)
     spectrum.add_argument("file")
     spectrum.add_argument("--format", choices=("text", "json"), default="text")
 
     compare = sub.add_parser("compare", help="certify the radius separation of the pair at n")
-    compare.add_argument("--n", required=True, type=int)
-    compare.add_argument("--seed", type=int, default=0, help="0 starts from all-ones")
+    compare.set_defaults(run=_cmd_compare)
+    compare.add_argument("--n", required=True, type=_digits)
+    # a '-' too, so that the solver names a negative seed
+    compare.add_argument("--seed", type=lambda text: _digits(text, "-?[0-9]+"), default=0,
+                         help="0 starts from all-ones")
 
     deck_cmd = sub.add_parser("deck", help="vertex-deleted canonical forms of a stored hypergraph")
+    deck_cmd.set_defaults(run=_cmd_deck)
     deck_cmd.add_argument("file")
     deck_cmd.add_argument("--out", default=None,
                           help="deck JSON path; defaults to <file>.deck.json")
 
     hypo = sub.add_parser("hypomorphic", help="deck equality of two stored hypergraphs")
+    hypo.set_defaults(run=_cmd_hypomorphic)
     hypo.add_argument("first")
     hypo.add_argument("second")
 
     verify = sub.add_parser("verify", help="run the claim suite")
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("--n", required=True,
                         help="single value or inclusive range, e.g. 4 or 3..5")
     verify.add_argument("--out", default="verdict.json", help="verdict JSON path")
     verify.add_argument("--exact-only", action="store_true", dest="exact_only",
                         help="skip the numeric claims")
     return parser
+
+
+def _digits(text: str, pattern: str = "[0-9]+") -> int:
+    """An int option in ASCII digits, as the input files write it: `int`
+    alone would also read '+2', '1_0' and other scripts' digits."""
+    if re.fullmatch(pattern, text) is None:
+        raise argparse.ArgumentTypeError(f"takes ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -251,20 +251,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"error: {claim.id} {params}: {claim.detail}", file=sys.stderr)
         print(f"{claim.id} {params} took {claim.elapsed:.2f}s", file=sys.stderr)
     print(f"passed {len(claims) - failed}/{len(claims)} claims")
-    if args.out:
-        write_verdict(args.out, claims)
-        print(f"verdict JSON -> {args.out}", file=sys.stderr)
+    write_verdict(args.out, claims)
+    print(f"verdict JSON -> {args.out}", file=sys.stderr)
     return 1 if failed else 0
-
-
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "spectrum": _cmd_spectrum,
-    "compare": _cmd_compare,
-    "deck": _cmd_deck,
-    "hypomorphic": _cmd_hypomorphic,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -275,7 +264,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        return _DISPATCH[args.verb](args)
+        return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

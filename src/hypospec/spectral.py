@@ -15,13 +15,11 @@ dyadic vector it keeps.
 Every kernel walks one table, `_links`: the edges at a vertex grouped by all
 their other members but the last, so each group costs one product of the
 shared members times the sum of the last ones, not one product per edge.
-`_edge_sums` applies it to floats for the power iteration, and
-`_exact_bracket` to ints; `_jacobian` differentiates it once per Newton run,
-at its start, and every float64 correction of the run is solved against that
-one LU factorization.  Only the float kernels fold left to right with
-`reduce`: `sum` compensates float sums from Python 3.12 on and would change
-the last bits.  The exact integer sums use `sum`, which is faster and exact
-in any order.
+`_edge_sums` applies it to floats for the power iteration and to ints for
+`_exact_bracket`; `_jacobian` differentiates it once per Newton run, at its
+start, and every float64 correction of the run is solved against that one
+LU factorization.  Every kernel folds left to right with `reduce`: `sum`
+compensates float sums from Python 3.12 on and would change the last bits.
 
 `principal_eigenpair` and `newton_steps` take an optional partition of the
 vertices into orbits of automorphisms.  The principal eigenvector of a
@@ -203,11 +201,8 @@ def _exact_bracket(links, m: int, ints: Sequence[int]
                    ) -> tuple[list[int], list[int], Fraction, Fraction]:
     """S_i, P_i = a_i^{m-1} and the exact min and max of S_i / P_i at a positive
     integer vector a, where S_i are the `_edge_sums` over the rank-m table
-    `links`, added with `sum`, as integer sums do not depend on the order;
-    the extremes are picked by integer cross-multiplication."""
-    get = ints.__getitem__
-    sums = [sum(math.prod(map(get, prefix)) * sum(map(get, lasts)) for prefix, lasts in link)
-            for link in links]
+    `links`; the extremes are picked by integer cross-multiplication."""
+    sums = _edge_sums(links, ints)
     powered = [t ** (m - 1) for t in ints]
     lo_i = hi_i = 0
     for i in range(1, len(sums)):

@@ -75,13 +75,28 @@ def test_gen_layer_family_needs_k(capsys):
 
 
 def test_gen_rejects_unknown_family(capsys):
-    """The parser imports `families` only to check or list the choices, and
-    still names every tag in the error and in the help."""
+    """`FamilySpec` alone checks the tag, and its error names every tag, as
+    the literal help does."""
     assert main(["gen", "--family", "Q", "--n", "3"]) == 2
     err = capsys.readouterr().err
     assert all(repr(tag) in err for tag in FAMILY_TAGS)
     assert main(["gen", "--help"]) == 0
     assert ", ".join(FAMILY_TAGS) in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("argv", [["compare", "--n", "\u0665"],
+                                  ["compare", "--n", "3", "--seed", "\u0662"],
+                                  ["gen", "--family", "G", "--n", "3", "--k", "+2"],
+                                  ["gen", "--family", "X", "--n", "1_0"]],
+                         ids=["compare-n", "compare-seed", "gen-k", "gen-n"])
+def test_int_options_take_ascii_digits_only(argv, capsys):
+    """`int` would read these as 5, 2, 2 and 10, as the file parser and
+    `verify --n` do not."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.rstrip("\n").endswith(
+        f"error: argument {argv[-2]}: takes ASCII digits, got {argv[-1]!r}")
 
 
 def test_spectrum_text_output(tmp_path, capsys):

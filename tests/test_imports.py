@@ -185,9 +185,8 @@ REACH_COMMANDS = (
 
 # The functions no command in REACH_COMMANDS reaches, and why each stays.
 UNREACHED = {
-    # error paths: bad input, a failed identity claim, `--help` or a bad --family
+    # error paths: bad input or a failed identity claim
     "hypergraph.UnknownVertexError.__init__", "verify._certificate",
-    "cli._FamilyTags.__iter__",
     # protocol methods, for printing and comparing by hand
     "hypergraph.Hypergraph.__repr__", "polyalg.SparsePoly.__eq__",
     "polyalg.SparsePoly.__rsub__", "polyalg.SparsePoly.__str__",

@@ -340,19 +340,24 @@ def test_float_kernels_add_left_to_right():
 
 
 def test_exact_brackets_add_the_same_in_any_order():
-    """The exact brackets add with `sum`; on 1000-bit integers they equal the
-    left-to-right fold of `_edge_sums`, on the full table of X^5 and Y^5 and on
-    their theta-quotients."""
+    """At 1000-bit integers the exact bracket is the min and max of
+    S_i / a_i^{m-1}, on the full table of X^5 and Y^5, on their
+    theta-quotients, and on seeded connected hypergraphs of rank 2, 3 and 4."""
     rng = random.Random(1000)
+    tables = []
     for tag in "XY":
         h = family_hypergraph(FamilySpec(tag, 5))
-        for links in (spectral._links(h), spectral._quotient(h, theta_cells(5)).links):
-            ints = [rng.getrandbits(1000) | 1 << 999 for _ in links]
-            sums, powered, lo, hi = spectral._exact_bracket(links, 3, ints)
-            folded = spectral._edge_sums(links, ints)
-            assert sums == folded
-            ratios = [Fraction(s, p) for s, p in zip(folded, powered)]
-            assert (lo, hi) == (min(ratios), max(ratios))
+        tables += [(spectral._links(h), 3),
+                   (spectral._quotient(h, theta_cells(5)).links, 3)]
+    for rank in (2, 3, 4):
+        for _ in range(4):
+            h = random_connected(rng, rank, max_vertices=9)
+            tables.append((spectral._links(h), rank))
+    for links, rank in tables:
+        ints = [rng.getrandbits(1000) | 1 << 999 for _ in links]
+        sums, powered, lo, hi = spectral._exact_bracket(links, rank, ints)
+        ratios = [Fraction(s, p) for s, p in zip(sums, powered)]
+        assert (lo, hi) == (min(ratios), max(ratios))
 
 
 def test_eigenpair_at_the_cap_describes_its_own_vector(monkeypatch):
