@@ -112,14 +112,14 @@ def _digits(text: str, pattern: str = "[0-9]+") -> int:
     return int(text)
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
     if match is None:
         raise ValueError(f"--n takes N or A..B in ASCII digits, got {text!r}")
     lo, hi = int(match[1]), int(match[2] or match[1])
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _load(path: str) -> Hypergraph:
@@ -231,14 +231,19 @@ def _cmd_hypomorphic(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import run_suite, write_verdict
+    from .verify import check_sizes, run_suite, write_verdict
 
+    # --n, its caps and --out are checked in that order before any claim runs
+    ns, numeric = _parse_n_range(args.n), not args.exact_only
+    check_sizes(ns, numeric)
     # At the default threshold the n = 3..6 suite runs about a hundred
     # collections, and none frees anything: the claims make no cycles.
     threshold = gc.get_threshold()
     gc.set_threshold(50_000, *threshold[1:])
     try:
-        claims = run_suite(_parse_n_range(args.n), include_numeric=not args.exact_only)
+        with open(args.out, "w", encoding="ascii") as out:
+            claims = run_suite(ns, include_numeric=numeric)
+            write_verdict(out, claims)
     finally:
         gc.set_threshold(*threshold)
     failed = 0
@@ -251,7 +256,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"error: {claim.id} {params}: {claim.detail}", file=sys.stderr)
         print(f"{claim.id} {params} took {claim.elapsed:.2f}s", file=sys.stderr)
     print(f"passed {len(claims) - failed}/{len(claims)} claims")
-    write_verdict(args.out, claims)
     print(f"verdict JSON -> {args.out}", file=sys.stderr)
     return 1 if failed else 0
 

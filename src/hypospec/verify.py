@@ -21,18 +21,22 @@ the predicted gap is positive, mu_lo > lambda_hi, and mu_hi - lambda_lo
 reaches the predicted gap.  Its exact residuals are reported in the params
 and not judged.
 
-The sigma-induction claims restrict before they difference.  With phi the
-orbit map and h = g o phi, the difference (g - g o sigma_r) o phi equals
-h - h o (phi o sigma_r), which works on the small orbit quotient alone.
-That is exact only when sigma_r maps each orbit of phi onto an orbit
-(phi sigma_r phi = phi sigma_r).  It holds because theta and every sigma_i
-act on j - 1 as commuting XOR masks, and `restricted_difference` checks it
-on the vertex tables before each use, raising ValueError where it fails.
+Every restriction with theta is indexed by a level r, like the lemmas'
+"theta(x) = x, sigma_i(x) = x for i < r": phi_r = `fixed_point_map(n, r)`
+is the orbit map of theta and sigma_0..sigma_{r-1}.  The sigma-induction claims
+restrict before they difference: with h = g o phi_r, (g - g o sigma_r) o
+phi_r equals h - h o (phi_r o sigma_r), which works on the orbit quotient
+alone.  That is exact only when sigma_r maps each orbit of phi_r onto an
+orbit.  It holds because theta and every sigma_i act on j - 1 as commuting
+XOR masks, and `restricted_difference(spec, r)` checks it on the vertex
+tables before each use, raising ValueError where it fails.
 `restricted_family` builds h for phi_r from its entry for phi_{r-1}, so
-only r = 0 passes over the full family polynomial.  The orbit maps and the
-restricted polynomials, like the structural maps of `families`, are
-memoised and shared, and so are f_r^n under phi_r and the link square
-under phi_{r+1}, on (n, r): two claims compare with each of them.
+only r = 0 passes over the full family polynomial.  The two link claims
+share `_link_gap(spec, r)`.  The orbit maps and the restricted polynomials,
+like the structural maps of `families`, are memoised and shared, and so are
+f_r^n under phi_r and the link square under phi_{r+1}, on (n, r): two
+claims compare with each of them.  The doubling claims alone restrict
+without theta, to sigma_0 on V_{n+1}, built where they use it.
 
 Every family polynomial that a claim reads comes through this module's
 `family_poly` binding, directly or through `restricted_family`, which reads
@@ -66,7 +70,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .families import (NUMERIC_N_CAP, FamilySpec, e_map, family_hypergraph, family_poly,
                        mod_v, orbit_substitution, p_eps, p_map, q_map, sigma_endo,
@@ -93,10 +97,9 @@ def claims_to_json(claims: Sequence[Claim]) -> str:
                         "detail": c.detail} for c in claims], sort_keys=True, indent=2)
 
 
-def write_verdict(path: str, claims: Sequence[Claim]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(claims_to_json(claims))
-        fh.write("\n")
+def write_verdict(out: TextIO, claims: Sequence[Claim]) -> None:
+    """The verdict JSON and a newline, to a text stream opened by the caller."""
+    out.write(claims_to_json(claims) + "\n")
 
 
 def format_exact(q: Fraction, spec: str) -> str:
@@ -150,18 +153,12 @@ def _timed(claim_fn: Callable[..., Claim]) -> Callable[..., Claim]:
     return wrapper
 
 
-def fixed_point_map(n: int, *, theta: bool = False, sigmas: Iterable[int] = ()) -> Endomorphism:
-    """Orbit substitution for the group generated by the listed permutations
-    (memoised by `(n, theta, tuple(sigmas))`; the map is shared, so it must
-    not be mutated)."""
-    return _fixed_point_map(n, theta, tuple(sigmas))
-
-
 @lru_cache(maxsize=None)
-def _fixed_point_map(n: int, theta: bool, sigmas: tuple[int, ...]) -> Endomorphism:
-    gens = [theta_perm(n)] if theta else []
-    gens += [sigma_perm(n, i) for i in sigmas]
-    return orbit_substitution(n, gens)
+def fixed_point_map(n: int, r: int) -> Endomorphism:
+    """phi_r, the orbit substitution of the group generated by theta and
+    sigma_0..sigma_{r-1}, memoised on (n, r); the map is shared, so it must
+    not be mutated."""
+    return orbit_substitution(n, [theta_perm(n)] + [sigma_perm(n, i) for i in range(r)])
 
 
 def _vertex_table(endo: Endomorphism, size: int) -> list[int]:
@@ -171,33 +168,42 @@ def _vertex_table(endo: Endomorphism, size: int) -> list[int]:
     return [endo.rename.get(v, v) for v in range(size)]
 
 
-def restricted_difference(n: int, h: SparsePoly, sigma: Endomorphism,
-                          phi: Endomorphism) -> SparsePoly:
-    """(g - g o sigma) o phi from h = g o phi, the polynomial already
-    restricted: it is h - h o (phi o sigma), which works on the orbit
-    quotient alone.
+def restricted_difference(spec: FamilySpec, r: int) -> SparsePoly:
+    """(g - g o sigma_r) o phi_r for g = family_poly(spec), from the already
+    restricted h = restricted_family(spec, r): it is h - h o (phi_r o
+    sigma_r), which works on the orbit quotient alone.
 
-    The two agree exactly when phi sigma phi = phi sigma on 0..2^n, that is,
-    when sigma maps each orbit of phi onto an orbit.  That is checked on the
-    vertex tables first, and a ValueError is raised where it fails.
+    The two agree exactly when sigma_r maps each orbit of phi_r onto an
+    orbit, phi_r sigma_r phi_r = phi_r sigma_r on 0..2^n.  That is checked
+    on the vertex tables first, and a ValueError is raised where it fails.
     """
-    size = (1 << n) + 1
+    n, size = spec.n, (1 << spec.n) + 1
+    phi, sigma = fixed_point_map(n, r), sigma_endo(n, r)
     rep, moved = _vertex_table(phi, size), _vertex_table(sigma, size)
     if any(rep[moved[rep[v]]] != rep[moved[v]] for v in range(size)):
         raise ValueError(f"sigma does not map the orbits of phi onto orbits of V_{n}")
+    h = restricted_family(spec, r)
     return h - h.substitute(phi.compose(sigma))
 
 
 @lru_cache(maxsize=None)
 def restricted_family(spec: FamilySpec, r: int) -> SparsePoly:
-    """The family polynomial g under phi_r = fixed_point_map(n, theta=True,
-    sigmas=range(r)), memoised and shared like `family_poly`.
+    """The family polynomial g under phi_r = fixed_point_map(n, r), memoised
+    and shared like `family_poly`.
 
     The orbits of phi_r only coarsen as r grows and phi_r sends each variable
     to its orbit minimum, so g o phi_r = (g o phi_{r-1}) o phi_r: each entry
     is the r - 1 entry restricted again, a much smaller input than g."""
     prev = family_poly(spec) if r == 0 else restricted_family(spec, r - 1)
-    return prev.substitute(fixed_point_map(spec.n, theta=True, sigmas=range(r)))
+    return prev.substitute(fixed_point_map(spec.n, r))
+
+
+def _link_gap(spec: FamilySpec, r: int) -> SparsePoly:
+    """The link difference g[1] - g[1 + 2^r] of g = family_poly(spec), under
+    phi_{r+1}: the left side of both link claims."""
+    g = family_poly(spec)
+    return (g.derivative(1) - g.derivative(1 + (1 << r))).substitute(
+        fixed_point_map(spec.n, r + 1))
 
 
 # -- difference polynomials ----------------------------------------------------
@@ -243,17 +249,17 @@ def neigh_square(n: int, r: int, phi: Endomorphism = _IDENTITY) -> SparsePoly:
 
 @lru_cache(maxsize=None)
 def _suite_f(n: int, r: int) -> SparsePoly:
-    """f_r^n under phi_r = fixed_point_map(n, theta=True, sigmas=range(r)),
-    memoised: `lemma-induction-cycles` at k = n - r and `lemma-sigma-general`
-    both compare with it.  It is built from `e_map` and the orbit map alone."""
-    return f_poly(n, r, fixed_point_map(n, theta=True, sigmas=range(r)))
+    """f_r^n under phi_r = fixed_point_map(n, r), memoised:
+    `lemma-induction-cycles` at k = n - r and `lemma-sigma-general` both
+    compare with it.  It is built from `e_map` and the orbit map alone."""
+    return f_poly(n, r, fixed_point_map(n, r))
 
 
 @lru_cache(maxsize=None)
 def _suite_square(n: int, r: int) -> SparsePoly:
     """The link square under phi_{r+1}, memoised like `_suite_f` for
     `lemma-induction-neigh` at k = n - r and `lemma-neigh-general`."""
-    return neigh_square(n, r, fixed_point_map(n, theta=True, sigmas=range(r + 1)))
+    return neigh_square(n, r, fixed_point_map(n, r + 1))
 
 
 def pair_gap_poly(n: int, phi: Endomorphism = _IDENTITY) -> SparsePoly:
@@ -309,7 +315,7 @@ def verify_basis_step(n: int) -> Claim:
     """On the theta-fixed subspace, Y^n - X^n equals x_0 * (E_2(x_1-x_3))^2;
     and everywhere it equals M1^n - M0^n, so the pair differs at the apex alone."""
     gap = family_poly(FamilySpec("Y", n)) - family_poly(FamilySpec("X", n))
-    phi = fixed_point_map(n, theta=True)
+    phi = fixed_point_map(n, 0)
     apex = family_poly(FamilySpec("M1", n)) - family_poly(FamilySpec("M0", n))
     return _exact("lemma-basis-step", {"n": n},
                   [(_NONZERO, gap.substitute(phi), pair_gap_poly(n, phi)), (_NONZERO, gap, apex)])
@@ -321,12 +327,10 @@ def verify_induction_cycles(n: int, r: int, k: int) -> Claim:
     sigma_0..sigma_{r-1}: equals f_r^n when k = n - r, else 0."""
     if not (0 <= r <= n - 2 and 2 <= k <= n):
         raise ValueError(f"need 0 <= r <= n-2 and 2 <= k <= n, got r={r}, k={k}, n={n}")
-    phi = fixed_point_map(n, theta=True, sigmas=range(r))
-    h = restricted_family(FamilySpec("G", n, k), r)
     expected = _suite_f(n, r) if k == n - r else SparsePoly.zero()
     branch = "f" if k == n - r else "0"
     return _exact("lemma-induction-cycles", {"n": n, "r": r, "k": k, "expected": branch},
-                  [(_NONZERO, restricted_difference(n, h, sigma_endo(n, r), phi), expected)])
+                  [(_NONZERO, restricted_difference(FamilySpec("G", n, k), r), expected)])
 
 
 @_timed
@@ -337,9 +341,7 @@ def verify_sigma_general(n: int, r: int) -> Claim:
     def checks():
         m0 = family_poly(FamilySpec("M0", n))
         yield f"M0 is not sigma_{r}-invariant", m0, m0.substitute(sigma_endo(n, r))
-        phi = fixed_point_map(n, theta=True, sigmas=range(r))
-        h = restricted_family(FamilySpec("X", n), r)
-        yield _NONZERO, restricted_difference(n, h, sigma_endo(n, r), phi), _suite_f(n, r)
+        yield _NONZERO, restricted_difference(FamilySpec("X", n), r), _suite_f(n, r)
     return _exact("lemma-sigma-general", {"n": n, "r": r}, checks())
 
 
@@ -356,13 +358,10 @@ def verify_induction_neigh(n: int, r: int, k: int) -> Claim:
     if k == n - r and k == 2:
         raise ValueError(f"(n={n}, r={r}, k=2): the square branch needs E_{n + 1}^{n}, "
                          "which does not exist; valid square cases have k = n - r >= 3")
-    g = family_poly(FamilySpec("G", n, k))
-    phi = fixed_point_map(n, theta=True, sigmas=range(r + 1))
     expected = _suite_square(n, r) if k == n - r else SparsePoly.zero()
-    link_gap = (g.derivative(1) - g.derivative(1 + (1 << r))).substitute(phi)
     branch = "square" if k == n - r else "0"
     return _exact("lemma-induction-neigh", {"n": n, "r": r, "k": k, "expected": branch},
-                  [(_NONZERO, link_gap, expected)])
+                  [(_NONZERO, _link_gap(FamilySpec("G", n, k), r), expected)])
 
 
 @_timed
@@ -370,11 +369,8 @@ def verify_neigh_general(n: int, r: int) -> Claim:
     """X^n[1] - X^n[1+2^r] equals the stated square on the same subspace."""
     if not 0 <= r <= n - 3:
         raise ValueError(f"need 0 <= r <= n-3, got r={r}, n={n}")
-    xp = family_poly(FamilySpec("X", n))
-    phi = fixed_point_map(n, theta=True, sigmas=range(r + 1))
-    link_gap = (xp.derivative(1) - xp.derivative(1 + (1 << r))).substitute(phi)
     return _exact("lemma-neigh-general", {"n": n, "r": r},
-                  [(_NONZERO, link_gap, _suite_square(n, r))])
+                  [(_NONZERO, _link_gap(FamilySpec("X", n), r), _suite_square(n, r))])
 
 
 @_timed
@@ -408,29 +404,27 @@ def _claim_two_cycles_reindex() -> Claim:
                   "tau-substituted cycle equals the +-3 offset sum")
 
 
-# part -> (sigmas fixed besides theta, pairs (a, b) with E_3(x_a) = E_3(x_b))
+# part -> pairs (a, b) with E_3(x_a) = E_3(x_b) under phi_{part - 1}
 _HELPER_CYCLE_PARTS = {
-    1: ((), [(2 * i, 9 - 2 * i) for i in range(1, 5)]),
-    2: ((0,), [(7, 1), (5, 3)]),
-    3: ((0, 1), [(j, 1) for j in range(2, 9)]),
+    1: [(2 * i, 9 - 2 * i) for i in range(1, 5)],
+    2: [(7, 1), (5, 3)],
+    3: [(j, 1) for j in range(2, 9)],
 }
 
 
 @_timed
 def _claim_helper_cycle(n: int, part: int) -> Claim:
-    sigmas, pairs = _HELPER_CYCLE_PARTS[part]
-    e3 = e_map(n, 3)
-    phi = fixed_point_map(n, theta=True, sigmas=sigmas)
+    e3, phi = e_map(n, 3), fixed_point_map(n, part - 1)
     return _exact("lemma-helper-cycle", {"n": n, "part": part},
                   ((f"E_3(x_{a}) != E_3(x_{b})", e3.image(a).substitute(phi),
-                    e3.image(b).substitute(phi)) for a, b in pairs))
+                    e3.image(b).substitute(phi)) for a, b in _HELPER_CYCLE_PARTS[part]))
 
 
 @_timed
 def _claim_odd_even_eight(n: int, r: int) -> Claim:
     """p_j E_r^n agrees with E_{r+1}^{n+1} on the sigma_0-fixed subspace of
     the doubled vertex set, for both j and both stated generators."""
-    phi = fixed_point_map(n + 1, sigmas=(0,))
+    phi = orbit_substitution(n + 1, [sigma_perm(n + 1, 0)])
     ern = e_map(n, r)
     target = e_map(n + 1, r + 1)
     cases = [(x(1), x(1)), (x(1 + (1 << (r - 1))), x(1 + (1 << r)))]
@@ -447,7 +441,7 @@ def _claim_even_odd_f(n: int, r: int) -> Claim:
     """(p_0 + p_1) f_r^n = f_{r+1}^{n+1} on the sigma_0-fixed subspace.
     phi o p_0 and phi o p_1 are one renaming, as sigma_0 swaps 2i - 1 and
     2i, so the sum is one product doubled; maps that differ get both."""
-    phi = fixed_point_map(n + 1, sigmas=(0,))
+    phi = orbit_substitution(n + 1, [sigma_perm(n + 1, 0)])
     c0, c1 = (phi.compose(p_map(n + 1, j)) for j in (0, 1))
     if c0.is_renaming and c1.is_renaming and c0.rename == c1.rename:
         pushed = f_poly(n, r, c0) * 2
@@ -736,25 +730,19 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
 
 def cone_over(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -> Hypergraph:
     """Attach the apex, vertex 0, through the given (rank-1)-element links; the
-    apex must meet every base vertex in the same number of edges, at least one."""
+    apex must meet every base vertex in the same number of edges, at least one.
+    The cone's `Hypergraph` rejects a link that is not such a set of base vertices."""
     if 0 in set(base.vertices):
         raise ValueError("apex 0 already belongs to the base")
     if not apex_links:
         raise ValueError("apex 0 has no links, so it would be isolated from the base")
-    counts = {v: 0 for v in base.vertices}
-    edges = list(base.edges)
-    for link in apex_links:
-        link = tuple(sorted(link))
-        if len(link) != base.rank - 1 or len(set(link)) != len(link):
-            raise ValueError(f"apex link {link!r} is not a {base.rank - 1}-element set")
-        for v in link:
-            if v not in counts:
-                raise ValueError(f"apex link {link!r} leaves the base vertex set")
-            counts[v] += 1
-        edges.append((0,) + link)
-    if len(set(counts.values())) != 1:
-        raise ValueError(f"apex codegree is not constant over the base: {sorted(set(counts.values()))}")
-    return Hypergraph(base.rank, (0,) + base.vertices, edges)
+    cone = Hypergraph(base.rank, (0,) + base.vertices,
+                      chain(base.edges, ((0, *link) for link in apex_links)))
+    counts = Counter(chain.from_iterable(apex_links))
+    codegrees = {counts[v] for v in base.vertices}
+    if len(codegrees) != 1:
+        raise ValueError(f"apex codegree is not constant over the base: {sorted(codegrees)}")
+    return cone
 
 
 def _root_bracket(d: int, gamma: int, apex_degree: int, m: int) -> tuple[Fraction, Fraction]:
@@ -832,14 +820,20 @@ def standard_cone_samples() -> list[tuple[Hypergraph, list[tuple[int, ...]]]]:
     return [(c3, links), (gamma3, links)]
 
 
-def run_suite(ns: Sequence[int], *, include_numeric: bool = True) -> list[Claim]:
-    """Identity suites for each n, plus the numeric claims.  Every n is
-    validated before any claim runs, so an n past N_CAP, or past
-    NUMERIC_N_CAP with the numeric claims, costs nothing."""
+def check_sizes(ns: Iterable[int], numeric: bool) -> None:
+    """Raise ValueError at the first n past N_CAP, or past NUMERIC_N_CAP when
+    the numeric claims run."""
     for n in ns:
         FamilySpec("X", n)
-        if include_numeric:
+        if numeric:
             _check_numeric_n(n)
+
+
+def run_suite(ns: Sequence[int], *, include_numeric: bool = True) -> list[Claim]:
+    """Identity suites for each n, plus the numeric claims.  Every n is
+    validated by `check_sizes` before any claim runs, so an n past N_CAP, or
+    past NUMERIC_N_CAP with the numeric claims, costs nothing."""
+    check_sizes(ns, include_numeric)
     claims: list[Claim] = []
     for n in ns:
         claims.extend(verify_identity_suite(n))

@@ -34,8 +34,10 @@ def y3_file(tmp_path):
 
 
 def test_parse_n_range(capsys):
-    assert _parse_n_range("4") == [4]
-    assert _parse_n_range("3..5") == [3, 4, 5]
+    assert _parse_n_range("4") == range(4, 5)
+    assert _parse_n_range("3..5") == range(3, 6)
+    # a range, not a list: a wide span costs nothing before the size cap
+    assert _parse_n_range("3..2000000") == range(3, 2000001)
     with pytest.raises(ValueError):
         _parse_n_range("5..3")
     for text in ("3..", "..4", "3..4..5", "x", "\u0663"):
@@ -318,6 +320,18 @@ def test_verify_past_size_cap_exits_two_before_any_claim(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: n = {N_CAP + 1} exceeds N_CAP")
     assert not verdict.exists()
+
+
+def test_verify_unwritable_out_exits_two_before_any_claim(tmp_path, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("ran the suite with an unwritable --out")
+
+    monkeypatch.setattr(verify, "run_suite", refused)
+    for out in ("", str(tmp_path / "missing" / "v.json")):
+        assert main(["verify", "--n", "3", "--out", out]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
 
 
 def test_compare_past_numeric_cap_exits_two_before_any_work(capsys, monkeypatch):

@@ -292,7 +292,7 @@ def test_renamings_compose_on_their_tables():
         assert theta.compose(theta).images == {} and theta.compose(theta).rename == {}
         assert same(theta.compose(theta), reference_compose(theta, theta))
         for r in range(n - 1):
-            phi, sigma = fixed_point_map(n, theta=True, sigmas=range(r)), sigma_endo(n, r)
+            phi, sigma = fixed_point_map(n, r), sigma_endo(n, r)
             assert phi.is_renaming and sigma.is_renaming
             assert same(phi.compose(sigma), reference_compose(phi, sigma))
     rename = Endomorphism({1: x(2), 2: x(1), 4: x(1)})
@@ -309,7 +309,7 @@ def test_composed_renamings_derive_their_images_from_one_table():
     pairs = []
     for n in range(3, 7):
         size = (1 << n) + 1
-        pairs += [(fixed_point_map(n, theta=True, sigmas=range(r)), sigma_endo(n, r), size)
+        pairs += [(fixed_point_map(n, r), sigma_endo(n, r), size)
                   for r in range(n - 1)]
         pairs += [(p_map(n, 1), p_eps(n, (0, 1, 1)), size), (theta_endo(n), theta_endo(n), size)]
     for _ in range(20):

@@ -11,7 +11,7 @@ import pytest
 
 from hypospec.families import (N_CAP, NUMERIC_N_CAP, FamilySpec, e_map, family_hypergraph,
                                family_poly, mod_v, orbit_substitution, p_map, permutation_endo,
-                               sigma_endo, theta_endo, theta_perm)
+                               sigma_endo, sigma_perm, theta_endo, theta_perm)
 from hypospec.polyalg import Endomorphism, SparsePoly, x
 from hypospec import spectral, verify
 from hypospec.verify import (
@@ -292,23 +292,22 @@ def test_stated_products_equal_their_left_to_right_products(n):
     identity, the suite's orbit maps and the maps phi o p_j of
     `lemma-even-odd-f` equal the products multiplied out factor by factor."""
     identity = Endomorphism.identity()
-    even_odd = fixed_point_map(n + 1, sigmas=(0,))
+    even_odd = orbit_substitution(n + 1, [sigma_perm(n + 1, 0)])
     for r in range(n - 1):
         scale, factors = _stated_f_factors(n, r)
-        maps = [identity, fixed_point_map(n, theta=True, sigmas=range(r)),
-                fixed_point_map(n, sigmas=(0,))]
+        maps = [identity, fixed_point_map(n, r), orbit_substitution(n, [sigma_perm(n, 0)])]
         maps += [even_odd.compose(p_map(n + 1, j)) for j in (0, 1)]
         for phi in maps:
             assert f_poly(n, r, phi) == _left_to_right(scale, factors, phi), (r, phi)
         assert verify._suite_f(n, r) == _left_to_right(scale, factors, maps[1])
         if r <= n - 3:
             square = (x(1) - x(1 + (1 << (r + 2)))).substitute(e_map(n, r + 3))
-            suite_phi = fixed_point_map(n, theta=True, sigmas=range(r + 1))
+            suite_phi = fixed_point_map(n, r + 1)
             for phi in (identity, suite_phi):
                 assert neigh_square(n, r, phi) == _left_to_right(1, [square, square], phi)
             assert verify._suite_square(n, r) == _left_to_right(1, [square, square], suite_phi)
     gap = (x(1) - x(3)).substitute(e_map(n, 2))
-    for phi in (identity, fixed_point_map(n, theta=True)):
+    for phi in (identity, fixed_point_map(n, 0)):
         assert pair_gap_poly(n, phi) == _left_to_right(1, [x(0), gap, gap], phi)
 
 
@@ -385,23 +384,24 @@ def test_neigh_general_bounds():
 
 
 def test_fixed_point_map_matches_orbit_substitution():
-    direct = orbit_substitution(3, [theta_perm(3)])
-    assert fixed_point_map(3, theta=True).images == direct.images
+    """phi_r is the orbit map of theta and sigma_0..sigma_{r-1}, r <= n."""
+    for n in (3, 4, 5):
+        for r in range(n + 1):
+            direct = orbit_substitution(n, [theta_perm(n)] + [sigma_perm(n, i) for i in range(r)])
+            assert fixed_point_map(n, r).images == direct.images, (n, r)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_restricted_difference_matches_direct(n):
-    gs = [family_poly(FamilySpec("X", n))]
-    gs += [family_poly(FamilySpec("G", n, k)) for k in range(2, n + 1)]
+    specs = [FamilySpec("X", n)] + [FamilySpec("G", n, k) for k in range(2, n + 1)]
     # sigma_{n-1} flips the top bit, so it maps orbits onto orbits but sends
     # orbit minima to non-minima: there h o sigma and h o (phi o sigma) differ
     for r in range(n):
-        sigma = sigma_endo(n, r)
-        for phi in (fixed_point_map(n, theta=True, sigmas=range(r)),
-                    fixed_point_map(n, theta=True)):
-            for g in gs:
-                direct = (g - g.substitute(sigma)).substitute(phi)
-                assert restricted_difference(n, g.substitute(phi), sigma, phi) == direct
+        sigma, phi = sigma_endo(n, r), fixed_point_map(n, r)
+        for spec in specs:
+            g = family_poly(spec)
+            direct = (g - g.substitute(sigma)).substitute(phi)
+            assert restricted_difference(spec, r) == direct, (spec, r)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -411,7 +411,7 @@ def test_restricted_family_chains_the_orbit_maps(n):
     for spec in [FamilySpec("X", n)] + [FamilySpec("G", n, k) for k in range(2, n + 1)]:
         g = family_poly(spec)
         for r in range(n + 1):
-            direct = g.substitute(fixed_point_map(n, theta=True, sigmas=range(r)))
+            direct = g.substitute(fixed_point_map(n, r))
             assert restricted_family(spec, r) == direct, (spec, r)
 
 
@@ -424,18 +424,19 @@ def test_planted_faults_leave_no_restricted_entry_behind(planted_fault):
             assert not claim().passed
         assert claim().passed
         for r in range(5):
-            direct = family_poly(spec).substitute(fixed_point_map(4, theta=True, sigmas=range(r)))
+            direct = family_poly(spec).substitute(fixed_point_map(4, r))
             assert restricted_family(spec, r) == direct, (spec, r)
 
 
-def test_restricted_difference_rejects_incompatible_sigma():
+def test_restricted_difference_rejects_incompatible_sigma(monkeypatch):
     # the transposition (1 2) splits the theta-orbits {1, 8} and {2, 7}
-    phi = fixed_point_map(3, theta=True)
     swap = permutation_endo({v: {1: 2, 2: 1}.get(v, v) for v in range(9)})
+    monkeypatch.setattr(verify, "sigma_endo", lambda n, r: swap)
     with pytest.raises(ValueError, match="orbits"):
-        restricted_difference(3, family_poly(FamilySpec("X", 3)), swap, phi)
+        restricted_difference(FamilySpec("X", 3), 0)
+    monkeypatch.setattr(verify, "sigma_endo", lambda n, r: Endomorphism({1: x(1) + x(2)}))
     with pytest.raises(ValueError, match="rename"):
-        restricted_difference(3, x(1), Endomorphism({1: x(1) + x(2)}), phi)
+        restricted_difference(FamilySpec("X", 3), 0)
 
 
 def test_memoised_maps_are_left_as_built():
@@ -449,11 +450,9 @@ def test_memoised_maps_are_left_as_built():
         for r in range(2, n + 1):
             assert e_map(n, r) is e_map(n, r)
             assert same(e_map(n, r), e_map.__wrapped__(n, r))
-        for theta in (False, True):
-            for sigmas in [(0,)] + [tuple(range(r)) for r in range(n)]:
-                cached = fixed_point_map(n, theta=theta, sigmas=sigmas)
-                assert cached is fixed_point_map(n, theta=theta, sigmas=list(sigmas))
-                assert same(cached, verify._fixed_point_map.__wrapped__(n, theta, sigmas))
+        for r in range(n + 1):
+            assert fixed_point_map(n, r) is fixed_point_map(n, r)
+            assert same(fixed_point_map(n, r), fixed_point_map.__wrapped__(n, r))
         assert all(same(p_map(n, b), p_map.__wrapped__(n, b)) for b in (0, 1))
         assert all(same(sigma_endo(n, i), sigma_endo.__wrapped__(n, i)) for i in range(n))
         assert same(theta_endo(n), theta_endo.__wrapped__(n))
@@ -470,7 +469,8 @@ def test_claims_json_shape():
 def test_write_verdict_round_trip(tmp_path):
     path = tmp_path / "verdict.json"
     claims = verify_identity_suite(3)[:3]
-    write_verdict(str(path), claims)
+    with path.open("w", encoding="ascii") as out:
+        write_verdict(out, claims)
     decoded = json.loads(path.read_text())
     assert [c["id"] for c in decoded] == [c.id for c in claims]
 
