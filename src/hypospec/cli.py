@@ -39,13 +39,12 @@ import argparse
 import gc
 import json
 import os
-import re
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _ascii_digits
 
 
 def _header(seed: int) -> str:
@@ -80,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(run=_cmd_compare)
     compare.add_argument("--n", required=True, type=_digits)
     # a '-' too, so that the solver names a negative seed
-    compare.add_argument("--seed", type=lambda text: _digits(text, "-?[0-9]+"), default=0,
+    compare.add_argument("--seed", type=lambda text: _digits(text, signed=True), default=0,
                          help="0 starts from all-ones")
 
     deck_cmd = sub.add_parser("deck", help="vertex-deleted canonical forms of a stored hypergraph")
@@ -104,19 +103,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _digits(text: str, pattern: str = "[0-9]+") -> int:
-    """An int option in ASCII digits, as the input files write it: `int`
-    alone would also read '+2', '1_0' and other scripts' digits."""
-    if re.fullmatch(pattern, text) is None:
+def _digits(text: str, signed: bool = False) -> int:
+    """An int option in ASCII digits, after one '-' when `signed`, read as the
+    input files are: `int` alone would also read '+2', '1_0' and other scripts' digits."""
+    if not _ascii_digits(text[1:] if signed and text.startswith("-") else text):
         raise argparse.ArgumentTypeError(f"takes ASCII digits, got {text!r}")
     return int(text)
 
 
 def _parse_n_range(text: str) -> range:
-    match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
-    if match is None:
+    bounds = text.split("..")
+    if len(bounds) > 2 or not all(map(_ascii_digits, bounds)):
         raise ValueError(f"--n takes N or A..B in ASCII digits, got {text!r}")
-    lo, hi = int(match[1]), int(match[2] or match[1])
+    lo, hi = int(bounds[0]), int(bounds[-1])
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)

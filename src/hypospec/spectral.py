@@ -169,12 +169,13 @@ def _unit(values: list[float], m: int, sizes: Sequence[int]) -> list[float]:
 
 
 def _positive_fractions(hypergraph: Hypergraph, values) -> list[Fraction]:
+    """One positive Fraction per vertex, and at least one."""
     point = [Fraction(t) for t in values]
     if len(point) != len(hypergraph.vertices):
         raise ValueError(
             f"vector of length {len(point)} against {len(hypergraph.vertices)} vertices")
-    if any(t <= 0 for t in point):
-        raise ValueError("Collatz-Wielandt brackets need a strictly positive vector")
+    if not point or any(t <= 0 for t in point):
+        raise ValueError("Collatz-Wielandt brackets need a nonempty, strictly positive vector")
     return point
 
 

@@ -597,9 +597,9 @@ def _claim_q_e3_composition(n: int) -> Claim:
 def verify_identity_suite(n: int) -> list[Claim]:
     """All exact claims at a given n, in a deterministic order.  Its loops fix
     the parameter ranges of the private `_claim_*` checks, which take them
-    unchecked.  FamilySpec validates n, so n past N_CAP fails before any
+    unchecked.  `check_sizes` validates n, so n past N_CAP fails before any
     claim builds a map."""
-    FamilySpec("X", n)
+    check_sizes((n,), False)
     claims = [_claim_rec_defn_g_n(n), _claim_remark_rec_defn(n)]
     if n == 3:
         claims.append(_claim_two_cycles_reindex())
@@ -625,15 +625,11 @@ def verify_identity_suite(n: int) -> list[Claim]:
 # -- numeric claims --------------------------------------------------------------
 
 
-def _check_numeric_n(n: int) -> None:
-    if n > NUMERIC_N_CAP:
-        raise ValueError(f"n = {n} exceeds NUMERIC_N_CAP = {NUMERIC_N_CAP} of the numeric claims")
-
-
-def _pair_gap(x: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    """E_2(x_1 - x_3) and 3 x_0 (E_2(x_1 - x_3))^2 / sum x_i^3 at x on vertices 0..2^n."""
-    e2_diff = sum(x[1::4]) - sum(x[3::4])
-    return e2_diff, 3 * x[0] * e2_diff ** 2 / sum(t ** 3 for t in x)
+def _pair_gap(n: int, vec: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+    """E_2(x_1 - x_3) and 3 x_0 (E_2(x_1 - x_3))^2 / sum x_i^3 at vec on X^n,
+    E_2 read off `e_map(n, 2)` as in `pair_gap_poly`."""
+    one, three = (sum(vec[j] for j in e_map(n, 2).image(i).variables()) for i in (1, 3))
+    return one - three, 3 * vec[0] * (one - three) ** 2 / sum(t ** 3 for t in vec)
 
 
 @_timed
@@ -655,8 +651,8 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     theta, an automorphism of both hypergraphs (criterion 6), on which both
     principal eigenvectors are constant; the param `cells` counts them.  The
     certificate of record brackets the lifted vectors on every vertex, so
-    soundness does not rest on the partition.  An n past NUMERIC_N_CAP is
-    a ValueError before any work.
+    soundness does not rest on the partition.  `check_sizes` refuses an n
+    past either cap before any work.
     Passes iff three exact conditions hold: g = 3 x_0 (E_2(x_1 - x_3))^2 /
     sum x_i^3 at the X^n eigenvector x is positive, mu_lo > lambda_hi, and
     mu_hi - lambda_lo >= g.  The last is the variational bound
@@ -677,7 +673,7 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     exact values through `format_exact`.
     """
     from .spectral import newton_steps, principal_eigenpair, rational_bracket
-    _check_numeric_n(n)
+    check_sizes((n,), True)
     hx = family_hypergraph(FamilySpec("X", n))
     hy = family_hypergraph(FamilySpec("Y", n))
     theta = theta_perm(n)
@@ -697,7 +693,7 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     vec_x, vec_y = ([Fraction(a, 1 << bits) for a in ints] for ints, bits, _, _ in state)
     x_lo, x_hi, x_res = rational_bracket(hx, vec_x)
     y_lo, y_hi, y_res = rational_bracket(hy, vec_y)
-    e2_diff, predicted = _pair_gap(vec_x)
+    e2_diff, predicted = _pair_gap(n, vec_x)
     bits = max(t.denominator.bit_length() - 1 for t in vec_x + vec_y)
     params = {
         "n": n, "cells": len(cells),
@@ -821,12 +817,13 @@ def standard_cone_samples() -> list[tuple[Hypergraph, list[tuple[int, ...]]]]:
 
 
 def check_sizes(ns: Iterable[int], numeric: bool) -> None:
-    """Raise ValueError at the first n past N_CAP, or past NUMERIC_N_CAP when
-    the numeric claims run."""
+    """The one size check: ValueError at the first n past N_CAP, then past
+    NUMERIC_N_CAP when the numeric claims run."""
     for n in ns:
         FamilySpec("X", n)
-        if numeric:
-            _check_numeric_n(n)
+        if numeric and n > NUMERIC_N_CAP:
+            raise ValueError(
+                f"n = {n} exceeds NUMERIC_N_CAP = {NUMERIC_N_CAP} of the numeric claims")
 
 
 def run_suite(ns: Sequence[int], *, include_numeric: bool = True) -> list[Claim]:

@@ -101,6 +101,19 @@ def test_int_options_take_ascii_digits_only(argv, capsys):
         f"error: argument {argv[-2]}: takes ASCII digits, got {argv[-1]!r}")
 
 
+@pytest.mark.parametrize("argv", [["compare", "--n", "-3"],
+                                  ["gen", "--family", "G", "--n", "3", "--k", "-2"],
+                                  ["compare", "--n", "3", "--seed", "-"]],
+                         ids=["compare-n", "gen-k", "compare-seed"])
+def test_only_the_seed_takes_a_leading_minus(argv, capsys):
+    """`--seed` alone reads one '-', and then ASCII digits as every int option does."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.rstrip("\n").endswith(
+        f"error: argument {argv[-2]}: takes ASCII digits, got {argv[-1]!r}")
+
+
 def test_spectrum_text_output(tmp_path, capsys):
     path = tmp_path / "single.hg"
     path.write_text(Hypergraph(3, [1, 2, 3], [(1, 2, 3)]).to_text(), encoding="ascii")
@@ -219,7 +232,7 @@ def test_compare_rejects_negative_seed(capsys):
 @pytest.fixture
 def zero_gap(monkeypatch):
     """A predicted gap of 0 planted in `verify`, which fails main-theorem alone."""
-    monkeypatch.setattr(verify, "_pair_gap", lambda vec: (Fraction(0), Fraction(0)))
+    monkeypatch.setattr(verify, "_pair_gap", lambda n, vec: (Fraction(0), Fraction(0)))
 
 
 def test_compare_exits_one_when_not_certified(zero_gap, capsys):
@@ -332,6 +345,19 @@ def test_verify_unwritable_out_exits_two_before_any_claim(tmp_path, capsys, monk
         stdout, err = capsys.readouterr()
         assert stdout == ""
         assert err.startswith("error: [Errno 2] No such file or directory: ")
+
+
+@pytest.mark.parametrize("verb", ["compare", "verify"])
+def test_past_both_caps_names_n_cap_first(verb, tmp_path, capsys):
+    """Past N_CAP, n is past NUMERIC_N_CAP too; both commands check
+    N_CAP first, through `verify.check_sizes`."""
+    verdict = tmp_path / "v.json"
+    argv = [verb, "--n", str(N_CAP + 1)] + (["--out", str(verdict)] if verb == "verify" else [])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: n = {N_CAP + 1} exceeds N_CAP = {N_CAP}\n"
+    assert not verdict.exists()
 
 
 def test_compare_past_numeric_cap_exits_two_before_any_work(capsys, monkeypatch):

@@ -113,6 +113,11 @@ def test_brackets_contain_eigenvalue():
         rational_bracket(h, [1.0] * 8 + [0.0])
 
 
+def test_rational_bracket_rejects_a_hypergraph_without_vertices():
+    with pytest.raises(ValueError, match="^Collatz-Wielandt brackets need a nonempty, strictly positive vector$"):
+        rational_bracket(Hypergraph(3, [], []), [])
+
+
 def test_rational_bracket_residual():
     h = single_edge()
     lo, hi, res = rational_bracket(h, [Fraction(1), Fraction(1), Fraction(1)])

@@ -592,8 +592,8 @@ def test_main_theorem_checks_the_predicted_gap(monkeypatch):
     twice too large must fail the claim."""
     exact = verify._pair_gap
 
-    def doubled(vec):
-        e2_diff, predicted = exact(vec)
+    def doubled(n, vec):
+        e2_diff, predicted = exact(n, vec)
         return e2_diff, 2 * predicted
 
     monkeypatch.setattr(verify, "_pair_gap", doubled)
@@ -606,11 +606,30 @@ def test_main_theorem_checks_the_predicted_gap(monkeypatch):
 def test_main_theorem_fails_on_a_zero_predicted_gap(monkeypatch):
     """At a predicted gap of 0, mu_hi - lambda_lo >= 0 holds whenever the
     brackets separate, so only the positivity check can fail the claim."""
-    monkeypatch.setattr(verify, "_pair_gap", lambda vec: (Fraction(0), Fraction(0)))
+    monkeypatch.setattr(verify, "_pair_gap", lambda n, vec: (Fraction(0), Fraction(0)))
     claim = verify_main_theorem(3)
     assert not claim.passed
     assert claim.detail == "gap polynomial at the X^3 eigenvector is 0.000e+00, not positive"
     assert claim.params["bracket_gap"] > 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pair_gap_sums_the_e2_classes_of_e_map(n, monkeypatch):
+    """The E_2(x_1 - x_3) that main-theorem predicts its gap from is the
+    factor of `pair_gap_poly`, E_2 as `e_map(n, 2)`, summed exactly at the
+    final X^n Newton vector."""
+    exact, seen = verify._pair_gap, []
+
+    def recorded(m, vec):
+        seen.append((m, vec))
+        return exact(m, vec)
+
+    monkeypatch.setattr(verify, "_pair_gap", recorded)
+    assert verify_main_theorem(n).passed
+    [(m, vec)] = seen
+    factor = (x(1) - x(3)).substitute(e_map(n, 2))
+    assert m == n and len(vec) == (1 << n) + 1
+    assert exact(n, vec)[0] == factor.evaluate_exact(vec) != 0
 
 
 def test_format_exact_survives_float_underflow():
