@@ -21,6 +21,10 @@ error: it raises with its traceback.
 Stdout is deterministic for fixed flags and seed; timings and progress go to
 stderr.
 
+verify opens --out to append before any claim runs, so a bad path exits 2 at
+once, and truncates and writes it only after the last claim, so a run
+stopped by an error or an interrupt leaves an existing file as it was.
+
 Each handler imports what it runs when it is called, so a command loads only
 its own modules, which keeps the start-up time and peak memory of each
 command to what it uses; the README lists each command's modules and
@@ -230,7 +234,7 @@ def _cmd_hypomorphic(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import check_sizes, run_suite, write_verdict
+    from .verify import check_sizes, claims_to_json, run_suite
 
     # --n, its caps and --out are checked in that order before any claim runs
     ns, numeric = _parse_n_range(args.n), not args.exact_only
@@ -240,20 +244,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     threshold = gc.get_threshold()
     gc.set_threshold(50_000, *threshold[1:])
     try:
-        with open(args.out, "w", encoding="ascii") as out:
+        with open(args.out, "a", encoding="ascii") as out:
             claims = run_suite(ns, include_numeric=numeric)
-            write_verdict(out, claims)
+            out.truncate(0)
+            out.write(claims_to_json(claims) + "\n")
     finally:
         gc.set_threshold(*threshold)
-    failed = 0
     for claim in claims:
-        tag = "PASS" if claim.passed else "FAIL"
-        failed += 0 if claim.passed else 1
         params = json.dumps(claim.params, sort_keys=True)
-        print(f"[{tag}] {claim.id} {params}")
+        print(f"[{'PASS' if claim.passed else 'FAIL'}] {claim.id} {params}")
         if not claim.passed:
             print(f"error: {claim.id} {params}: {claim.detail}", file=sys.stderr)
         print(f"{claim.id} {params} took {claim.elapsed:.2f}s", file=sys.stderr)
+    failed = sum(not claim.passed for claim in claims)
     print(f"passed {len(claims) - failed}/{len(claims)} claims")
     print(f"verdict JSON -> {args.out}", file=sys.stderr)
     return 1 if failed else 0

@@ -1,14 +1,15 @@
 """The paper's lemmas as pass/fail claims, plus the numeric theorem.
 
-Every exact or enumerated check builds its Claim record the same way: it
+Every claim, numeric ones included, is built by `_claim` alone: a check
 yields the details of its failures lazily, and `_claim` passes it when the
 stream is empty, or fails it with the first detail, so later checks run only
-while earlier ones pass.  Exact claims go through `_exact`, which takes
-`(label, lhs, rhs)` triples: each stated identity becomes a comparison of
-the two sides' terms, usually after an orbit substitution that restricts to
-the subspace fixed by a set of vertex permutations (the hypotheses
-"theta(x) = x, sigma_i(x) = x" of the statements), and lhs - rhs, built for
-the first pair that differs and only for it, is the failure's certificate.
+while earlier ones pass; `_timed` copies it with `elapsed` set.  Exact
+claims go through `_exact`, which takes `(label, lhs, rhs)` triples: each
+stated identity becomes a comparison of the two sides' terms, usually after
+an orbit substitution that restricts to the subspace fixed by a set of
+vertex permutations (the hypotheses "theta(x) = x, sigma_i(x) = x" of the
+statements), and lhs - rhs, built for the first pair that differs and only
+for it, is the failure's certificate.
 The orbit map is a ring map, so the stated products of linear factors
 (f_r^n, the link square, the pair gap) are restricted factor by factor and
 only then multiplied, in one substitution (`_restricted_product`).
@@ -36,7 +37,7 @@ share `_link_gap(spec, r)`.  The orbit maps and the restricted polynomials,
 like the structural maps of `families`, are memoised and shared, and so are
 f_r^n under phi_r and the link square under phi_{r+1}, on (n, r): two
 claims compare with each of them.  The doubling claims alone restrict
-without theta, to sigma_0 on V_{n+1}, built where they use it.
+without theta, to sigma_0 on V_{n+1}, memoised as `sigma0_map(n + 1)`.
 
 Every family polynomial that a claim reads comes through this module's
 `family_poly` binding, directly or through `restricted_family`, which reads
@@ -70,7 +71,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count, product
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .families import (NUMERIC_N_CAP, FamilySpec, e_map, family_hypergraph, family_poly,
                        mod_v, orbit_substitution, p_eps, p_map, q_map, sigma_endo,
@@ -79,27 +80,21 @@ from .hypergraph import Hypergraph
 from .polyalg import Endomorphism, SparsePoly, x
 
 
-class Claim:
-    """Outcome of one verification check; `kind` is exact-identity,
-    brute-force-enumeration or numeric, and `_timed` sets `elapsed`."""
+class Claim(NamedTuple):
+    """Outcome of one verification check, built by `_claim` alone; `kind` is
+    exact-identity, brute-force-enumeration or numeric."""
 
-    __slots__ = ("id", "params", "kind", "passed", "detail", "elapsed")
-
-    def __init__(self, id: str, params: dict, kind: str, passed: bool, detail: str = "",
-                 elapsed: float = 0.0) -> None:
-        self.id, self.params, self.kind, self.passed = id, params, kind, passed
-        self.detail, self.elapsed = detail, elapsed
+    id: str
+    params: dict
+    kind: str
+    passed: bool
+    detail: str = ""
+    elapsed: float = 0.0
 
 
 def claims_to_json(claims: Sequence[Claim]) -> str:
-    """The verdict JSON: every field of each claim but `elapsed`."""
-    return json.dumps([{"id": c.id, "params": c.params, "kind": c.kind, "passed": c.passed,
-                        "detail": c.detail} for c in claims], sort_keys=True, indent=2)
-
-
-def write_verdict(out: TextIO, claims: Sequence[Claim]) -> None:
-    """The verdict JSON and a newline, to a text stream opened by the caller."""
-    out.write(claims_to_json(claims) + "\n")
+    """The verdict JSON: every field of each claim but the last, `elapsed`."""
+    return json.dumps([dict(zip(Claim._fields[:-1], c)) for c in claims], sort_keys=True, indent=2)
 
 
 def format_exact(q: Fraction, spec: str) -> str:
@@ -124,12 +119,11 @@ def _certificate(diff: SparsePoly) -> str:
 
 def _claim(cid: str, params: dict, kind: str, failures: Iterable[str],
            note: str = "") -> Claim:
-    """Pass if `failures` yields nothing, else fail with its first detail; the
-    stream is read lazily, so later checks run only while earlier ones pass."""
+    """The one constructor of Claim: pass with `note` if `failures` yields
+    nothing, else fail with its first detail; the stream is read lazily, so
+    later checks run only while earlier ones pass."""
     first = next(iter(failures), None)
-    if first is None:
-        return Claim(cid, params, kind, True, note)
-    return Claim(cid, params, kind, False, first)
+    return Claim(cid, params, kind, first is None, note if first is None else first)
 
 
 def _exact(cid: str, params: dict, checks: Iterable[tuple[str, SparsePoly, SparsePoly]],
@@ -147,9 +141,7 @@ def _exact(cid: str, params: dict, checks: Iterable[tuple[str, SparsePoly, Spars
 def _timed(claim_fn: Callable[..., Claim]) -> Callable[..., Claim]:
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
-        claim = claim_fn(*args, **kwargs)
-        claim.elapsed = time.perf_counter() - start
-        return claim
+        return claim_fn(*args, **kwargs)._replace(elapsed=time.perf_counter() - start)
     return wrapper
 
 
@@ -159,6 +151,12 @@ def fixed_point_map(n: int, r: int) -> Endomorphism:
     sigma_0..sigma_{r-1}, memoised on (n, r); the map is shared, so it must
     not be mutated."""
     return orbit_substitution(n, [theta_perm(n)] + [sigma_perm(n, i) for i in range(r)])
+
+
+@lru_cache(maxsize=None)
+def sigma0_map(n: int) -> Endomorphism:
+    """The orbit map of sigma_0 on V_n, memoised and shared like `fixed_point_map`."""
+    return orbit_substitution(n, [sigma_perm(n, 0)])
 
 
 def _vertex_table(endo: Endomorphism, size: int) -> list[int]:
@@ -424,7 +422,7 @@ def _claim_helper_cycle(n: int, part: int) -> Claim:
 def _claim_odd_even_eight(n: int, r: int) -> Claim:
     """p_j E_r^n agrees with E_{r+1}^{n+1} on the sigma_0-fixed subspace of
     the doubled vertex set, for both j and both stated generators."""
-    phi = orbit_substitution(n + 1, [sigma_perm(n + 1, 0)])
+    phi = sigma0_map(n + 1)
     ern = e_map(n, r)
     target = e_map(n + 1, r + 1)
     cases = [(x(1), x(1)), (x(1 + (1 << (r - 1))), x(1 + (1 << r)))]
@@ -441,7 +439,7 @@ def _claim_even_odd_f(n: int, r: int) -> Claim:
     """(p_0 + p_1) f_r^n = f_{r+1}^{n+1} on the sigma_0-fixed subspace.
     phi o p_0 and phi o p_1 are one renaming, as sigma_0 swaps 2i - 1 and
     2i, so the sum is one product doubled; maps that differ get both."""
-    phi = orbit_substitution(n + 1, [sigma_perm(n + 1, 0)])
+    phi = sigma0_map(n + 1)
     c0, c1 = (phi.compose(p_map(n + 1, j)) for j in (0, 1))
     if c0.is_renaming and c1.is_renaming and c0.rename == c1.rename:
         pushed = f_poly(n, r, c0) * 2
@@ -716,12 +714,10 @@ def verify_main_theorem(n: int, *, seed: int = 0) -> Claim:
     elif not y_hi - x_lo >= predicted:
         problems.append(f"mu - lambda <= {format_exact(y_hi - x_lo, '.3e')}, short of "
                         f"predicted gap {format_exact(predicted, '.3e')}")
-    if problems:
-        return Claim("main-theorem", params, "numeric", False, "; ".join(problems))
-    return Claim("main-theorem", params, "numeric", True,
-                 f"mu - lambda in [{format_exact(y_lo - x_hi, '.6g')}, "
-                 f"{format_exact(y_hi - x_lo, '.6g')}] "
-                 f"at {bits} bits; predicted gap {format_exact(predicted, '.6g')}")
+    return _claim("main-theorem", params, "numeric", ["; ".join(problems)] if problems else (),
+                  f"mu - lambda in [{format_exact(y_lo - x_hi, '.6g')}, "
+                  f"{format_exact(y_hi - x_lo, '.6g')}] "
+                  f"at {bits} bits; predicted gap {format_exact(predicted, '.6g')}")
 
 
 def cone_over(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -> Hypergraph:
@@ -779,13 +775,13 @@ def verify_regular_cone(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -
     ones = [1] * base.num_vertices
     base_lo, base_hi, _ = rational_bracket(base, ones)
     if (base_lo, base_hi) != (d, d_max):
-        return Claim("regular-cone", params, "numeric", False,
-                     f"base bracket at all-ones is [{base_lo}, {base_hi}], but the degrees "
-                     f"run from {d} to {d_max}")
+        return _claim("regular-cone", params, "numeric",
+                      [f"base bracket at all-ones is [{base_lo}, {base_hi}], but the degrees "
+                       f"run from {d} to {d_max}"])
     if d < d_max:
-        return Claim("regular-cone", params, "numeric", True,
-                     f"base degrees run from {d} to {d_max}, so A 1 is not a multiple of 1 "
-                     f"and no eigenvector of the base or the cone is constant on the base")
+        return _claim("regular-cone", params, "numeric", (),
+                      f"base degrees run from {d} to {d_max}, so A 1 is not a multiple of 1 "
+                      f"and no eigenvector of the base or the cone is constant on the base")
     u_lo, u_hi = _root_bracket(d, gamma, apex_degree, m)
     params.update(u_lo=float(u_lo), u_hi=float(u_hi))
     # p(u_lo) < 0 <= p(u_hi) orders the base and apex ratios at each end
@@ -794,16 +790,16 @@ def verify_regular_cone(base: Hypergraph, apex_links: Sequence[Sequence[int]]) -
     for u, expected in ((u_lo, at_lo), (u_hi, at_hi)):
         got = rational_bracket(cone, [u] + ones)[:2]
         if got != expected:
-            return Claim("regular-cone", params, "numeric", False,
-                         f"cone bracket at (u, 1, ..., 1), u = {float(u)}, is {list(map(float, got))}, "
-                         f"not the quotient's {list(map(float, expected))}")
+            return _claim("regular-cone", params, "numeric",
+                          [f"cone bracket at (u, 1, ..., 1), u = {float(u)}, is {list(map(float, got))}"
+                           f", not the quotient's {list(map(float, expected))}"])
     lam_lo, lam_hi = max(at_lo[0], at_hi[0]), min(at_lo[1], at_hi[1])
     params.update(lambda_lo=float(lam_lo), lambda_hi=float(lam_hi))
-    return Claim("regular-cone", params, "numeric", True,
-                 f"the base is {d}-regular and the apex codegree is {gamma}, so (u, 1, ..., 1) "
-                 f"with {d} u^{m - 1} + {gamma} u^{m} = {apex_degree} is a positive eigenvector, "
-                 f"hence the principal one, with u in [{float(u_lo)}, {float(u_hi)}] and "
-                 f"lambda in [{float(lam_lo)}, {float(lam_hi)}]")
+    return _claim("regular-cone", params, "numeric", (),
+                  f"the base is {d}-regular and the apex codegree is {gamma}, so (u, 1, ..., 1) "
+                  f"with {d} u^{m - 1} + {gamma} u^{m} = {apex_degree} is a positive eigenvector, "
+                  f"hence the principal one, with u in [{float(u_lo)}, {float(u_hi)}] and "
+                  f"lambda in [{float(lam_lo)}, {float(lam_hi)}]")
 
 
 def standard_cone_samples() -> list[tuple[Hypergraph, list[tuple[int, ...]]]]:

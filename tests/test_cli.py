@@ -256,6 +256,27 @@ def test_verify_reports_a_failed_claim_and_writes_the_verdict(zero_gap, tmp_path
     assert out.endswith(f"passed {len(claims) - 1}/{len(claims)} claims\n")
 
 
+@pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+def test_verify_stopped_early_leaves_the_old_verdict(error, tmp_path, monkeypatch, capsys):
+    """--out is truncated only after the last claim, so a run stopped by an
+    interrupt or an error leaves an existing file byte for byte."""
+    verdict = tmp_path / "verdict.json"
+    verdict.write_bytes(b'[{"kept": true}]')
+
+    def stopped(ns, include_numeric):
+        raise error("stopped inside the suite")
+
+    monkeypatch.setattr(verify, "run_suite", stopped)
+    argv = ["verify", "--n", "3", "--out", str(verdict)]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: stopped inside the suite\n"
+    assert verdict.read_bytes() == b'[{"kept": true}]'
+
+
 def test_deck_writes_default_json(x3_file, tmp_path, capsys):
     assert main(["deck", x3_file]) == 0
     out, _ = capsys.readouterr()

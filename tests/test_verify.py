@@ -1,5 +1,6 @@
 """Exact-identity claims, their mutation sensitivity, and the numeric claims."""
 
+import ast
 import hashlib
 import json
 from collections import Counter
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hypospec.cli import main
 from hypospec.families import (N_CAP, NUMERIC_N_CAP, FamilySpec, e_map, family_hypergraph,
                                family_poly, mod_v, orbit_substitution, p_map, permutation_endo,
                                sigma_endo, sigma_perm, theta_endo, theta_perm)
@@ -28,6 +30,7 @@ from hypospec.verify import (
     restricted_difference,
     restricted_family,
     run_suite,
+    sigma0_map,
     standard_cone_samples,
     verify_basis_step,
     verify_identity_suite,
@@ -37,7 +40,6 @@ from hypospec.verify import (
     verify_neigh_general,
     verify_regular_cone,
     verify_sigma_general,
-    write_verdict,
 )
 from oracles import codegree
 
@@ -453,6 +455,8 @@ def test_memoised_maps_are_left_as_built():
         for r in range(n + 1):
             assert fixed_point_map(n, r) is fixed_point_map(n, r)
             assert same(fixed_point_map(n, r), fixed_point_map.__wrapped__(n, r))
+        assert sigma0_map(n) is sigma0_map(n)
+        assert same(sigma0_map(n), sigma0_map.__wrapped__(n))
         assert all(same(p_map(n, b), p_map.__wrapped__(n, b)) for b in (0, 1))
         assert all(same(sigma_endo(n, i), sigma_endo.__wrapped__(n, i)) for i in range(n))
         assert same(theta_endo(n), theta_endo.__wrapped__(n))
@@ -467,12 +471,36 @@ def test_claims_json_shape():
 
 
 def test_write_verdict_round_trip(tmp_path):
+    """`verify --out` replaces an existing file with the verdict JSON of the
+    claims it ran, and a newline; every field but `elapsed` reads back."""
     path = tmp_path / "verdict.json"
-    claims = verify_identity_suite(3)[:3]
-    with path.open("w", encoding="ascii") as out:
-        write_verdict(out, claims)
-    decoded = json.loads(path.read_text())
-    assert [c["id"] for c in decoded] == [c.id for c in claims]
+    path.write_text("an older, longer file " * 1000)
+    assert main(["verify", "--n", "3", "--exact-only", "--out", str(path)]) == 0
+    claims = verify_identity_suite(3)
+    assert path.read_text(encoding="ascii") == claims_to_json(claims) + "\n"
+    decoded = json.loads(path.read_text(encoding="ascii"))
+    assert decoded == [{"id": c.id, "params": c.params, "kind": c.kind, "passed": c.passed,
+                        "detail": c.detail} for c in claims]
+
+
+def test_only_claim_builds_a_claim():
+    """Inside the package `Claim(...)` is called in `verify._claim` alone, so
+    a new field of Claim has one constructor to fill it."""
+    callers = set()
+    for path in Path(verify.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk visits an outer def before the defs inside it, so the
+        # innermost def of each node is written last
+        owner = {}
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(scope):
+                    owner[node] = getattr(scope, "name", "<lambda>")
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "Claim":
+                callers.add(f"{path.stem}.{owner.get(node, '<module>')}")
+    assert callers == {"verify._claim"}
 
 
 def test_main_theorem_n3():
